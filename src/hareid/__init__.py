@@ -7,24 +7,21 @@ and an mAP/CMC retrieval-evaluation harness with image-to-track and
 repeated-gallery-sampling protocols.
 """
 
-from .attention import (AttentionWeights, TransformerNetParams, attend,
-                        attention_embedding, attention_pipeline, attention_scores,
-                        guidance_signal, normalize_scores)
-from .autodiff import (Graph, Tensor, backward, binary, constant, conv2d,
-                       global_average_pool, grad_check, grad_check_groups, matmul,
-                       max_pool2, parameter, relu, reshape, scale_rows, sigmoid,
-                       softmax_cross_entropy, softplus, tanh, tsum, unary, zeros)
+from .attention import (AttentionWeights, attend, attention_embedding, attention_pipeline,
+                        attention_scores, guidance_signal, normalize_scores)
+from .autodiff import (Graph, Tensor, backward, constant, conv2d, global_average_pool,
+                       grad_check, grad_check_groups, matmul, max_pool2, parameter, relu,
+                       reshape, scale_rows, sigmoid, softmax_cross_entropy, softplus, tanh,
+                       tsum, zeros)
 from .backbone import (ActivationMap, ConvStackConfig, ConvStackParams, conv_forward,
-                       from_descriptors, load_descriptors, to_descriptors,
-                       write_descriptors)
+                       from_descriptors, to_descriptors)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import (DatasetSplit, LabeledSample, SynthConfig, SynthDataset, batch_iter,
-                   load_manifest, sample_input, synth_generate, training_items,
-                   write_manifest, write_synth)
+from .data import (DatasetSplit, LabeledSample, SynthConfig, SynthDataset, load_manifest,
+                   sample_input, synth_generate, training_items, write_manifest, write_synth)
 from .errors import (ConfigError, FormatError, HareidError, NumericError, ShapeError,
                      ValidationError)
-from .gru import (ClassifierHead, GruParams, GruState, LossReport, classify, gru_step,
-                  hierarchical_loss, unroll)
+from .gru import (ClassifierHead, GruParams, GruState, LossReport, Mlp, classify, gru_step,
+                  hierarchical_loss)
 from .model import (VARIANTS, FeatureVector, ForwardResult, Model, ModelConfig,
                     normalize_feature)
 from .optim import RmspropState, TrainSchedule, lr_schedule, rmsprop_step, rng_for, train

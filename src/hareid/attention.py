@@ -1,8 +1,8 @@
 """Attention over deep descriptors, guided by the coarse-level output.
 
-The coarse output o1 passes through a two-layer transformer network
-(linear, ReLU, linear) into a guidance vector w living in descriptor space.
-Each spatial location (i,j) of the activation map scores
+The coarse output o1 passes through a two-layer transformer network (an
+``Mlp``: linear, ReLU, linear) into a guidance vector w living in descriptor
+space. Each spatial location (i,j) of the activation map scores
 
     s_ij = softplus(w . f_ij)                       (strictly positive)
     a_ij = (s_ij + eps) / sum_kl (s_kl + eps)       (sums to one, eps = 0.1)
@@ -17,37 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, global_average_pool, matmul, parameter, relu, reshape,
-                       scale_rows, softplus, tsum)
+from .autodiff import Tensor, global_average_pool, matmul, reshape, scale_rows, softplus, tsum
 from .backbone import ActivationMap
 from .errors import ConfigError, ShapeError
+from .gru import Mlp
 
 DEFAULT_EPSILON = 0.1
-
-
-@dataclass
-class TransformerNetParams:
-    """Two fully connected layers with a ReLU between them; output lives in
-    descriptor space so that w . f is defined."""
-
-    w1: Tensor  # (H_t, H)
-    b1: Tensor  # (H_t,)
-    w2: Tensor  # (d, H_t)
-    b2: Tensor  # (d,)
-
-    @classmethod
-    def init(cls, hidden: int, attn_hidden: int, d: int,
-             rng: np.random.Generator) -> "TransformerNetParams":
-        def weight(rows, cols):
-            bound = 1.0 / np.sqrt(cols)
-            return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
-
-        return cls(w1=weight(attn_hidden, hidden), b1=parameter(np.zeros(attn_hidden)),
-                   w2=weight(d, attn_hidden), b2=parameter(np.zeros(d)))
-
-    def named(self, prefix: str = "attn") -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
 
 @dataclass
@@ -68,12 +43,13 @@ class AttentionWeights:
         return flat // self.a.shape[1], flat % self.a.shape[1]
 
 
-def guidance_signal(o1: Tensor, params: TransformerNetParams) -> Tensor:
-    """w = W2 relu(W1 o1 + b1) + b2."""
+def guidance_signal(o1: Tensor, params: Mlp) -> Tensor:
+    """w = W2 relu(W1 o1 + b1) + b2; the output lives in descriptor space so
+    that w . f is defined."""
     if o1.data.ndim != 1 or o1.shape[0] != params.w1.shape[1]:
         raise ShapeError(f"guidance_signal: o1 shape {o1.shape} does not match "
                          f"transformer input {params.w1.shape[1]}")
-    return matmul(params.w2, relu(matmul(params.w1, o1) + params.b1)) + params.b2
+    return params.apply(o1)
 
 
 def attention_scores(w: Tensor, amap: ActivationMap) -> Tensor:
@@ -110,7 +86,7 @@ def attention_embedding(attended: Tensor) -> Tensor:
     return global_average_pool(attended)
 
 
-def attention_pipeline(o1: Tensor, amap: ActivationMap, params: TransformerNetParams,
+def attention_pipeline(o1: Tensor, amap: ActivationMap, params: Mlp,
                        epsilon: float = DEFAULT_EPSILON) -> tuple[Tensor, AttentionWeights]:
     """Full guidance -> scores -> normalize -> attend -> embed chain.
 

@@ -12,18 +12,12 @@ may be mutated between graphs (that is how the optimizer updates parameters).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
-
-# Test hook: op name -> factor applied to the upstream gradient before it is
-# routed to the op's parents. Used to prove the gradient checker catches a
-# wrong backward rule.
-_BACKWARD_SCALE: dict[str, float] = {}
 
 
 class Tensor:
@@ -137,35 +131,18 @@ class Graph:
         return cls(order)
 
 
-def backward(loss: Tensor) -> Graph:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
-    ``loss`` must be a scalar (shape ``()``). Returns the graph that was
-    walked, mainly so tests can inspect the topological order.
+    ``loss`` must be a scalar (shape ``()``).
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     graph = Graph.from_root(loss)
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(graph.nodes):
-        if node._backward is None or node.grad is None:
-            continue
-        g = node.grad
-        scale = _BACKWARD_SCALE.get(node.op)
-        if scale is not None:
-            g = g * scale
-        node._backward(g)
-    return graph
-
-
-@contextmanager
-def scaled_backward(op: str, scale: float) -> Iterator[None]:
-    """Test hook: corrupts the gradient an op sends to its parents."""
-    _BACKWARD_SCALE[op] = scale
-    try:
-        yield
-    finally:
-        del _BACKWARD_SCALE[op]
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +215,6 @@ def div(x, y) -> Tensor:
     return out
 
 
-def binary(kind: str, x, y) -> Tensor:
-    """Dispatch by name; kinds: add, sub, mul."""
-    try:
-        fn = {"add": add, "sub": sub, "mul": mul}[kind]
-    except KeyError:
-        raise ValueError(f"unknown binary kind {kind!r}") from None
-    return fn(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Nonlinearities
 
@@ -299,15 +267,6 @@ def relu(x: Tensor) -> Tensor:
 
     out._backward = _bw
     return out
-
-
-def unary(kind: str, x: Tensor) -> Tensor:
-    """Dispatch by name; kinds: sigmoid, tanh, softplus, relu."""
-    try:
-        fn = {"sigmoid": sigmoid, "tanh": tanh, "softplus": softplus, "relu": relu}[kind]
-    except KeyError:
-        raise ValueError(f"unknown unary kind {kind!r}") from None
-    return fn(x)
 
 
 # ---------------------------------------------------------------------------

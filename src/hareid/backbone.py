@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import formats
 from .autodiff import Tensor, conv2d, max_pool2, parameter, relu
 from .errors import ConfigError, ShapeError
 
@@ -113,16 +112,3 @@ def conv_forward(image, params: ConvStackParams) -> ActivationMap:
         if params.config.pool:
             x = max_pool2(x)
     return ActivationMap(x, provenance="conv")
-
-
-def write_descriptors(path, maps) -> None:
-    """Persist activation maps (or raw (h,w,d) arrays) in DESC1 format."""
-    arrays = [m.tensor.data if isinstance(m, ActivationMap) else m for m in maps]
-    formats.write_tensor_file(path, arrays, magic=formats.DESC_MAGIC)
-
-
-def load_descriptors(path) -> list[ActivationMap]:
-    """Load a DESC1 file; the resulting maps are constants (no gradients)."""
-    block = formats.read_tensor_file(path, magic=formats.DESC_MAGIC)
-    return [ActivationMap(Tensor(block[i]), provenance="ingested")
-            for i in range(block.shape[0])]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 from pathlib import Path
@@ -20,8 +21,8 @@ from .autodiff import grad_check_groups
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, HareidError, ValidationError
 from .model import VARIANTS, Model, ModelConfig
-from .optim import RmspropState, TrainSchedule, rng_for, train
-from .retrieval import RetrievalIndex, vehicleid_protocol, veri_protocol
+from .optim import TrainSchedule, rng_for, train
+from .retrieval import EvaluationReport, RetrievalIndex, vehicleid_protocol, veri_protocol
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +43,19 @@ def _samples_for(split: data.DatasetSplit, name: str) -> list[data.LabeledSample
     if name == "test":
         return split.test
     raise ConfigError(f"unknown split {name!r}")
+
+
+def _model_from_checkpoint(path) -> tuple[Model, Checkpoint]:
+    ckpt = load_checkpoint(path)
+    model = Model(ckpt.config)
+    model.load_state(ckpt.params)
+    return model, ckpt
+
+
+def _features(model: Model, samples, maps: np.ndarray | None, image_root=None) -> np.ndarray:
+    """One l2-normalized step-2 feature row per sample."""
+    return np.stack([model.extract_feature(data.sample_input(s, maps, image_root)).values
+                     for s in samples])
 
 
 def _write_loss_rows(path, rows, append: bool) -> None:
@@ -88,11 +102,9 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.resume:
-        ckpt = load_checkpoint(args.resume)
+        model, ckpt = _model_from_checkpoint(args.resume)
         config = ckpt.config
-        model = Model(config)
-        model.load_state(ckpt.params)
-        state: RmspropState | None = ckpt.opt
+        state = ckpt.opt
         start_epoch = ckpt.epoch
         seed = ckpt.seed
     else:
@@ -132,24 +144,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_from_checkpoint(path) -> tuple[Model, Checkpoint]:
-    ckpt = load_checkpoint(path)
-    model = Model(ckpt.config)
-    model.load_state(ckpt.params)
-    return model, ckpt
-
-
 def cmd_extract(args) -> int:
     model, ckpt = _model_from_checkpoint(args.checkpoint)
     split, maps = _load_split_and_maps(args)
     samples = _samples_for(split, args.split)
     if not samples:
         raise ConfigError(f"split {args.split!r} is empty")
-    features = np.zeros((len(samples), ckpt.config.hidden))
-    for i, sample in enumerate(samples):
-        inp = data.sample_input(sample, maps, image_root=args.image_root)
-        features[i] = model.extract_feature(inp).values
-    formats.write_features(args.out, features)
+    formats.write_features(args.out, _features(model, samples, maps, args.image_root))
     print(f"wrote {len(samples)} features of dim {ckpt.config.hidden} to {args.out}")
     return 0
 
@@ -227,36 +228,34 @@ def cmd_attmap(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    import json
+def run_variant(split: data.DatasetSplit, maps: np.ndarray, variant: str, seed: int,
+                hidden: int, schedule: TrainSchedule, gallery_size: int, repeats: int,
+                eval_seed: int) -> tuple[Model, EvaluationReport]:
+    """Train one variant from ``seed`` on the train split, extract the test
+    split's features and score them under the repeated-gallery protocol."""
+    model = Model(ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
+                              variant=variant, d=maps.shape[-1], hidden=hidden, seed=seed))
+    train(model, data.training_items(split, maps), schedule, seed)
+    index = RetrievalIndex.build(_features(model, split.test, maps), split.test)
+    return model, vehicleid_protocol(index, gallery_size=gallery_size, repeats=repeats,
+                                     seed=eval_seed)
 
+
+def cmd_ablate(args) -> int:
     split, maps = _load_split_and_maps(args)
     schedule = _schedule_from_args(args)
     seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip() != ""]
     gallery_size = args.gallery_size or len({s.vehicle_id for s in split.test})
-    items = data.training_items(split, maps)
     results: dict[str, dict] = {}
     for variant in VARIANTS:
         per_seed = []
         for seed in seeds:
-            config = ModelConfig(num_models=split.num_models,
-                                 num_vehicles=split.num_vehicles, variant=variant,
-                                 d=maps.shape[-1], hidden=args.hidden, seed=seed)
-            model = Model(config)
-            train(model, items, schedule, seed)
-            features = np.stack([model.extract_feature(
-                data.sample_input(s, maps)).values for s in split.test])
-            report = vehicleid_protocol(RetrievalIndex.build(features, split.test),
-                                        gallery_size=gallery_size,
-                                        repeats=args.repeats, seed=args.eval_seed)
+            _, report = run_variant(split, maps, variant, seed, args.hidden, schedule,
+                                    gallery_size, args.repeats, args.eval_seed)
             per_seed.append({"seed": seed, "map": report.map,
                              "cmc1": report.cmc[1], "cmc5": report.cmc[5]})
-        results[variant] = {
-            "per_seed": per_seed,
-            "map": float(np.mean([r["map"] for r in per_seed])),
-            "cmc1": float(np.mean([r["cmc1"] for r in per_seed])),
-            "cmc5": float(np.mean([r["cmc5"] for r in per_seed])),
-        }
+        means = {key: float(np.mean([r[key] for r in per_seed])) for key in ("map", "cmc1", "cmc5")}
+        results[variant] = {"per_seed": per_seed, **means}
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,6 +281,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     def add_common(p):
         p.add_argument("--config", help="flat key=value file; CLI flags take precedence")
         subcommands.append(p)
+
+    def add_schedule(p):
+        p.add_argument("--epochs", type=int, default=20)
+        p.add_argument("--batch-size", type=int, default=64)
+        p.add_argument("--lr", type=float, default=0.001)
+        p.add_argument("--drop-epoch", type=int, default=5)
+        p.add_argument("--dropped-lr", type=float, default=0.0001)
 
     p = sub.add_parser("synth", help="generate the synthetic dataset")
     add_common(p)
@@ -314,11 +320,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     p.add_argument("--conv-in-channels", type=int, default=1)
     p.add_argument("--hidden", type=int, default=1024)
     p.add_argument("--attn-hidden", type=int, default=0, help="0 = hidden // 2")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--drop-epoch", type=int, default=5)
-    p.add_argument("--dropped-lr", type=float, default=0.0001)
+    add_schedule(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
@@ -377,11 +379,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     p.add_argument("--descriptors", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--drop-epoch", type=int, default=5)
-    p.add_argument("--dropped-lr", type=float, default=0.0001)
+    add_schedule(p)
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--gallery-size", type=int, default=0)
     p.add_argument("--repeats", type=int, default=10)
@@ -415,7 +413,10 @@ def _apply_config_file(command_actions: dict[str, dict], args: argparse.Namespac
         if key in explicit:
             continue
         action = actions[key]
-        setattr(args, key, action.type(value.strip()) if action.type else value.strip())
+        try:
+            setattr(args, key, action.type(value.strip()) if action.type else value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}:{lineno}: bad value for {key!r}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -425,7 +426,11 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(command_actions, args, argv)
         if "HAR_SEED" in os.environ and hasattr(args, "seed"):
-            args.seed = int(os.environ["HAR_SEED"])
+            try:
+                args.seed = int(os.environ["HAR_SEED"])
+            except ValueError:
+                raise ConfigError(f"HAR_SEED must be an integer, got "
+                                  f"{os.environ['HAR_SEED']!r}") from None
         return args.func(args)
     except (HareidError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

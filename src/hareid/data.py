@@ -1,4 +1,4 @@
-"""Manifest ingestion, the synthetic coarse-to-fine generator, and batching.
+"""Manifest ingestion and the synthetic coarse-to-fine generator.
 
 Manifest CSV: header ``split,source,vehicle_id,model_id[,camera_id[,track_id]]``,
 one labeled image or descriptor per row. Dense class indices are built from
@@ -128,15 +128,6 @@ def write_manifest(path, split: DatasetSplit) -> None:
             for s in samples:
                 writer.writerow([name, s.source, s.vehicle_id, s.model_id,
                                  s.camera_id or "", s.track_id or ""])
-
-
-def batch_iter(samples, batch_size: int, shuffle_seed: int):
-    """Deterministic shuffled batches covering every sample exactly once."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    order = rng_for(shuffle_seed).permutation(len(samples))
-    for lo in range(0, len(samples), batch_size):
-        yield [samples[i] for i in order[lo:lo + batch_size]]
 
 
 # ---------------------------------------------------------------------------

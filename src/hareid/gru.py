@@ -1,4 +1,4 @@
-"""GRU cell, the two-step coarse-to-fine unroll, and the joint loss.
+"""GRU cell, the two-layer MLP, classifier heads, and the joint loss.
 
 One gated recurrent step computes
 
@@ -7,22 +7,21 @@ One gated recurrent step computes
     n = tanh(W_xg x + r * (W_hg h) + b_g)       candidate state
     h' = (1 - z) * n + z * h
 
-The unroll runs the same cell twice with shared weights: step 1 consumes the
-image embedding and yields the coarse-level output o1, step 2 consumes
-whatever the provider callback builds from o1 (the attention embedding, or
-the image embedding again for the no-attention ablation) and yields o2. The
-joint objective is the plain sum of the two cross-entropy branches; there is
-no weighting knob.
+The model runs the same cell twice with shared weights (see
+``Model.forward``): step 1 consumes the image embedding from a zero state and
+yields the coarse-level output o1, step 2 consumes the attention embedding
+(or the image embedding again for the no-attention ablation) and yields o2.
+The joint objective is the plain sum of the two cross-entropy branches;
+there is no weighting knob.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Tensor, parameter, sigmoid, softmax_cross_entropy, tanh, zeros
+from .autodiff import Tensor, matmul, parameter, relu, sigmoid, softmax_cross_entropy, tanh
 from .errors import ShapeError
 
 
@@ -33,6 +32,13 @@ from .errors import ShapeError
 # transmitted from the start; with the fixed two-phase learning-rate schedule
 # the gain cannot be recovered by training at desk scale.
 DEFAULT_INPUT_GAIN = 8.0
+
+
+def uniform_weight(rows: int, cols: int, rng: np.random.Generator,
+                   gain: float = 1.0) -> Tensor:
+    """A (rows, cols) parameter drawn from uniform(+-gain/sqrt(cols))."""
+    bound = gain / np.sqrt(cols)
+    return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
 
 
 @dataclass
@@ -52,17 +58,13 @@ class GruParams:
     @classmethod
     def init(cls, input_dim: int, hidden: int, rng: np.random.Generator,
              input_gain: float = DEFAULT_INPUT_GAIN) -> "GruParams":
-        def weight(rows, cols, gain=1.0):
-            bound = gain / np.sqrt(cols)
-            return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
-
         return cls(
-            w_xz=weight(hidden, input_dim, input_gain), w_hz=weight(hidden, hidden),
-            b_z=parameter(np.zeros(hidden)),
-            w_xr=weight(hidden, input_dim, input_gain), w_hr=weight(hidden, hidden),
-            b_r=parameter(np.zeros(hidden)),
-            w_xg=weight(hidden, input_dim, input_gain), w_hg=weight(hidden, hidden),
-            b_g=parameter(np.zeros(hidden)),
+            w_xz=uniform_weight(hidden, input_dim, rng, input_gain),
+            w_hz=uniform_weight(hidden, hidden, rng), b_z=parameter(np.zeros(hidden)),
+            w_xr=uniform_weight(hidden, input_dim, rng, input_gain),
+            w_hr=uniform_weight(hidden, hidden, rng), b_r=parameter(np.zeros(hidden)),
+            w_xg=uniform_weight(hidden, input_dim, rng, input_gain),
+            w_hg=uniform_weight(hidden, hidden, rng), b_g=parameter(np.zeros(hidden)),
         )
 
     @property
@@ -74,9 +76,7 @@ class GruParams:
         return self.w_xz.shape[1]
 
     def named(self, prefix: str = "gru") -> dict[str, Tensor]:
-        return {f"{prefix}.{name}": getattr(self, name)
-                for name in ("w_xz", "w_hz", "b_z", "w_xr", "w_hr", "b_r",
-                             "w_xg", "w_hg", "b_g")}
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -104,6 +104,31 @@ def gru_step(x: Tensor, h_prev: Tensor, params: GruParams) -> GruState:
 
 
 @dataclass
+class Mlp:
+    """w2 relu(w1 x + b1) + b2: the attention module's guidance network and,
+    in the fc_ha ablation, the fully connected stand-in for a recurrent step.
+    ``input_gain`` widens the first layer like the GRU's input-side matrices."""
+
+    w1: Tensor  # (hidden, in_dim)
+    b1: Tensor  # (hidden,)
+    w2: Tensor  # (out_dim, hidden)
+    b2: Tensor  # (out_dim,)
+
+    @classmethod
+    def init(cls, in_dim: int, hidden: int, out_dim: int, rng: np.random.Generator,
+             input_gain: float = 1.0) -> "Mlp":
+        return cls(w1=uniform_weight(hidden, in_dim, rng, input_gain),
+                   b1=parameter(np.zeros(hidden)),
+                   w2=uniform_weight(out_dim, hidden, rng), b2=parameter(np.zeros(out_dim)))
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
+
+    def apply(self, x: Tensor) -> Tensor:
+        return matmul(self.w2, relu(matmul(self.w1, x) + self.b1)) + self.b2
+
+
+@dataclass
 class ClassifierHead:
     """Linear logit projection for one hierarchy level."""
 
@@ -112,13 +137,7 @@ class ClassifierHead:
 
     @classmethod
     def init(cls, classes: int, hidden: int, rng: np.random.Generator) -> "ClassifierHead":
-        bound = 1.0 / np.sqrt(hidden)
-        return cls(w=parameter(rng.uniform(-bound, bound, size=(classes, hidden))),
-                   b=parameter(np.zeros(classes)))
-
-    @property
-    def classes(self) -> int:
-        return self.w.shape[0]
+        return cls(w=uniform_weight(classes, hidden, rng), b=parameter(np.zeros(classes)))
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -161,23 +180,3 @@ def hierarchical_loss(logits_model: Tensor, y_model: int,
     total = l_model + l_vehicle
     return total, LossReport.from_branches(l_model.item(), l_vehicle.item())
 
-
-def unroll(x1: Tensor, params: GruParams,
-           x2_provider: Callable[[Tensor], Tensor],
-           h0: Tensor | None = None) -> tuple[Tensor, Tensor, tuple[GruState, GruState]]:
-    """Two coarse-to-fine steps of the shared-weight cell.
-
-    o1 is the hidden state after consuming x1 from a zero initial state;
-    x2 = x2_provider(o1) feeds the second step. Gradients from losses on both
-    outputs flow into the shared parameters.
-    """
-    if h0 is None:
-        h0 = zeros(params.hidden)
-    s1 = gru_step(x1, h0, params)
-    o1 = s1.h
-    x2 = x2_provider(o1)
-    if x2.data.ndim != 1 or x2.shape[0] != params.input_dim:
-        raise ShapeError(f"unroll: provider output shape {x2.shape} does not match "
-                         f"input dim {params.input_dim}")
-    s2 = gru_step(x2, s1.h, params)
-    return o1, s2.h, (s1, s2)

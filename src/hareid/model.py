@@ -5,7 +5,7 @@ Three variants share the surrounding plumbing:
 * ``rnn_ha``             full model: shared-weight GRU plus attention.
 * ``rnn_h_no_attention`` hierarchy kept, attention removed (x2 = x1).
 * ``fc_ha``              GRU replaced by two independent two-layer
-                         transforms; attention kept.
+                         MLPs; attention kept.
 
 Parameter registration order is fixed (conv stack, recurrent or fc block,
 model head, vehicle head, attention net) so that, for one seed, variants
@@ -19,13 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from .autodiff import Tensor, global_average_pool, matmul, parameter, relu
+from .autodiff import Tensor, global_average_pool, zeros
 from .backbone import ActivationMap, ConvStackConfig, ConvStackParams, conv_forward
-from .errors import ConfigError, ShapeError
-from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, classify,
-                  hierarchical_loss, unroll)
+from .errors import ConfigError, FormatError, ShapeError
+from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp, classify,
+                  gru_step, hierarchical_loss)
 
 VARIANTS = ("rnn_ha", "fc_ha", "rnn_h_no_attention")
+
+# Checkpoint config text: one key=value line per field in this order, parsed
+# back with the given type, then an optional conv line.
+_TEXT_FIELDS = {"variant": str, "num_models": int, "num_vehicles": int, "d": int,
+                "hidden": int, "attn_hidden": int, "backbone": str, "epsilon": float,
+                "input_gain": float, "seed": int}
 
 
 @dataclass
@@ -61,11 +67,7 @@ class ModelConfig:
         return self.attn_hidden if self.attn_hidden > 0 else max(1, self.hidden // 2)
 
     def to_text(self) -> str:
-        lines = [f"variant={self.variant}", f"num_models={self.num_models}",
-                 f"num_vehicles={self.num_vehicles}", f"d={self.d}",
-                 f"hidden={self.hidden}", f"attn_hidden={self.attn_hidden}",
-                 f"backbone={self.backbone}", f"epsilon={self.epsilon!r}",
-                 f"input_gain={self.input_gain!r}", f"seed={self.seed}"]
+        lines = [f"{key}={getattr(self, key)}" for key in _TEXT_FIELDS]
         if self.conv is not None:
             lines.append(f"conv={self.conv.layers},{self.conv.kernel},{self.conv.channels},"
                          f"{self.conv.in_channels},{self.conv.stride},{int(self.conv.pool)}")
@@ -80,47 +82,24 @@ class ModelConfig:
                 continue
             key, _, value = line.partition("=")
             kv[key] = value
-        conv = None
-        if "conv" in kv:
+
+        def field(key, parse):
+            if key not in kv:
+                raise FormatError(f"model config lacks key {key!r}")
+            try:
+                return parse(kv[key])
+            except ValueError:
+                raise FormatError(f"model config key {key!r} has bad value "
+                                  f"{kv[key]!r}") from None
+
+        def conv_stack(value):
             layers, kernel, channels, in_channels, stride, pool = (int(v) for v in
-                                                                   kv["conv"].split(","))
-            conv = ConvStackConfig(layers=layers, kernel=kernel, channels=channels,
+                                                                   value.split(","))
+            return ConvStackConfig(layers=layers, kernel=kernel, channels=channels,
                                    in_channels=in_channels, stride=stride, pool=bool(pool))
-        return cls(num_models=int(kv["num_models"]), num_vehicles=int(kv["num_vehicles"]),
-                   variant=kv["variant"], d=int(kv["d"]), hidden=int(kv["hidden"]),
-                   attn_hidden=int(kv["attn_hidden"]), backbone=kv["backbone"],
-                   epsilon=float(kv["epsilon"]), input_gain=float(kv["input_gain"]),
-                   seed=int(kv["seed"]), conv=conv)
 
-
-@dataclass
-class TwoLayerParams:
-    """One hidden ReLU layer of width H then a linear map to H; the
-    fully connected stand-in for a recurrent step in the fc_ha ablation.
-    The embedding-facing layer gets the same input gain as the GRU's
-    input-side matrices so the ablation is compared on equal footing."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    @classmethod
-    def init(cls, input_dim: int, hidden: int, rng: np.random.Generator,
-             input_gain: float = DEFAULT_INPUT_GAIN) -> "TwoLayerParams":
-        def weight(rows, cols, gain=1.0):
-            bound = gain / np.sqrt(cols)
-            return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
-
-        return cls(w1=weight(hidden, input_dim, input_gain), b1=parameter(np.zeros(hidden)),
-                   w2=weight(hidden, hidden), b2=parameter(np.zeros(hidden)))
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
-
-    def apply(self, x: Tensor) -> Tensor:
-        return matmul(self.w2, relu(matmul(self.w1, x) + self.b1)) + self.b2
+        return cls(**{key: field(key, parse) for key, parse in _TEXT_FIELDS.items()},
+                   conv=field("conv", conv_stack) if "conv" in kv else None)
 
 
 @dataclass
@@ -130,6 +109,15 @@ class FeatureVector:
 
     values: np.ndarray
     normalized: bool
+
+
+def normalize_feature(values: np.ndarray) -> FeatureVector:
+    """l2-normalize an arbitrary vector with the zero-vector convention."""
+    values = np.asarray(values, dtype=np.float64)
+    norm = float(np.linalg.norm(values))
+    if norm == 0.0:
+        return FeatureVector(values=values.copy(), normalized=False)
+    return FeatureVector(values=values / norm, normalized=True)
 
 
 @dataclass
@@ -152,17 +140,16 @@ class Model:
         if config.backbone == "conv":
             self.conv_params = ConvStackParams.init(config.conv, rng)
         if config.variant == "fc_ha":
-            self.fc1 = TwoLayerParams.init(config.d, config.hidden, rng, config.input_gain)
-            self.fc2 = TwoLayerParams.init(config.d, config.hidden, rng, config.input_gain)
+            self.fc1 = Mlp.init(config.d, config.hidden, config.hidden, rng, config.input_gain)
+            self.fc2 = Mlp.init(config.d, config.hidden, config.hidden, rng, config.input_gain)
             self.gru: GruParams | None = None
         else:
             self.gru = GruParams.init(config.d, config.hidden, rng, config.input_gain)
         self.head_model = ClassifierHead.init(config.num_models, config.hidden, rng)
         self.head_vehicle = ClassifierHead.init(config.num_vehicles, config.hidden, rng)
-        self.attn: att.TransformerNetParams | None = None
+        self.attn: Mlp | None = None
         if config.variant != "rnn_h_no_attention":
-            self.attn = att.TransformerNetParams.init(
-                config.hidden, config.resolved_attn_hidden, config.d, rng)
+            self.attn = Mlp.init(config.hidden, config.resolved_attn_hidden, config.d, rng)
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -176,7 +163,7 @@ class Model:
         out.update(self.head_model.named("head_model"))
         out.update(self.head_vehicle.named("head_vehicle"))
         if self.attn is not None:
-            out.update(self.attn.named())
+            out.update(self.attn.named("attn"))
         return out
 
     def parameter_count(self) -> int:
@@ -199,28 +186,23 @@ class Model:
         cfg = self.config
         amap = self._activation_map(inp)
         x1 = global_average_pool(amap.tensor)
-        weights_out: list[att.AttentionWeights | None] = [None]
-
-        if cfg.variant == "fc_ha":
+        if self.gru is None:
             o1 = self.fc1.apply(x1)
-            x2, weights = att.attention_pipeline(o1, amap, self.attn, cfg.epsilon)
-            weights_out[0] = weights
+        else:
+            o1 = gru_step(x1, zeros(cfg.hidden), self.gru).h  # coarse step, zero state
+        if self.attn is None:
+            x2, attention = x1, None
+        else:
+            x2, attention = att.attention_pipeline(o1, amap, self.attn, cfg.epsilon)
+        if self.gru is None:
             o2 = self.fc2.apply(x2)
         else:
-            def provider(o1: Tensor) -> Tensor:
-                if cfg.variant == "rnn_h_no_attention":
-                    return x1
-                x2, weights = att.attention_pipeline(o1, amap, self.attn, cfg.epsilon)
-                weights_out[0] = weights
-                return x2
-
-            o1, o2, _ = unroll(x1, self.gru, provider)
-
+            o2 = gru_step(x2, o1, self.gru).h  # fine step, same weights, state o1
         return ForwardResult(
             x1=x1, o1=o1, o2=o2,
             logits_model=classify(o1, self.head_model),
             logits_vehicle=classify(o2, self.head_vehicle),
-            attention=weights_out[0],
+            attention=attention,
         )
 
     def loss(self, inp, y_model: int, y_vehicle: int) -> tuple[Tensor, LossReport, ForwardResult]:
@@ -230,11 +212,7 @@ class Model:
         return total, report, result
 
     def extract_feature(self, inp) -> FeatureVector:
-        o2 = self.forward(inp).o2.data
-        norm = float(np.linalg.norm(o2))
-        if norm == 0.0:
-            return FeatureVector(values=o2.copy(), normalized=False)
-        return FeatureVector(values=o2 / norm, normalized=True)
+        return normalize_feature(self.forward(inp).o2.data)
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = self.params()
@@ -249,11 +227,3 @@ class Model:
                                   f"model shape {tensor.data.shape}")
             tensor.data[...] = state[name]
 
-
-def normalize_feature(values: np.ndarray) -> FeatureVector:
-    """l2-normalize an arbitrary vector with the zero-vector convention."""
-    values = np.asarray(values, dtype=np.float64)
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:
-        return FeatureVector(values=values.copy(), normalized=False)
-    return FeatureVector(values=values / norm, normalized=True)

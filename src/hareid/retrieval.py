@@ -72,6 +72,20 @@ def cmc_at_k(ranks, k: int) -> float:
     return sum(1 for r in ranks if r <= k) / len(ranks)
 
 
+def _unit_rows(features, count: int) -> tuple[np.ndarray, int]:
+    """l2-normalize the rows of a (count, dim) array, leaving zero rows zero;
+    also returns how many rows were zero."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 2:
+        raise ShapeError(f"features must be (n, dim), got shape {feats.shape}")
+    if count != feats.shape[0]:
+        raise ValidationError(f"{feats.shape[0]} features but {count} samples")
+    norms = np.linalg.norm(feats, axis=1)
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    return feats / safe[:, None], int(zero.sum())
+
+
 @dataclass
 class RetrievalIndex:
     """l2-normalized features plus the metadata retrieval needs."""
@@ -82,17 +96,9 @@ class RetrievalIndex:
 
     @classmethod
     def build(cls, features: np.ndarray, samples) -> "RetrievalIndex":
-        feats = np.asarray(features, dtype=np.float64)
         samples = list(samples)
-        if feats.ndim != 2:
-            raise ShapeError(f"features must be (n, dim), got shape {feats.shape}")
-        if len(samples) != feats.shape[0]:
-            raise ValidationError(f"{feats.shape[0]} features but {len(samples)} samples")
-        norms = np.linalg.norm(feats, axis=1)
-        zero = norms == 0.0
-        safe = np.where(zero, 1.0, norms)
-        return cls(features=feats / safe[:, None], samples=samples,
-                   zero_count=int(zero.sum()))
+        feats, zero_count = _unit_rows(features, len(samples))
+        return cls(features=feats, samples=samples, zero_count=zero_count)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -121,14 +127,13 @@ def _metrics(ap_values, ranks, ks=(1, 5)) -> tuple[float, dict[int, float]]:
     return mean_ap, {k: cmc_at_k(ranks, k) for k in ks}
 
 
-def _evaluate_queries(gallery_feats: np.ndarray, gallery_labels, query_feats: np.ndarray,
-                      query_labels) -> tuple[list[float], list[int], int]:
+def _score_rankings(relevances) -> tuple[list[float], list[int], int]:
+    """AP and first-hit rank of each query's ranked relevance list; a query
+    with nothing relevant is skipped and counted."""
     ap_values: list[float] = []
     ranks: list[int] = []
     skipped = 0
-    for qf, ql in zip(query_feats, query_labels):
-        order = rank_items(gallery_feats @ qf)
-        relevance = [gallery_labels[o] == ql for o in order]
+    for relevance in relevances:
         ap = average_precision(relevance)
         if ap is None:
             skipped += 1
@@ -138,16 +143,18 @@ def _evaluate_queries(gallery_feats: np.ndarray, gallery_labels, query_feats: np
     return ap_values, ranks, skipped
 
 
+def _evaluate_queries(gallery_feats: np.ndarray, gallery_labels, query_feats: np.ndarray,
+                      query_labels) -> tuple[list[float], list[int], int]:
+    return _score_rankings([gallery_labels[o] == ql for o in rank_items(gallery_feats @ qf)]
+                           for qf, ql in zip(query_feats, query_labels))
+
+
 def image_retrieval_metrics(query_features, query_labels, gallery_features,
                             gallery_labels) -> EvaluationReport:
     """Direct image-to-image ranking of a fixed gallery; features are
     l2-normalized on entry."""
-    qf = RetrievalIndex.build(query_features,
-                              [LabeledSample(str(i), str(l), "m")
-                               for i, l in enumerate(query_labels)]).features
-    gf = RetrievalIndex.build(gallery_features,
-                              [LabeledSample(str(i), str(l), "m")
-                               for i, l in enumerate(gallery_labels)]).features
+    qf, _ = _unit_rows(query_features, len(query_labels))
+    gf, _ = _unit_rows(gallery_features, len(gallery_labels))
     ap_values, ranks, skipped = _evaluate_queries(gf, list(gallery_labels), qf,
                                                   list(query_labels))
     mean_ap, cmc = _metrics(ap_values, ranks)
@@ -180,12 +187,7 @@ def veri_protocol(index: RetrievalIndex, queries=None,
         track_vehicle.append(vehicles.pop())
         track_cameras.append({index.samples[i].camera_id for i in members})
 
-    if queries is None:
-        queries = range(len(index))
-    ap_values: list[float] = []
-    ranks: list[int] = []
-    skipped = 0
-    for qi in queries:
+    def track_relevance(qi: int) -> list[bool]:
         q = index.samples[qi]
         sims_img = index.features @ index.features[qi]
         candidates = [t for t in range(len(tracks)) if q.camera_id not in track_cameras[t]]
@@ -193,14 +195,11 @@ def veri_protocol(index: RetrievalIndex, queries=None,
             sims = [max(sims_img[i] for i in tracks[t]) for t in candidates]
         else:
             sims = [float(np.mean([sims_img[i] for i in tracks[t]])) for t in candidates]
-        order = rank_items(sims)
-        relevance = [track_vehicle[candidates[o]] == q.vehicle_id for o in order]
-        ap = average_precision(relevance)
-        if ap is None:
-            skipped += 1
-            continue
-        ap_values.append(ap)
-        ranks.append(first_hit_rank(relevance))
+        return [track_vehicle[candidates[o]] == q.vehicle_id for o in rank_items(sims)]
+
+    if queries is None:
+        queries = range(len(index))
+    ap_values, ranks, skipped = _score_rankings(track_relevance(qi) for qi in queries)
     mean_ap, cmc = _metrics(ap_values, ranks)
     return EvaluationReport(protocol="veri", map=mean_ap, cmc=cmc,
                             counts={"queries": len(ap_values), "skipped": skipped,

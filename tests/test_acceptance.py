@@ -17,10 +17,10 @@ from hareid import attention as att
 from hareid import autodiff as ad
 from hareid import cli
 from hareid.backbone import ActivationMap
-from hareid.data import SynthConfig, sample_input, synth_generate, training_items
+from hareid.data import SynthConfig, sample_input, synth_generate
 from hareid.gru import LossReport, hierarchical_loss
 from hareid.model import Model, ModelConfig
-from hareid.optim import TrainSchedule, lr_schedule, train
+from hareid.optim import TrainSchedule, lr_schedule
 from hareid.retrieval import (RetrievalIndex, image_retrieval_metrics,
                               vehicleid_protocol, veri_protocol)
 
@@ -33,17 +33,11 @@ def synthetic_matrix():
     hit_rates = []
     for seed in (0, 1, 2):
         ds = synth_generate(SynthConfig(), seed=seed)
-        items = training_items(ds.split, ds.maps)
         for variant in cmc1:
-            model = Model(ModelConfig(num_models=ds.split.num_models,
-                                      num_vehicles=ds.split.num_vehicles,
-                                      d=16, hidden=64, variant=variant, seed=seed))
-            train(model, items, TrainSchedule(epochs=20, batch_size=64), seed=seed)
-            feats = np.stack([model.extract_feature(sample_input(s, ds.maps)).values
-                              for s in ds.split.test])
-            report = vehicleid_protocol(RetrievalIndex.build(feats, ds.split.test),
-                                        gallery_size=ds.split.num_vehicles,
-                                        repeats=10, seed=123)
+            model, report = cli.run_variant(ds.split, ds.maps, variant, seed, hidden=64,
+                                            schedule=TrainSchedule(epochs=20, batch_size=64),
+                                            gallery_size=ds.split.num_vehicles,
+                                            repeats=10, eval_seed=123)
             cmc1[variant].append(report.cmc[1])
             if variant == "rnn_ha":
                 hits = sum(model.forward(sample_input(s, ds.maps)).attention.argmax_cell()

@@ -9,10 +9,11 @@ from hareid import attention as att
 from hareid import autodiff as ad
 from hareid.backbone import ActivationMap
 from hareid.errors import ConfigError, ShapeError
+from hareid.gru import Mlp
 
 
 def make_params(hidden, attn_hidden, d, seed=0):
-    return att.TransformerNetParams.init(hidden, attn_hidden, d, np.random.default_rng(seed))
+    return Mlp.init(hidden, attn_hidden, d, np.random.default_rng(seed))
 
 
 def make_map(arr):
@@ -22,7 +23,7 @@ def make_map(arr):
 class TestGuidanceSignal:
     def test_zero_params(self):
         p = make_params(4, 3, 5)
-        for t in p.named().values():
+        for t in p.named("attn").values():
             t.data[:] = 0.0
         w = att.guidance_signal(ad.constant(np.ones(4)), p)
         np.testing.assert_array_equal(w.data, np.zeros(5))
@@ -182,7 +183,7 @@ class TestPipeline:
             x2, _ = att.attention_pipeline(o1, amap, params)
             return ad.softmax_cross_entropy(x2, 2)
 
-        errors = ad.grad_check_groups(f, params.named())
+        errors = ad.grad_check_groups(f, params.named("attn"))
         assert max(errors.values()) < 1e-4
 
     def test_gradients_reach_the_map_itself(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scale_sigmoid_backward
 from hareid import autodiff as ad
 from hareid.errors import NumericError, ShapeError
 
@@ -49,14 +50,6 @@ class TestUnary:
         assert ad.tanh(ad.constant(1.0)).item() == pytest.approx(math.tanh(1.0), abs=1e-12)
         assert ad.tanh(ad.constant(1.0)).item() == pytest.approx(0.761594, abs=1e-6)
 
-    def test_dispatcher_matches_named(self):
-        x = ad.constant([-1.0, 0.5, 2.0])
-        for kind, fn in [("sigmoid", ad.sigmoid), ("tanh", ad.tanh),
-                         ("softplus", ad.softplus), ("relu", ad.relu)]:
-            np.testing.assert_array_equal(ad.unary(kind, x).data, fn(x).data)
-        with pytest.raises(ValueError):
-            ad.unary("exp", x)
-
     def test_softplus_strictly_positive(self):
         x = ad.constant([-700.0, -100.0, 0.0, 100.0])
         y = ad.softplus(x).data
@@ -94,12 +87,6 @@ class TestBinary:
     def test_non_broadcastable(self):
         with pytest.raises(ShapeError):
             ad.add(ad.constant([1.0, 2.0]), ad.constant([1.0, 2.0, 3.0]))
-
-    def test_dispatcher(self):
-        x, y = ad.constant([2.0]), ad.constant([3.0])
-        assert ad.binary("sub", x, y).data[0] == -1.0
-        with pytest.raises(ValueError):
-            ad.binary("pow", x, y)
 
 
 class TestGlobalAveragePool:
@@ -197,7 +184,7 @@ class TestBackward:
     def test_topological_order(self):
         x = ad.parameter(1.0)
         y = ad.mul(ad.add(x, 1.0), ad.sigmoid(x))
-        graph = ad.backward(y)
+        graph = ad.Graph.from_root(y)
         pos = {id(n): i for i, n in enumerate(graph.nodes)}
         for node in graph.nodes:
             for parent in node.parents:
@@ -250,15 +237,15 @@ class TestGradCheck:
             err = ad.grad_check(f, [x, v])
             assert err < 1e-4, f"{name}: rel err {err}"
 
-    def test_wrong_backward_is_caught(self):
+    def test_wrong_backward_is_caught(self, monkeypatch):
         x = ad.parameter([0.4, -0.7, 1.2])
 
         def f():
             return ad.tsum(ad.sigmoid(x))
 
         assert ad.grad_check(f, [x]) < 1e-4
-        with ad.scaled_backward("sigmoid", 1.5):
-            assert ad.grad_check(f, [x]) > 1e-2
+        scale_sigmoid_backward(monkeypatch, 1.5)
+        assert ad.grad_check(f, [x]) > 1e-2
 
     def test_non_finite_loss_rejected(self):
         x = ad.parameter(1.0)

@@ -108,44 +108,41 @@ class TestDesc1Format:
     def test_small_file(self, tmp_path):
         path = tmp_path / "two.desc"
         maps = [np.arange(4.0).reshape(1, 1, 4), np.arange(4.0, 8.0).reshape(1, 1, 4)]
-        backbone.write_descriptors(path, maps)
-        loaded = backbone.load_descriptors(path)
-        assert len(loaded) == 2
-        assert loaded[0].shape == (1, 1, 4)
-        assert loaded[0].provenance == "ingested"
-        assert not loaded[0].tensor.requires_grad
-        np.testing.assert_array_equal(loaded[1].tensor.data, maps[1])
+        formats.write_tensor_file(path, maps)
+        loaded = formats.read_tensor_file(path)
+        assert loaded.shape == (2, 1, 1, 4)
+        np.testing.assert_array_equal(loaded[1], maps[1])
 
     def test_round_trip_is_identity_at_f32(self, tmp_path):
         rng = np.random.default_rng(10)
         maps = [rng.uniform(-2, 2, size=(2, 3, 4)).astype(np.float32).astype(np.float64)
                 for _ in range(5)]
         path = tmp_path / "rt.desc"
-        backbone.write_descriptors(path, maps)
-        loaded = backbone.load_descriptors(path)
+        formats.write_tensor_file(path, maps)
+        loaded = formats.read_tensor_file(path)
         for orig, got in zip(maps, loaded):
-            np.testing.assert_array_equal(got.tensor.data, orig)
+            np.testing.assert_array_equal(got, orig)
 
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         path = tmp_path / "trunc.desc"
-        backbone.write_descriptors(path, [np.ones((1, 1, 4))])
+        formats.write_tensor_file(path, [np.ones((1, 1, 4))])
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(FormatError, match=r"expected 16 payload bytes, got 12"):
-            backbone.load_descriptors(path)
+            formats.read_tensor_file(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.desc"
         path.write_bytes(b"NOPE!\n" + b"\x00" * 32)
         with pytest.raises(FormatError, match="magic"):
-            backbone.load_descriptors(path)
+            formats.read_tensor_file(path)
 
     def test_zero_dimension_rejected(self, tmp_path):
         import struct
         path = tmp_path / "zdim.desc"
         path.write_bytes(formats.DESC_MAGIC + struct.pack("<4I", 1, 0, 1, 4))
         with pytest.raises(FormatError, match="non-positive"):
-            backbone.load_descriptors(path)
+            formats.read_tensor_file(path)
 
 
 class TestImages:

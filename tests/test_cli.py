@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from bruteforce import bf_metrics
+from conftest import scale_sigmoid_backward
 from hareid import cli, formats
-from hareid.checkpoint import load_checkpoint, save_checkpoint
+from hareid.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from hareid.data import load_manifest
 from hareid.model import Model, ModelConfig
-from hareid.autodiff import scaled_backward
 
 
 def run(argv):
@@ -63,6 +63,13 @@ class TestSynth:
         run(["synth", "--out", str(tmp_path / "env"), *args, "--seed", "9"])
         assert ((tmp_path / "envless" / "descriptors.desc").read_bytes()
                 == (tmp_path / "env" / "descriptors.desc").read_bytes())
+
+    def test_non_integer_har_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HAR_SEED", "abc")
+        assert run(["synth", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "HAR_SEED" in err and "'abc'" in err
 
 
 class TestTrain:
@@ -126,6 +133,16 @@ class TestTrain:
                     "--out-dir", str(tmp_path), "--config", str(cfg)]) == 1
         assert "no_such_flag" in capsys.readouterr().err
 
+    def test_config_value_of_wrong_type(self, tiny_set, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("hidden=8\nepochs=abc\n")
+        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(tmp_path), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: ") and err.count("\n") == 1
+        assert "'epochs'" in err
+
     def test_conv_backbone_on_images(self, tmp_path):
         rng = np.random.default_rng(0)
         lines = ["split,source,vehicle_id,model_id"]
@@ -177,6 +194,25 @@ class TestExtract:
                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_checkpoint_config_missing_key(self, tiny_set, tiny_run, tmp_path, capsys):
+        # Rewrite the length-prefixed config block without its seed line.
+        raw = (tiny_run / "checkpoint.ckpt").read_bytes()
+        at = len(MAGIC) + 4
+        (length,) = struct.unpack_from("<I", raw, at)
+        config = raw[at + 4:at + 4 + length]
+        assert b"\nseed=1\n" in config
+        config = config.replace(b"\nseed=1\n", b"\n")
+        ckpt = tmp_path / "no_seed.ckpt"
+        ckpt.write_bytes(raw[:at] + struct.pack("<I", len(config)) + config
+                         + raw[at + 4 + length:])
+        assert run(["extract", "--checkpoint", str(ckpt),
+                    "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out", str(tmp_path / "f.feat")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'seed'" in err
 
 
 class TestEval:
@@ -260,9 +296,9 @@ class TestGradcheck:
             names = [l.split()[1] for l in lines if l.startswith(variant + " ")]
             assert len(names) == len(set(names)) > 0
 
-    def test_injected_wrong_backward_fails(self, capsys):
-        with scaled_backward("sigmoid", 1.5):
-            assert run(["gradcheck"]) == 1
+    def test_injected_wrong_backward_fails(self, capsys, monkeypatch):
+        scale_sigmoid_backward(monkeypatch, 1.5)
+        assert run(["gradcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 

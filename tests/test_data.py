@@ -106,25 +106,6 @@ class TestManifest:
                 dat.load_manifest(path)
 
 
-class TestBatchIter:
-    def test_sizes(self):
-        batches = list(dat.batch_iter(list(range(10)), 4, shuffle_seed=0))
-        assert [len(b) for b in batches] == [4, 4, 2]
-
-    def test_deterministic(self):
-        a = list(dat.batch_iter(list(range(10)), 3, shuffle_seed=7))
-        b = list(dat.batch_iter(list(range(10)), 3, shuffle_seed=7))
-        assert a == b
-
-    def test_coverage(self):
-        flat = [x for b in dat.batch_iter(list(range(23)), 5, shuffle_seed=1) for x in b]
-        assert sorted(flat) == list(range(23))
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ConfigError):
-            list(dat.batch_iter([1], 0, shuffle_seed=0))
-
-
 class TestSynthGenerate:
     def test_declared_counts(self):
         cfg = dat.SynthConfig()

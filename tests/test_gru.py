@@ -6,7 +6,7 @@ import pytest
 from hareid import autodiff as ad
 from hareid.errors import ShapeError
 from hareid.gru import (ClassifierHead, GruParams, LossReport, classify, gru_step,
-                        hierarchical_loss, unroll)
+                        hierarchical_loss)
 
 
 def zero_params(d, h):
@@ -22,6 +22,13 @@ def scalar_params(weight=1.0):
         if name.startswith("gru.w"):
             t.data[:] = weight
     return p
+
+
+def two_steps(x1, x2, p, h0=None):
+    # The coarse-to-fine unroll of Model.forward: step 1 from h0 (zero by
+    # default), step 2 from step 1's state, both with the same weights.
+    s1 = gru_step(x1, ad.zeros(p.hidden) if h0 is None else h0, p)
+    return s1, gru_step(x2, s1.h, p)
 
 
 def scalar_step_oracle(x, h_prev):
@@ -151,24 +158,24 @@ class TestHierarchicalLoss:
 class TestUnroll:
     def test_zero_parameters_give_zero_outputs(self):
         p = zero_params(3, 3)
-        o1, o2, _ = unroll(ad.constant([1.0, -2.0, 0.5]), p, lambda o: ad.constant([4.0, 4.0, 4.0]))
-        np.testing.assert_allclose(o1.data, 0.0, atol=1e-15)
-        np.testing.assert_allclose(o2.data, 0.0, atol=1e-15)
+        s1, s2 = two_steps(ad.constant([1.0, -2.0, 0.5]), ad.constant([4.0, 4.0, 4.0]), p)
+        np.testing.assert_allclose(s1.h.data, 0.0, atol=1e-15)
+        np.testing.assert_allclose(s2.h.data, 0.0, atol=1e-15)
 
     def test_scalar_two_step_hand_case(self):
         x1 = ad.constant([1.0])
-        o1, o2, states = unroll(x1, scalar_params(), lambda o: x1)
+        s1, s2 = two_steps(x1, x1, scalar_params())
         h1, *_ = scalar_step_oracle(1.0, 0.0)
         h2, z2, r2, n2 = scalar_step_oracle(1.0, h1)
-        assert o1.item() == pytest.approx(h1, abs=1e-12)
-        assert o2.item() == pytest.approx(h2, abs=1e-12)
-        assert states[1].z.item() == pytest.approx(z2, abs=1e-12)
-        assert states[1].n.item() == pytest.approx(n2, abs=1e-12)
+        assert s1.h.item() == pytest.approx(h1, abs=1e-12)
+        assert s2.h.item() == pytest.approx(h2, abs=1e-12)
+        assert s2.z.item() == pytest.approx(z2, abs=1e-12)
+        assert s2.n.item() == pytest.approx(n2, abs=1e-12)
 
     def test_provider_dimension_checked(self):
         p = GruParams.init(3, 4, np.random.default_rng(8))
         with pytest.raises(ShapeError):
-            unroll(ad.constant(np.zeros(3)), p, lambda o: ad.constant(np.zeros(2)))
+            two_steps(ad.constant(np.zeros(3)), ad.constant(np.zeros(2)), p)
 
     def test_shared_weights_receive_gradient_from_both_branches(self):
         rng = np.random.default_rng(9)
@@ -180,8 +187,8 @@ class TestUnroll:
         def branch_grad(branch, h0=None):
             for t in p.named().values():
                 t.zero_grad()
-            o1, o2, _ = unroll(x1, p, lambda o: x2, h0=h0)
-            target = classify(o1, heads[0]) if branch == "model" else classify(o2, heads[1])
+            s1, s2 = two_steps(x1, x2, p, h0=h0)
+            target = classify(s1.h, heads[0]) if branch == "model" else classify(s2.h, heads[1])
             ad.backward(ad.softmax_cross_entropy(target, 1))
             return {k: (None if t.grad is None else t.grad.copy())
                     for k, t in p.named().items()}
@@ -213,8 +220,8 @@ class TestUnroll:
         x2 = ad.constant(rng.uniform(-1, 1, size=3))
 
         def f():
-            o1, o2, _ = unroll(x1, p, lambda o: x2)
-            total, _ = hierarchical_loss(classify(o1, head_m), 0, classify(o2, head_v), 4)
+            s1, s2 = two_steps(x1, x2, p)
+            total, _ = hierarchical_loss(classify(s1.h, head_m), 0, classify(s2.h, head_v), 4)
             return total
 
         named = {**p.named(), **head_m.named("hm"), **head_v.named("hv")}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,10 +6,33 @@ import pytest
 
 from hareid import autodiff as ad
 from hareid.backbone import ConvStackConfig
-from hareid.errors import ConfigError, ShapeError
+from hareid.errors import ConfigError, FormatError, ShapeError
 from hareid.model import Model, ModelConfig, normalize_feature
 
 BASE = dict(num_models=3, num_vehicles=6, d=4, hidden=8, seed=0)
+
+
+# Parameter names in registration order and the SHA-256 of their concatenated
+# initial bytes at BASE (d=4, H=8, C=3/6, seed 0). Checkpoints are read by
+# name, and the registration order fixes which draw of the seeded generator
+# each tensor receives, so neither may move.
+GRU_NAMES = ["gru.w_xz", "gru.w_hz", "gru.b_z", "gru.w_xr", "gru.w_hr", "gru.b_r",
+             "gru.w_xg", "gru.w_hg", "gru.b_g"]
+HEAD_NAMES = ["head_model.w", "head_model.b", "head_vehicle.w", "head_vehicle.b"]
+ATTN_NAMES = ["attn.w1", "attn.b1", "attn.w2", "attn.b2"]
+FC_NAMES = ["fc1.w1", "fc1.b1", "fc1.w2", "fc1.b2", "fc2.w1", "fc2.b1", "fc2.w2", "fc2.b2"]
+CONV_NAMES = ["conv0.kernel", "conv0.bias", "conv1.kernel", "conv1.bias",
+              "conv2.kernel", "conv2.bias"]
+GOLDEN_INIT = {
+    "rnn_ha": ({}, GRU_NAMES + HEAD_NAMES + ATTN_NAMES,
+               "b8376e81142bdc66c5e91a030903918b666c51d984f0070a7de95ab67e3fc8b6"),
+    "fc_ha": ({}, FC_NAMES + HEAD_NAMES + ATTN_NAMES,
+              "c2b2952df70286407e4a8ce6d81fddfa44342a91fd96b44a2d6422962b9d705b"),
+    "rnn_h_no_attention": ({}, GRU_NAMES + HEAD_NAMES,
+                           "42fa47f343b7dff6bde2594235c39d7ec7bf68b26739c00713b999fa0569b957"),
+    "rnn_ha_conv": ({"backbone": "conv"}, CONV_NAMES + GRU_NAMES + HEAD_NAMES + ATTN_NAMES,
+                    "f14763bd9cabaecbb8739c0bb42e1f725a3e820a70a73f1b866e19b0cc6dfb11"),
+}
 
 
 def small_config(**overrides):
@@ -119,6 +143,15 @@ class TestVariants:
         for name, t in a.params().items():
             np.testing.assert_array_equal(t.data, b.params()[name].data)
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN_INIT))
+    def test_initial_parameters_golden(self, case):
+        overrides, names, digest = GOLDEN_INIT[case]
+        model = Model(small_config(variant=case.removesuffix("_conv"), **overrides))
+        params = model.params()
+        assert list(params) == names
+        blob = b"".join(t.data.tobytes() for t in params.values())
+        assert hashlib.sha256(blob).hexdigest() == digest
+
     def test_hidden_size_defaults_to_1024(self):
         assert ModelConfig(num_models=2, num_vehicles=2).hidden == 1024
 
@@ -160,6 +193,32 @@ class TestConvBackbone:
         with pytest.raises(ConfigError):
             ModelConfig(num_models=2, num_vehicles=2, d=8, backbone="conv",
                         conv=ConvStackConfig(channels=4))
+
+
+class TestConfigText:
+    def test_exact_text_and_round_trip(self):
+        # The checkpoint format: key order, number spelling and the conv line.
+        cfg = small_config(backbone="conv", variant="fc_ha", epsilon=0.25)
+        assert cfg.to_text() == ("variant=fc_ha\nnum_models=3\nnum_vehicles=6\nd=4\n"
+                                 "hidden=8\nattn_hidden=0\nbackbone=conv\nepsilon=0.25\n"
+                                 "input_gain=8.0\nseed=0\nconv=3,2,4,1,1,1\n")
+        assert ModelConfig.from_text(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("key", ["seed", "variant", "epsilon", "num_models"])
+    def test_missing_key_names_it(self, key):
+        lines = [l for l in small_config().to_text().splitlines()
+                 if not l.startswith(f"{key}=")]
+        with pytest.raises(FormatError, match=f"'{key}'"):
+            ModelConfig.from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("key,value", [("hidden", "abc"), ("epsilon", "x"),
+                                           ("conv", "3,2")])
+    def test_bad_value_names_key(self, key, value):
+        text = small_config(backbone="conv").to_text()
+        lines = [f"{key}={value}" if l.startswith(f"{key}=") else l
+                 for l in text.splitlines()]
+        with pytest.raises(FormatError, match=f"'{key}'"):
+            ModelConfig.from_text("\n".join(lines))
 
 
 class TestExtractFeature:
