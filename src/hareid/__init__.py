@@ -11,8 +11,8 @@ from .attention import (AttentionWeights, attend, attention_embedding, attention
                         attention_scores, guidance_signal, normalize_scores)
 from .autodiff import (Graph, Tensor, backward, constant, conv2d, global_average_pool,
                        grad_check, grad_check_groups, matmul, max_pool2, parameter, relu,
-                       reshape, scale_rows, sigmoid, softmax_cross_entropy, softplus, tanh,
-                       tsum, zeros)
+                       reshape, scale_rows, sigmoid, softmax_cross_entropy, softplus, stack,
+                       tanh, transpose, tsum, zeros)
 from .backbone import (ActivationMap, ConvStackConfig, ConvStackParams, conv_forward,
                        from_descriptors, to_descriptors)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint

@@ -9,6 +9,10 @@ space. Each spatial location (i,j) of the activation map scores
 
 and the attended descriptors a_ij * f_ij are averaged over the grid into the
 fine-level input embedding x2.
+
+Every step works per sample. A batch holds o1 and w as columns, (H, B) and
+(d, B), and the maps as a stack (B, h, w, d), so scores and weights are
+(B, h, w); a single (h, w, d) map with a (d,) guidance vector gives (h, w).
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, global_average_pool, matmul, reshape, scale_rows, softplus, tsum
+from .autodiff import (Tensor, global_average_pool, matmul, reshape, scale_rows, softplus,
+                       transpose, tsum)
 from .backbone import ActivationMap
 from .errors import ConfigError, ShapeError
 from .gru import Mlp
@@ -27,8 +32,9 @@ DEFAULT_EPSILON = 0.1
 
 @dataclass
 class AttentionWeights:
-    """Raw scores s and normalized weights a over the spatial grid (numpy
-    snapshots; the differentiable path lives in the tensors they came from)."""
+    """Raw scores s and normalized weights a over the spatial grid, (h, w) for
+    one sample or (B, h, w) for a batch (numpy snapshots; the differentiable
+    path lives in the tensors they came from)."""
 
     s: np.ndarray
     a: np.ndarray
@@ -44,51 +50,58 @@ class AttentionWeights:
 
 
 def guidance_signal(o1: Tensor, params: Mlp) -> Tensor:
-    """w = W2 relu(W1 o1 + b1) + b2; the output lives in descriptor space so
-    that w . f is defined."""
-    if o1.data.ndim != 1 or o1.shape[0] != params.w1.shape[1]:
+    """w = W2 relu(W1 o1 + b1) + b2 for a batch of coarse outputs o1 (H, B);
+    the columns of w (d, B) live in descriptor space so that w . f is defined."""
+    if o1.data.ndim != 2 or o1.shape[0] != params.w1.shape[1]:
         raise ShapeError(f"guidance_signal: o1 shape {o1.shape} does not match "
                          f"transformer input {params.w1.shape[1]}")
     return params.apply(o1)
 
 
 def attention_scores(w: Tensor, amap: ActivationMap) -> Tensor:
-    """Softplus of w . f_ij for every grid location; an (h, w) tensor."""
-    h, gw, d = amap.shape
-    if w.data.ndim != 1 or w.shape[0] != d:
+    """Softplus of w . f_ij for every grid location of every sample, each map
+    against its own guidance column: (B, h, w) for a batch, (h, w) for one map."""
+    *batch, h, gw, d = amap.shape
+    if w.shape != (d, *batch):
         raise ShapeError(f"attention_scores: guidance shape {w.shape} does not match "
-                         f"descriptor dim {d}")
-    flat = reshape(amap.tensor, (h * gw, d))
-    return reshape(softplus(matmul(flat, w)), (h, gw))
+                         f"descriptor dim {d} and batch {tuple(batch)}")
+    n = int(np.prod(batch, dtype=int))
+    flat = reshape(amap.tensor, (n, h * gw, d))
+    columns = reshape(transpose(reshape(w, (d, n))), (n, d, 1))
+    return reshape(softplus(matmul(flat, columns)), (*batch, h, gw))
 
 
 def normalize_scores(s: Tensor, epsilon: float = DEFAULT_EPSILON) -> Tensor:
-    """Shift by epsilon and normalize to a distribution over the grid."""
+    """Shift by epsilon and normalize each sample's scores to a distribution
+    over its grid (the last two axes)."""
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if s.data.ndim < 2:
+        raise ShapeError(f"normalize_scores needs an (h, w) grid, got shape {s.shape}")
     shifted = s + epsilon
-    return shifted / tsum(shifted)
+    return shifted / tsum(shifted, keep=s.data.ndim - 2)
 
 
 def attend(a: Tensor, amap: ActivationMap) -> Tensor:
     """Scale every descriptor by its scalar weight: f_hat_ij = a_ij * f_ij."""
-    h, gw, d = amap.shape
-    if a.shape != (h, gw):
+    if a.shape != amap.shape[:-1]:
         raise ShapeError(f"attend: weight grid {a.shape} does not match "
-                         f"map grid {(h, gw)}")
-    flat = reshape(amap.tensor, (h * gw, d))
-    attended = scale_rows(flat, reshape(a, (h * gw,)))
-    return reshape(attended, (h, gw, d))
+                         f"map grid {amap.shape[:-1]}")
+    d = amap.shape[-1]
+    cells = a.data.size
+    attended = scale_rows(reshape(amap.tensor, (cells, d)), reshape(a, (cells,)))
+    return reshape(attended, amap.shape)
 
 
 def attention_embedding(attended: Tensor) -> Tensor:
-    """x2 = (1/(h*w)) sum_ij f_hat_ij."""
+    """x2 = (1/(h*w)) sum_ij f_hat_ij, per sample."""
     return global_average_pool(attended)
 
 
 def attention_pipeline(o1: Tensor, amap: ActivationMap, params: Mlp,
                        epsilon: float = DEFAULT_EPSILON) -> tuple[Tensor, AttentionWeights]:
-    """Full guidance -> scores -> normalize -> attend -> embed chain.
+    """Full guidance -> scores -> normalize -> attend -> embed chain over a
+    batch: o1 (H, B) and maps (B, h, w, d) give x2 (d, B).
 
     Returns the differentiable x2 and a numpy snapshot of the weights for
     reporting and export.

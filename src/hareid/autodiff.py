@@ -6,6 +6,13 @@ upstream gradient to its parents.  ``backward`` walks the graph in reverse
 topological order and accumulates gradients with ``+=``, which is what makes
 weight sharing across the two recurrent steps come out right.
 
+A minibatch is one graph. Per-sample vectors are stacked as columns, so a
+batch's hidden state is (H, B) and each weight product W @ X is one matrix
+product whose backward sums over the batch; activation maps stack along a
+leading axis, (B, h, w, d). The elementwise primitives broadcast an operand
+whose shape is a prefix of the other's along the remaining axes, such as a
+per-feature bias (H,) over the columns of an (H, B) stack.
+
 Tensors are treated as immutable once they participate in a graph; leaf data
 may be mutated between graphs (that is how the optimizer updates parameters).
 """
@@ -17,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 
 class Tensor:
@@ -28,7 +35,12 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple["Tensor", ...] = ()):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+        if not requires_grad:
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.op = op
         self.parents = parents
@@ -98,8 +110,9 @@ def _add_grad(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 @dataclass
@@ -134,7 +147,9 @@ class Graph:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
-    ``loss`` must be a scalar (shape ``()``).
+    ``loss`` must be a scalar (shape ``()``). An interior node's gradient is
+    dropped as soon as it has been passed on to the node's parents, so only
+    the leaves keep one.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -143,34 +158,52 @@ def backward(loss: Tensor) -> None:
     for node in reversed(graph.nodes):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
 # Elementwise primitives
 
 
-def _scalar_reduce(g: np.ndarray, target_shape: tuple[int, ...]) -> np.ndarray:
-    # A scalar operand broadcast over the other operand collects the sum.
-    if target_shape == ():
-        return np.sum(g)
-    return g
+def _trailing(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``a`` with unit axes appended up to ``ndim`` axes (a scalar broadcasts as is)."""
+    return a if a.ndim in (0, ndim) else a.reshape(a.shape + (1,) * (ndim - a.ndim))
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape or a.shape == () or b.shape == ():
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not "
-                     "identical and neither operand is a scalar")
+def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the trailing axes an operand of ``shape`` was broadcast along."""
+    return g if g.shape == shape else g.reshape(shape + (-1,)).sum(axis=-1)
+
+
+def _operands(x: Tensor, y: Tensor, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """The operands' data, broadcast-ready.
+
+    Shapes must be identical, or one must be a prefix of the other: that
+    operand is repeated along the other's trailing axes. A scalar broadcasts
+    over everything, a per-feature bias (H,) over the batch columns of an
+    (H, B) stack, a per-sample value (B,) over the grid of a (B, h, w) stack.
+    """
+    xd, yd = x.data, y.data
+    if xd.shape == yd.shape:
+        return xd, yd
+    if yd.shape == xd.shape[:yd.ndim]:
+        return xd, _trailing(yd, xd.ndim)
+    if xd.shape == yd.shape[:xd.ndim]:
+        return _trailing(xd, yd.ndim), yd
+    raise ShapeError(f"{op}: shapes {x.shape} and {y.shape} are not identical "
+                     "and neither is a prefix of the other")
 
 
 def add(x, y) -> Tensor:
     x, y = _as_tensor(x), _as_tensor(y)
-    _check_broadcast(x, y, "add")
-    out = Tensor(x.data + y.data, op="add", parents=(x, y))
+    xd, yd = _operands(x, y, "add")
+    out = Tensor(xd + yd, op="add", parents=(x, y))
 
     def _bw(g):
-        _add_grad(x, _scalar_reduce(g, x.shape))
-        _add_grad(y, _scalar_reduce(g, y.shape))
+        if x.requires_grad:
+            _add_grad(x, _reduce_to(g, x.shape))
+        if y.requires_grad:
+            _add_grad(y, _reduce_to(g, y.shape))
 
     out._backward = _bw
     return out
@@ -178,12 +211,14 @@ def add(x, y) -> Tensor:
 
 def sub(x, y) -> Tensor:
     x, y = _as_tensor(x), _as_tensor(y)
-    _check_broadcast(x, y, "sub")
-    out = Tensor(x.data - y.data, op="sub", parents=(x, y))
+    xd, yd = _operands(x, y, "sub")
+    out = Tensor(xd - yd, op="sub", parents=(x, y))
 
     def _bw(g):
-        _add_grad(x, _scalar_reduce(g, x.shape))
-        _add_grad(y, _scalar_reduce(-g, y.shape))
+        if x.requires_grad:
+            _add_grad(x, _reduce_to(g, x.shape))
+        if y.requires_grad:
+            _add_grad(y, _reduce_to(-g, y.shape))
 
     out._backward = _bw
     return out
@@ -191,12 +226,14 @@ def sub(x, y) -> Tensor:
 
 def mul(x, y) -> Tensor:
     x, y = _as_tensor(x), _as_tensor(y)
-    _check_broadcast(x, y, "mul")
-    out = Tensor(x.data * y.data, op="mul", parents=(x, y))
+    xd, yd = _operands(x, y, "mul")
+    out = Tensor(xd * yd, op="mul", parents=(x, y))
 
     def _bw(g):
-        _add_grad(x, _scalar_reduce(g * y.data, x.shape))
-        _add_grad(y, _scalar_reduce(g * x.data, y.shape))
+        if x.requires_grad:
+            _add_grad(x, _reduce_to(g * yd, x.shape))
+        if y.requires_grad:
+            _add_grad(y, _reduce_to(g * xd, y.shape))
 
     out._backward = _bw
     return out
@@ -204,12 +241,14 @@ def mul(x, y) -> Tensor:
 
 def div(x, y) -> Tensor:
     x, y = _as_tensor(x), _as_tensor(y)
-    _check_broadcast(x, y, "div")
-    out = Tensor(x.data / y.data, op="div", parents=(x, y))
+    xd, yd = _operands(x, y, "div")
+    out = Tensor(xd / yd, op="div", parents=(x, y))
 
     def _bw(g):
-        _add_grad(x, _scalar_reduce(g / y.data, x.shape))
-        _add_grad(y, _scalar_reduce(-g * x.data / (y.data * y.data), y.shape))
+        if x.requires_grad:
+            _add_grad(x, _reduce_to(g / yd, x.shape))
+        if y.requires_grad:
+            _add_grad(y, _reduce_to(-g * xd / (yd * yd), y.shape))
 
     out._backward = _bw
     return out
@@ -219,10 +258,15 @@ def div(x, y) -> Tensor:
 # Nonlinearities
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|): no exp
+    # overflow on large |x|.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # Piecewise form avoids exp overflow on large |x|.
-    e = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _logistic(x.data)
     out = Tensor(y, op="sigmoid", parents=(x,))
 
     def _bw(g):
@@ -250,9 +294,7 @@ def softplus(x: Tensor) -> Tensor:
     out = Tensor(y, op="softplus", parents=(x,))
 
     def _bw(g):
-        e = np.exp(-np.abs(x.data))
-        s = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        _add_grad(x, g * s)
+        _add_grad(x, g * _logistic(x.data))
 
     out._backward = _bw
     return out
@@ -270,48 +312,86 @@ def relu(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra and reductions
+# Linear algebra, reductions and reshaping
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports (m,k)@(k,n) and the matrix-vector case (m,k)@(k,)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, op="matmul", parents=(a, b))
+    """Matrix product (m,k)@(k,n), or a stack of them (s,m,k)@(s,k,n).
 
-    if b.data.ndim == 2:
-        def _bw(g):
-            _add_grad(a, g @ b.data.T)
-            _add_grad(b, a.data.T @ g)
-    else:
-        def _bw(g):
-            _add_grad(a, np.outer(g, b.data))
-            _add_grad(b, a.data.T @ g)
+    A batch's weight products are the 2-D case with one column per sample,
+    W (m,k) @ X (k,B), so the weight gradient g @ X^T sums over the batch in
+    one GEMM. The stacked case multiplies per-sample data, such as each
+    sample's descriptors by that sample's guidance vector.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = a.data, b.data
+    if ad.ndim not in (2, 3) or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
+    out = Tensor(ad @ bd, op="matmul", parents=(a, b))
+
+    def _bw(g):
+        if a.requires_grad:
+            _add_grad(a, g @ np.swapaxes(bd, -1, -2))
+        if b.requires_grad:
+            _add_grad(b, np.swapaxes(ad, -1, -2) @ g)
 
     out._backward = _bw
     return out
 
 
-def tsum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor(np.sum(x.data), op="sum", parents=(x,))
+def tsum(x: Tensor, keep: int = 0) -> Tensor:
+    """Sum over every axis after the first ``keep``: all elements to a scalar
+    by default; ``keep=1`` sums each sample of a stack."""
+    if not 0 <= keep <= x.data.ndim:
+        raise ShapeError(f"tsum: cannot keep {keep} axes of shape {x.shape}")
+    out = Tensor(x.data.reshape(x.shape[:keep] + (-1,)).sum(axis=-1), op="sum", parents=(x,))
 
     def _bw(g):
-        _add_grad(x, np.full_like(x.data, g))
+        _add_grad(x, np.broadcast_to(_trailing(g, x.data.ndim), x.shape))
 
     out._backward = _bw
     return out
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    """``x`` viewed with another shape; ``x`` itself when the shape is its own."""
     shape = tuple(shape)
+    if shape == x.data.shape:
+        return x
     out = Tensor(x.data.reshape(shape), op="reshape", parents=(x,))
 
     def _bw(g):
         _add_grad(x, g.reshape(x.shape))
+
+    out._backward = _bw
+    return out
+
+
+def transpose(x: Tensor) -> Tensor:
+    """Swap the two axes of a matrix."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"transpose needs a matrix, got shape {x.shape}")
+    out = Tensor(x.data.T, op="transpose", parents=(x,))
+
+    def _bw(g):
+        _add_grad(x, g.T)
+
+    out._backward = _bw
+    return out
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Equal-shape tensors along a new leading axis: per-sample maps into a batch."""
+    tensors = tuple(tensors)
+    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
+        raise ShapeError(f"stack needs equal shapes, got {[t.shape for t in tensors]}")
+    out = Tensor(np.stack([t.data for t in tensors]), op="stack", parents=tensors)
+
+    def _bw(g):
+        for t, g_t in zip(tensors, g):
+            _add_grad(t, g_t)
 
     out._backward = _bw
     return out
@@ -324,57 +404,72 @@ def scale_rows(x: Tensor, a: Tensor) -> Tensor:
     out = Tensor(x.data * a.data[:, None], op="scale_rows", parents=(x, a))
 
     def _bw(g):
-        _add_grad(x, g * a.data[:, None])
-        _add_grad(a, np.sum(g * x.data, axis=1))
+        if x.requires_grad:
+            _add_grad(x, g * a.data[:, None])
+        if a.requires_grad:
+            _add_grad(a, np.sum(g * x.data, axis=1))
 
     out._backward = _bw
     return out
 
 
 def global_average_pool(x: Tensor) -> Tensor:
-    """Mean over all leading axes, keeping the channel axis.
+    """Per-sample mean over the spatial grid of an activation map.
 
-    For an activation map of shape (h, w, d) this is the image embedding:
-    out[c] = (1/(h*w)) * sum_ij x[i,j,c]. Also accepts (m, d) stacks of
-    descriptors, which is how the attention embedding is aggregated.
+    An (h, w, d) map pools to its image embedding, the (d,) vector
+    out[c] = (1/(h*w)) * sum_ij x[i,j,c]; a stack (B, h, w, d) pools to one
+    such column per sample, (d, B), the layout the recurrent steps consume.
     """
-    if x.data.ndim < 2:
-        raise ShapeError(f"global_average_pool needs at least 2 axes, got shape {x.shape}")
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"global_average_pool needs an (h,w,d) map or a (B,h,w,d) stack, "
+                         f"got shape {x.shape}")
     if x.data.size == 0:
         raise ShapeError(f"global_average_pool on empty tensor of shape {x.shape}")
-    d = x.shape[-1]
-    m = x.data.size // d
-    out = Tensor(x.data.reshape(m, d).mean(axis=0), op="gap", parents=(x,))
+    *batch, h, w, d = x.shape
+    n, m = x.data.size // (h * w * d), h * w
+    pooled = x.data.reshape(n, m, d).sum(axis=1) / m
+    out = Tensor(pooled.T.reshape(d, *batch), op="gap", parents=(x,))
 
     def _bw(g):
-        _add_grad(x, np.broadcast_to(g / m, (m, d)).reshape(x.shape).copy())
+        per_sample = g.reshape(d, n).T / m
+        _add_grad(x, np.broadcast_to(per_sample[:, None, :], (n, m, d)).reshape(x.shape))
 
     out._backward = _bw
     return out
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Cross entropy of softmax(logits) against a hard label, in nats.
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Cross entropy of softmax(logits) against hard labels, in nats.
 
-    Computed through the max-shifted log-sum-exp so confident logits cannot
-    overflow: loss = log sum_j exp(z_j - z_max) - (z_label - z_max).
+    Logits (C,) with an integer label give a scalar; a stack (C, B) with a
+    label vector (B,) gives one loss per sample, shape (B,). Computed through
+    the max-shifted log-sum-exp so confident logits cannot overflow:
+    loss = log sum_j exp(z_j - z_max) - (z_label - z_max).
     """
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_cross_entropy needs a logit vector, got shape {logits.shape}")
+    if logits.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax_cross_entropy needs (C,) or (C, B) logits, "
+                         f"got shape {logits.shape}")
+    labels = np.asarray(labels).astype(np.intp)
+    if labels.shape != logits.shape[1:]:
+        raise ShapeError(f"softmax_cross_entropy: labels of shape {labels.shape} for "
+                         f"logits of shape {logits.shape}")
     n = logits.shape[0]
-    label = int(label)
-    if not 0 <= label < n:
-        raise IndexError(f"label {label} out of range for {n} classes")
-    z = logits.data
-    zmax = np.max(z)
+    flat = labels.reshape(-1)
+    outside = (flat < 0) | (flat >= n)
+    if outside.any():
+        raise IndexError(f"label {flat[outside][0]} out of range for {n} classes")
+    cols = np.arange(flat.size)
+    z = logits.data.reshape(n, -1)
+    zmax = np.max(z, axis=0)
     ez = np.exp(z - zmax)
-    lse = np.log(np.sum(ez))
-    out = Tensor(lse - (z[label] - zmax), op="cross_entropy", parents=(logits,))
+    total = np.sum(ez, axis=0)
+    loss = np.log(total) - (z[flat, cols] - zmax)
+    out = Tensor(loss.reshape(labels.shape), op="cross_entropy", parents=(logits,))
 
     def _bw(g):
-        p = ez / np.sum(ez)
-        p[label] -= 1.0
-        _add_grad(logits, g * p)
+        p = ez / total
+        p[flat, cols] -= 1.0
+        _add_grad(logits, (p * g.reshape(-1)).reshape(logits.shape))
 
     out._backward = _bw
     return out
@@ -475,7 +570,7 @@ def grad_check_groups(f: Callable[[], Tensor], named_params: dict[str, Tensor],
     backward rule stays wrong at every step and is still reported.
     """
     if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+        raise ConfigError(f"gradient check step must be positive, got {step}")
     params = list(named_params.values())
     zero_grads(params)
     loss = f()

@@ -19,18 +19,19 @@ from .errors import ConfigError, ShapeError
 
 @dataclass
 class ActivationMap:
-    """An (h, w, d) activation tensor plus where it came from."""
+    """An (h, w, d) activation tensor, or a batch of them stacked as
+    (B, h, w, d), plus where it came from."""
 
     tensor: Tensor
     provenance: str = "conv"  # conv | ingested
 
     def __post_init__(self):
-        if self.tensor.data.ndim != 3 or min(self.tensor.shape) < 1:
-            raise ShapeError(f"activation map must be (h,w,d) with positive dims, "
-                             f"got shape {self.tensor.shape}")
+        if self.tensor.data.ndim not in (3, 4) or min(self.tensor.shape) < 1:
+            raise ShapeError(f"activation map must be (h,w,d) or (B,h,w,d) with positive "
+                             f"dims, got shape {self.tensor.shape}")
 
     @property
-    def shape(self) -> tuple[int, int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.tensor.shape
 
 

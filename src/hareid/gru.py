@@ -12,16 +12,18 @@ The model runs the same cell twice with shared weights (see
 yields the coarse-level output o1, step 2 consumes the attention embedding
 (or the image embedding again for the no-attention ablation) and yields o2.
 The joint objective is the plain sum of the two cross-entropy branches;
-there is no weighting knob.
+there is no weighting knob. A minibatch runs as one graph: x and h hold one
+column per sample, and each branch is the mean over the batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .autodiff import Tensor, matmul, parameter, relu, sigmoid, softmax_cross_entropy, tanh
+from .autodiff import (Tensor, matmul, parameter, relu, sigmoid, softmax_cross_entropy, tanh,
+                       tsum)
 from .errors import ShapeError
 
 
@@ -90,12 +92,14 @@ class GruState:
 
 
 def gru_step(x: Tensor, h_prev: Tensor, params: GruParams) -> GruState:
-    if x.data.ndim != 1 or x.shape[0] != params.input_dim:
+    """One step over a batch: inputs x (D, B) and states h_prev (H, B), one
+    column per sample."""
+    if x.data.ndim != 2 or x.shape[0] != params.input_dim:
         raise ShapeError(f"gru_step: input shape {x.shape} does not match "
                          f"parameter input dim {params.input_dim}")
-    if h_prev.data.ndim != 1 or h_prev.shape[0] != params.hidden:
+    if h_prev.shape != (params.hidden, x.shape[1]):
         raise ShapeError(f"gru_step: state shape {h_prev.shape} does not match "
-                         f"hidden size {params.hidden}")
+                         f"hidden size {params.hidden} and batch {x.shape[1]}")
     z = sigmoid(params.w_xz @ x + params.w_hz @ h_prev + params.b_z)
     r = sigmoid(params.w_xr @ x + params.w_hr @ h_prev + params.b_r)
     n = tanh(params.w_xg @ x + r * (params.w_hg @ h_prev) + params.b_g)
@@ -149,15 +153,19 @@ def classify(o_t: Tensor, head: ClassifierHead) -> Tensor:
 
 @dataclass
 class LossReport:
-    """Joint loss and its two branches, in nats. total == model + vehicle."""
+    """Joint loss and its two branches, in nats, averaged over a batch.
+    total == model + vehicle. ``per_sample`` holds each sample's joint loss
+    when the report comes from a batch's graph."""
 
     total: float
     model: float
     vehicle: float
+    per_sample: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_branches(cls, model: float, vehicle: float) -> "LossReport":
-        return cls(total=model + vehicle, model=model, vehicle=vehicle)
+    def from_branches(cls, model: float, vehicle: float,
+                      per_sample: np.ndarray | None = None) -> "LossReport":
+        return cls(total=model + vehicle, model=model, vehicle=vehicle, per_sample=per_sample)
 
     @classmethod
     def mean(cls, reports: list["LossReport"]) -> "LossReport":
@@ -168,15 +176,20 @@ class LossReport:
         return cls.from_branches(model, vehicle)
 
 
-def hierarchical_loss(logits_model: Tensor, y_model: int,
-                      logits_vehicle: Tensor, y_vehicle: int) -> tuple[Tensor, LossReport]:
-    """Sum of the coarse and fine cross-entropy branches.
+def hierarchical_loss(logits_model: Tensor, y_model,
+                      logits_vehicle: Tensor, y_vehicle) -> tuple[Tensor, LossReport]:
+    """Sum of the coarse and fine cross-entropy branches, each the mean over
+    the batch: logits (C, B) with label vectors (B,), or one sample's logits
+    (C,) with integer labels.
 
     Returns the differentiable total alongside a float report whose total is
     exactly the sum of its branches.
     """
     l_model = softmax_cross_entropy(logits_model, y_model)
     l_vehicle = softmax_cross_entropy(logits_vehicle, y_vehicle)
-    total = l_model + l_vehicle
-    return total, LossReport.from_branches(l_model.item(), l_vehicle.item())
+    n = l_model.data.size
+    model = tsum(l_model) / n
+    vehicle = tsum(l_vehicle) / n
+    return model + vehicle, LossReport.from_branches(model.item(), vehicle.item(),
+                                                     l_model.data + l_vehicle.data)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from .autodiff import Tensor, global_average_pool, zeros
+from .autodiff import Tensor, global_average_pool, reshape, stack, zeros
 from .backbone import ActivationMap, ConvStackConfig, ConvStackParams, conv_forward
 from .errors import ConfigError, FormatError, ShapeError
 from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp, classify,
@@ -55,6 +55,8 @@ class ModelConfig:
             raise ConfigError(f"unknown backbone {self.backbone!r}")
         if min(self.num_models, self.num_vehicles, self.d, self.hidden) < 1:
             raise ConfigError("class counts and dimensions must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.backbone == "conv":
             if self.conv is None:
                 self.conv = ConvStackConfig(channels=self.d)
@@ -122,12 +124,29 @@ def normalize_feature(values: np.ndarray) -> FeatureVector:
 
 @dataclass
 class ForwardResult:
+    """A batch's embeddings, outputs and logits, one column per sample (x1
+    (d, B), o1 and o2 (H, B), logits (C, B)); for a single input, the
+    sample's vectors."""
+
     x1: Tensor
     o1: Tensor
     o2: Tensor
     logits_model: Tensor
     logits_vehicle: Tensor
     attention: att.AttentionWeights | None
+
+    def only_sample(self) -> "ForwardResult":
+        """The vectors of a batch of one."""
+        def column(t: Tensor) -> Tensor:
+            return reshape(t, t.shape[:1])
+
+        weights = self.attention
+        if weights is not None:
+            weights = att.AttentionWeights(s=weights.s[0], a=weights.a[0],
+                                           epsilon=weights.epsilon)
+        return ForwardResult(x1=column(self.x1), o1=column(self.o1), o2=column(self.o2),
+                             logits_model=column(self.logits_model),
+                             logits_vehicle=column(self.logits_vehicle), attention=weights)
 
 
 class Model:
@@ -169,27 +188,37 @@ class Model:
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.params().values())
 
-    def _activation_map(self, inp) -> ActivationMap:
-        if isinstance(inp, ActivationMap):
-            amap = inp
-        elif self.conv_params is not None:
-            amap = conv_forward(inp, self.conv_params)
-        else:
-            amap = ActivationMap(Tensor(np.asarray(inp, dtype=np.float64)),
-                                 provenance="ingested")
-        if amap.shape[2] != self.config.d:
-            raise ShapeError(f"activation map depth {amap.shape[2]} does not match "
+    def _activation_maps(self, inp) -> tuple[ActivationMap, bool]:
+        """The (B, h, w, d) map stack of a batch of inputs, and whether the
+        input was a single sample (an (h, w, d) map or an (H, W, C) image,
+        run as a batch of one)."""
+        if self.conv_params is not None and not isinstance(inp, ActivationMap):
+            images = np.asarray(inp, dtype=np.float64)
+            single = images.ndim == 3
+            tensor = stack([conv_forward(image, self.conv_params).tensor
+                            for image in (images[None] if single else images)])
+            return ActivationMap(tensor, provenance="conv"), single
+        amap = inp if isinstance(inp, ActivationMap) else ActivationMap(
+            Tensor(np.asarray(inp, dtype=np.float64)), provenance="ingested")
+        single = amap.tensor.data.ndim == 3
+        if single:
+            amap = ActivationMap(reshape(amap.tensor, (1, *amap.shape)), amap.provenance)
+        if amap.shape[-1] != self.config.d:
+            raise ShapeError(f"activation map depth {amap.shape[-1]} does not match "
                              f"config.d = {self.config.d}")
-        return amap
+        return amap, single
 
     def forward(self, inp) -> ForwardResult:
+        """Run a batch (a (B, h, w, d) map stack or (B, H, W, C) images) as one
+        graph; a single map or image comes back as the sample's vectors."""
         cfg = self.config
-        amap = self._activation_map(inp)
+        amap, single = self._activation_maps(inp)
         x1 = global_average_pool(amap.tensor)
         if self.gru is None:
             o1 = self.fc1.apply(x1)
         else:
-            o1 = gru_step(x1, zeros(cfg.hidden), self.gru).h  # coarse step, zero state
+            h0 = zeros((cfg.hidden, amap.shape[0]))
+            o1 = gru_step(x1, h0, self.gru).h  # coarse step, zero state
         if self.attn is None:
             x2, attention = x1, None
         else:
@@ -198,14 +227,17 @@ class Model:
             o2 = self.fc2.apply(x2)
         else:
             o2 = gru_step(x2, o1, self.gru).h  # fine step, same weights, state o1
-        return ForwardResult(
+        result = ForwardResult(
             x1=x1, o1=o1, o2=o2,
             logits_model=classify(o1, self.head_model),
             logits_vehicle=classify(o2, self.head_vehicle),
             attention=attention,
         )
+        return result.only_sample() if single else result
 
-    def loss(self, inp, y_model: int, y_vehicle: int) -> tuple[Tensor, LossReport, ForwardResult]:
+    def loss(self, inp, y_model, y_vehicle) -> tuple[Tensor, LossReport, ForwardResult]:
+        """Mean joint loss of a batch with label vectors (B,), or of a single
+        input with integer labels."""
         result = self.forward(inp)
         total, report = hierarchical_loss(result.logits_model, y_model,
                                           result.logits_vehicle, y_vehicle)

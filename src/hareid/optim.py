@@ -7,9 +7,10 @@ The optimizer keeps a running average of squared gradients per parameter:
 
 with alpha = 0.99, delta = 1e-8 and no momentum (the common library
 defaults). The learning rate starts at 1e-3 and drops to 1e-4 from epoch 5.
-Batch gradients are the mean of per-sample gradients; the per-epoch shuffle
-comes from a counter-based generator keyed on (seed, epoch) so a run can be
-resumed mid-way and reproduce the uninterrupted trace exactly.
+Each minibatch runs as one graph: the batch gradient is the gradient of the
+batch-mean loss, from one forward and one backward pass. The per-epoch
+shuffle comes from a counter-based generator keyed on (seed, epoch) so a run
+can be resumed mid-way and reproduce the uninterrupted trace exactly.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ class TrainSchedule:
             raise ConfigError("drop_epoch must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def lr_schedule(epoch: int, schedule: TrainSchedule | None = None) -> float:
@@ -103,8 +106,11 @@ def train(model: Model, items: Sequence[TrainItem], schedule: TrainSchedule,
     """Run the epoch loop, returning the per-epoch mean loss trace.
 
     Deterministic given (seed, start state): the shuffle for epoch e is keyed
-    on (seed, e) alone, the last partial batch is kept, and per-batch
-    gradients are the mean over the batch.
+    on (seed, e) alone, the last partial batch is kept, and each batch's
+    gradient is that of its mean loss. Items are read one at a time, once
+    per epoch, and their inputs must share one shape. A non-finite loss stops
+    training with a ``NumericError`` naming the epoch, the batch and the
+    first bad item.
     """
     if not items:
         raise ConfigError("training set is empty")
@@ -118,20 +124,21 @@ def train(model: Model, items: Sequence[TrainItem], schedule: TrainSchedule,
         order = rng_for(seed, epoch).permutation(n)
         model_sum = 0.0
         vehicle_sum = 0.0
-        for lo in range(0, n, schedule.batch_size):
+        for number, lo in enumerate(range(0, n, schedule.batch_size)):
             batch = order[lo:lo + schedule.batch_size]
+            inputs, y_model, y_vehicle = zip(*(items[i] for i in batch))
             for t in params.values():
                 t.zero_grad()
-            for idx in batch:
-                inp, y_model, y_vehicle = items[idx]
-                total, report, _ = model.loss(inp, y_model, y_vehicle)
-                backward(total)
-                model_sum += report.model
-                vehicle_sum += report.vehicle
-            scale = 1.0 / len(batch)
-            for t in params.values():
-                if t.grad is not None:
-                    t.grad *= scale
+            total, report, _ = model.loss(np.stack(inputs), np.array(y_model),
+                                          np.array(y_vehicle))
+            bad = np.flatnonzero(~np.isfinite(report.per_sample))
+            if bad.size:
+                raise NumericError(f"epoch {epoch}, batch {number}: non-finite loss for "
+                                   f"training item {batch[bad[0]]}")
+            backward(total)
+            del total, _  # free the batch's graph before the next one is built
+            model_sum += report.model * len(batch)
+            vehicle_sum += report.vehicle * len(batch)
             rmsprop_step(params, state, lr)
         report = LossReport.from_branches(model_sum / n, vehicle_sum / n)
         trace.append((epoch, report))

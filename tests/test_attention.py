@@ -20,13 +20,18 @@ def make_map(arr):
     return ActivationMap(ad.constant(np.asarray(arr, dtype=np.float64)))
 
 
+def col(values):
+    """A batch of one: the values as a single column."""
+    return ad.constant(np.asarray(values, dtype=np.float64)[:, None])
+
+
 class TestGuidanceSignal:
     def test_zero_params(self):
         p = make_params(4, 3, 5)
         for t in p.named("attn").values():
             t.data[:] = 0.0
-        w = att.guidance_signal(ad.constant(np.ones(4)), p)
-        np.testing.assert_array_equal(w.data, np.zeros(5))
+        w = att.guidance_signal(col(np.ones(4)), p)
+        np.testing.assert_array_equal(w.data, np.zeros((5, 1)))
 
     def test_identity_passthrough_for_nonnegative_input(self):
         p = make_params(3, 3, 3)
@@ -34,7 +39,7 @@ class TestGuidanceSignal:
         p.b1.data[:] = 0.0
         p.w2.data[:] = np.eye(3)
         p.b2.data[:] = 0.0
-        o1 = np.array([0.2, 0.0, 1.7])
+        o1 = np.array([[0.2, 0.5], [0.0, 3.0], [1.7, 0.0]])  # two samples
         np.testing.assert_array_equal(att.guidance_signal(ad.constant(o1), p).data, o1)
 
     def test_relu_clips_hand_case(self):
@@ -43,12 +48,12 @@ class TestGuidanceSignal:
         p.b1.data[:] = [0.0]
         p.w2.data[:] = [[2.0]]
         p.b2.data[:] = [0.5]
-        w = att.guidance_signal(ad.constant([-1.0]), p)
-        np.testing.assert_array_equal(w.data, [0.5])
+        w = att.guidance_signal(col([-1.0]), p)
+        np.testing.assert_array_equal(w.data, [[0.5]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            att.guidance_signal(ad.constant(np.ones(5)), make_params(4, 3, 5))
+            att.guidance_signal(col(np.ones(5)), make_params(4, 3, 5))
 
 
 class TestAttentionScores:
@@ -176,12 +181,12 @@ class TestPipeline:
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(14)
         params = make_params(4, 3, 5, seed=15)
-        amap = make_map(rng.uniform(-1, 1, size=(2, 3, 5)))
-        o1 = ad.constant(rng.uniform(-1, 1, size=4))
+        amap = make_map(rng.uniform(-1, 1, size=(3, 2, 3, 5)))  # a batch of three
+        o1 = ad.constant(rng.uniform(-1, 1, size=(4, 3)))
 
         def f():
             x2, _ = att.attention_pipeline(o1, amap, params)
-            return ad.softmax_cross_entropy(x2, 2)
+            return ad.tsum(ad.softmax_cross_entropy(x2, [2, 0, 4]))
 
         errors = ad.grad_check_groups(f, params.named("attn"))
         assert max(errors.values()) < 1e-4
@@ -189,12 +194,35 @@ class TestPipeline:
     def test_gradients_reach_the_map_itself(self):
         rng = np.random.default_rng(16)
         params = make_params(4, 3, 5, seed=17)
-        tensor = ad.parameter(rng.uniform(-1, 1, size=(2, 2, 5)))
+        tensor = ad.parameter(rng.uniform(-1, 1, size=(3, 2, 2, 5)))
         amap = ActivationMap(tensor)
-        o1 = ad.constant(rng.uniform(-1, 1, size=4))
+        o1 = ad.constant(rng.uniform(-1, 1, size=(4, 3)))
 
         def f():
             x2, _ = att.attention_pipeline(o1, amap, params)
-            return ad.softmax_cross_entropy(x2, 0)
+            return ad.tsum(ad.softmax_cross_entropy(x2, [0, 3, 1]))
 
         assert ad.grad_check(f, [tensor]) < 1e-4
+
+    def test_batch_matches_single_samples(self):
+        # Every step works per sample: a batch of three distinct maps gives
+        # each sample what that sample alone gives.
+        rng = np.random.default_rng(18)
+        params = make_params(4, 3, 5, seed=19)
+        maps = rng.uniform(-1, 1, size=(3, 2, 3, 5))
+        o1 = rng.uniform(-1, 1, size=(4, 3))
+        x2, weights = att.attention_pipeline(ad.constant(o1), make_map(maps), params)
+        assert x2.shape == (5, 3) and weights.a.shape == (3, 2, 3)
+        for i in range(3):
+            one, alone = att.attention_pipeline(ad.constant(o1[:, i:i + 1]),
+                                                make_map(maps[i:i + 1]), params)
+            np.testing.assert_allclose(x2.data[:, i], one.data[:, 0], rtol=1e-14)
+            np.testing.assert_allclose(weights.a[i], alone.a[0], rtol=1e-14)
+            w = params.apply(ad.constant(o1[:, i:i + 1])).data[:, 0]
+            s = att.attention_scores(ad.constant(w), make_map(maps[i]))
+            a = att.normalize_scores(s)
+            np.testing.assert_allclose(weights.s[i], s.data, rtol=1e-14)
+            np.testing.assert_allclose(weights.a[i], a.data, rtol=1e-14)
+            np.testing.assert_allclose(
+                x2.data[:, i], att.attention_embedding(att.attend(a, make_map(maps[i]))).data,
+                rtol=1e-14)

@@ -29,14 +29,27 @@ class TestMatmul:
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
 
     def test_matvec_gradients(self):
+        # A weight times a batch of vectors, one column per sample; a bare
+        # vector operand is not a batch and is rejected.
         rng = np.random.default_rng(0)
         a = ad.parameter(rand(rng, 3, 4))
-        b = ad.parameter(rand(rng, 4))
+        b = ad.parameter(rand(rng, 4, 5))
 
         def f():
             return ad.tsum(ad.sigmoid(ad.matmul(a, b)))
 
         assert ad.grad_check(f, [a, b]) < 1e-4
+        with pytest.raises(ShapeError):
+            ad.matmul(a, ad.constant(rand(rng, 4)))
+
+    def test_stacked_product_is_per_sample(self):
+        rng = np.random.default_rng(1)
+        a, b = rand(rng, 3, 2, 4), rand(rng, 3, 4, 1)
+        out = ad.matmul(ad.constant(a), ad.constant(b)).data
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], a[i] @ b[i])
+        with pytest.raises(ShapeError):
+            ad.matmul(ad.constant(a), ad.constant(rand(rng, 2, 4, 1)))
 
 
 class TestUnary:
@@ -84,9 +97,22 @@ class TestBinary:
         ad.backward(ad.tsum(ad.mul(s, x)))
         assert s.grad == pytest.approx(6.0)
 
+    def test_bias_broadcasts_over_batch_columns(self):
+        # A prefix shape repeats along the trailing axes; its gradient sums
+        # over them.
+        bias = ad.parameter([1.0, -1.0])
+        x = ad.constant([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        out = ad.add(x, bias)
+        np.testing.assert_array_equal(out.data, [[2.0, 3.0, 4.0], [3.0, 4.0, 5.0]])
+        ad.backward(ad.tsum(ad.mul(out, x)))
+        np.testing.assert_array_equal(bias.grad, [6.0, 15.0])
+
     def test_non_broadcastable(self):
         with pytest.raises(ShapeError):
             ad.add(ad.constant([1.0, 2.0]), ad.constant([1.0, 2.0, 3.0]))
+        # numpy would align (3,) with the trailing axis; only prefixes broadcast.
+        with pytest.raises(ShapeError):
+            ad.mul(ad.constant(np.ones((2, 3))), ad.constant(np.ones(3)))
 
 
 class TestGlobalAveragePool:
@@ -122,6 +148,14 @@ class TestGlobalAveragePool:
         ad.backward(ad.tsum(ad.global_average_pool(x)))
         np.testing.assert_allclose(x.grad, np.full((2, 3, 4), 1.0 / 6.0), atol=1e-15)
 
+    def test_stack_pools_each_sample_into_a_column(self):
+        maps = rand(np.random.default_rng(3), 3, 2, 3, 4)
+        out = ad.global_average_pool(ad.constant(maps)).data
+        assert out.shape == (4, 3)
+        for i in range(3):
+            np.testing.assert_array_equal(
+                out[:, i], ad.global_average_pool(ad.constant(maps[i])).data)
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
@@ -152,6 +186,16 @@ class TestSoftmaxCrossEntropy:
         expected = p - np.array([0.0, 1.0, 0.0])
         np.testing.assert_allclose(z.grad, expected, atol=1e-12)
 
+    def test_label_vector_gives_per_sample_losses(self):
+        z = rand(np.random.default_rng(4), 5, 3)
+        losses = ad.softmax_cross_entropy(ad.constant(z), np.array([4, 0, 2])).data
+        assert losses.shape == (3,)
+        for i, label in enumerate((4, 0, 2)):
+            single = ad.softmax_cross_entropy(ad.constant(z[:, i]), label).item()
+            assert losses[i] == pytest.approx(single, rel=1e-15)
+        with pytest.raises(ShapeError):
+            ad.softmax_cross_entropy(ad.constant(z), 1)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -181,6 +225,12 @@ class TestBackward:
         ad.backward(ad.add(ad.mul(w, x), ad.mul(w, w)))  # wx + w^2 -> 3 + 2w = 7
         assert w.grad == pytest.approx(7.0)
 
+    def test_only_leaves_keep_gradients(self):
+        x = ad.parameter(rand(np.random.default_rng(5), 3))
+        hidden = ad.sigmoid(x)
+        ad.backward(ad.tsum(hidden))
+        assert x.grad is not None and hidden.grad is None
+
     def test_topological_order(self):
         x = ad.parameter(1.0)
         y = ad.mul(ad.add(x, 1.0), ad.sigmoid(x))
@@ -201,40 +251,55 @@ class TestGradCheck:
         wx = ad.parameter(rand(rng, 5, 5))
         wh = ad.parameter(rand(rng, 5, 5))
         b = ad.parameter(rand(rng, 5))
-        x = ad.constant(rand(rng, 5))
-        h = ad.constant(rand(rng, 5))
+        x = ad.constant(rand(rng, 5, 3))  # a batch of three columns
+        h = ad.constant(rand(rng, 5, 3))
 
         def f():
             z = ad.sigmoid(wx @ x + wh @ h + b)
             n = ad.tanh(wx @ x)
             out = (1.0 - z) * n + z * h
-            return ad.softmax_cross_entropy(out, 2)
+            return ad.tsum(ad.softmax_cross_entropy(out, [2, 0, 4]))
 
         assert ad.grad_check(f, [wx, wh, b]) < 1e-4
 
     def test_every_primitive_against_finite_differences(self):
+        # Each case runs a batch of three samples with distinct values, and
+        # the loss weights every output element differently, so a gradient
+        # summed over the wrong axis or routed to the wrong sample fails.
         rng = np.random.default_rng(6)
-        x = ad.parameter(rand(rng, 4, 3))
-        v = ad.parameter(rand(rng, 4))
-        probe = ad.constant(rand(rng, 3))
+        x = ad.parameter(rand(rng, 4, 3))  # 4 features x 3 samples
+        v = ad.parameter(rand(rng, 4))  # a per-feature bias
+        w = ad.parameter(rand(rng, 2, 4))  # a weight
+        maps = ad.parameter(rand(rng, 3, 2, 2, 4))  # three 2x2 maps of depth 4
+        probes: dict[tuple[int, ...], ad.Tensor] = {}
+
+        def weighted(t):
+            probe = probes.setdefault(t.shape, ad.constant(rand(rng, *t.shape)))
+            return ad.tsum(ad.mul(t, probe))
 
         cases = {
-            "sigmoid": lambda: ad.tsum(ad.sigmoid(x)),
-            "tanh": lambda: ad.tsum(ad.tanh(x)),
-            "softplus": lambda: ad.tsum(ad.softplus(x)),
-            "relu": lambda: ad.tsum(ad.relu(x)),
-            "add": lambda: ad.tsum(ad.add(x, x)),
-            "sub": lambda: ad.tsum(ad.sub(x, ad.mul(x, x))),
-            "mul": lambda: ad.tsum(ad.mul(x, x)),
-            "div": lambda: ad.tsum(ad.div(x, ad.add(ad.mul(x, x), 3.0))),
-            "matmul": lambda: ad.tsum(ad.matmul(x, probe)),
-            "gap": lambda: ad.tsum(ad.global_average_pool(x)),
-            "scale_rows": lambda: ad.tsum(ad.scale_rows(x, v)),
-            "reshape": lambda: ad.tsum(ad.reshape(x, (3, 4))),
-            "cross_entropy": lambda: ad.softmax_cross_entropy(ad.matmul(x, probe), 1),
+            "sigmoid": lambda: weighted(ad.sigmoid(x)),
+            "tanh": lambda: weighted(ad.tanh(x)),
+            "softplus": lambda: weighted(ad.softplus(x)),
+            "relu": lambda: weighted(ad.relu(x)),
+            "add": lambda: weighted(ad.add(x, v)),
+            "sub": lambda: weighted(ad.sub(v, ad.mul(x, x))),
+            "mul": lambda: weighted(ad.mul(x, v)),
+            "div": lambda: weighted(ad.div(x, ad.add(ad.mul(v, v), 3.0))),
+            "matmul": lambda: weighted(ad.matmul(w, x)),
+            "stacked matmul": lambda: weighted(ad.matmul(
+                ad.reshape(maps, (3, 4, 4)), ad.reshape(ad.transpose(x), (3, 4, 1)))),
+            "gap": lambda: weighted(ad.global_average_pool(maps)),
+            "scale_rows": lambda: weighted(ad.scale_rows(ad.reshape(maps, (12, 4)),
+                                                         ad.reshape(x, (12,)))),
+            "reshape": lambda: weighted(ad.reshape(x, (3, 4))),
+            "transpose": lambda: weighted(ad.transpose(x)),
+            "sum": lambda: weighted(ad.tsum(maps, keep=1)),
+            "stack": lambda: weighted(ad.stack([x, ad.mul(x, x)])),
+            "cross_entropy": lambda: weighted(ad.softmax_cross_entropy(x, [1, 3, 0])),
         }
         for name, f in cases.items():
-            err = ad.grad_check(f, [x, v])
+            err = ad.grad_check(f, [x, v, w, maps])
             assert err < 1e-4, f"{name}: rel err {err}"
 
     def test_wrong_backward_is_caught(self, monkeypatch):

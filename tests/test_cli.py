@@ -133,6 +133,45 @@ class TestTrain:
                     "--out-dir", str(tmp_path), "--config", str(cfg)]) == 1
         assert "no_such_flag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["flag", "env", "config"])
+    def test_negative_seed_is_config_error(self, tiny_set, tmp_path, monkeypatch, capsys, how):
+        argv = ["train", "--manifest", str(tiny_set / "manifest.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"),
+                "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "1"]
+        if how == "flag":
+            argv += ["--seed", "-1"]
+        elif how == "env":
+            monkeypatch.setenv("HAR_SEED", "-1")
+        else:
+            (tmp_path / "run.cfg").write_text("seed=-1\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+
+    def test_negative_epochs_is_config_error(self, tiny_set, tmp_path, capsys):
+        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "epochs" in err
+        assert not (tmp_path / "checkpoint.ckpt").exists()
+
+    def test_non_finite_item_is_named(self, tiny_set, tmp_path, capsys):
+        split = load_manifest(tiny_set / "manifest.csv")
+        maps = formats.read_tensor_file(tiny_set / "descriptors.desc")
+        maps[int(split.train[3].source)][0, 0, 0] = np.nan
+        formats.write_tensor_file(tmp_path / "nan.desc", list(maps))
+        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tmp_path / "nan.desc"),
+                    "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "1",
+                    "--batch-size", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 0, batch ") and err.count("\n") == 1
+        assert err.rstrip().endswith("item 3")
+
     def test_config_value_of_wrong_type(self, tiny_set, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("hidden=8\nepochs=abc\n")
@@ -295,6 +334,12 @@ class TestGradcheck:
         for variant in ("rnn_ha", "fc_ha", "rnn_h_no_attention"):
             names = [l.split()[1] for l in lines if l.startswith(variant + " ")]
             assert len(names) == len(set(names)) > 0
+
+    def test_zero_step_is_config_error(self, capsys):
+        assert run(["gradcheck", "--step", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "step" in err
 
     def test_injected_wrong_backward_fails(self, capsys, monkeypatch):
         scale_sigmoid_backward(monkeypatch, 1.5)

@@ -24,10 +24,15 @@ def scalar_params(weight=1.0):
     return p
 
 
+def col(values):
+    """A batch of one: the values as a single column."""
+    return ad.constant(np.asarray(values, dtype=np.float64)[:, None])
+
+
 def two_steps(x1, x2, p, h0=None):
     # The coarse-to-fine unroll of Model.forward: step 1 from h0 (zero by
     # default), step 2 from step 1's state, both with the same weights.
-    s1 = gru_step(x1, ad.zeros(p.hidden) if h0 is None else h0, p)
+    s1 = gru_step(x1, ad.zeros((p.hidden, x1.shape[1])) if h0 is None else h0, p)
     return s1, gru_step(x2, s1.h, p)
 
 
@@ -43,14 +48,14 @@ class TestGruStep:
     def test_zero_parameters(self):
         p = zero_params(3, 4)
         v = np.array([0.3, -1.0, 2.0, 0.5])
-        state = gru_step(ad.constant([1.0, 2.0, 3.0]), ad.constant(v), p)
+        state = gru_step(col([1.0, 2.0, 3.0]), col(v), p)
         np.testing.assert_allclose(state.z.data, 0.5, atol=1e-15)
         np.testing.assert_allclose(state.r.data, 0.5, atol=1e-15)
         np.testing.assert_allclose(state.n.data, 0.0, atol=1e-15)
-        np.testing.assert_allclose(state.h.data, 0.5 * v, atol=1e-15)
+        np.testing.assert_allclose(state.h.data, 0.5 * col(v).data, atol=1e-15)
 
     def test_scalar_hand_case(self):
-        state = gru_step(ad.constant([1.0]), ad.constant([0.0]), scalar_params())
+        state = gru_step(col([1.0]), col([0.0]), scalar_params())
         h, z, r, n = scalar_step_oracle(1.0, 0.0)
         assert z == pytest.approx(0.731059, abs=1e-6)
         assert n == pytest.approx(0.761594, abs=1e-6)
@@ -64,16 +69,18 @@ class TestGruStep:
     def test_saturated_update_gate_keeps_state(self):
         p = zero_params(2, 3)
         p.b_z.data[:] = 50.0
-        h_prev = np.array([0.7, -0.2, 1.4])
-        state = gru_step(ad.constant([5.0, -3.0]), ad.constant(h_prev), p)
-        np.testing.assert_allclose(state.h.data, h_prev, atol=1e-9)
+        h_prev = col([0.7, -0.2, 1.4])
+        state = gru_step(col([5.0, -3.0]), h_prev, p)
+        np.testing.assert_allclose(state.h.data, h_prev.data, atol=1e-9)
 
     def test_dimension_mismatch(self):
         p = GruParams.init(3, 4, np.random.default_rng(1))
         with pytest.raises(ShapeError):
-            gru_step(ad.constant([1.0, 2.0]), ad.constant(np.zeros(4)), p)
+            gru_step(col([1.0, 2.0]), col(np.zeros(4)), p)
         with pytest.raises(ShapeError):
-            gru_step(ad.constant(np.zeros(3)), ad.constant(np.zeros(5)), p)
+            gru_step(col(np.zeros(3)), col(np.zeros(5)), p)
+        with pytest.raises(ShapeError):  # batches of different sizes
+            gru_step(ad.constant(np.zeros((3, 2))), ad.constant(np.zeros((4, 3))), p)
 
     def test_gate_ranges_and_convex_combination(self):
         rng = np.random.default_rng(2)
@@ -81,8 +88,8 @@ class TestGruStep:
             p = GruParams.init(4, 6, rng)
             for t in p.named().values():
                 t.data[:] = rng.uniform(-2, 2, size=t.shape)
-            x = ad.constant(rng.uniform(-2, 2, size=4))
-            h_prev = rng.uniform(-2, 2, size=6)
+            x = ad.constant(rng.uniform(-2, 2, size=(4, 5)))  # a batch of five
+            h_prev = rng.uniform(-2, 2, size=(6, 5))
             s = gru_step(x, ad.constant(h_prev), p)
             assert np.all((s.z.data > 0) & (s.z.data < 1))
             assert np.all((s.r.data > 0) & (s.r.data < 1))
@@ -97,20 +104,20 @@ class TestClassify:
     def test_zero_head(self):
         head = ClassifierHead.init(3, 4, np.random.default_rng(3))
         head.w.data[:] = 0.0
-        np.testing.assert_array_equal(classify(ad.constant(np.ones(4)), head).data, np.zeros(3))
+        np.testing.assert_array_equal(classify(col(np.ones(4)), head).data, np.zeros((3, 1)))
 
     def test_identity_head(self):
         head = ClassifierHead.init(3, 3, np.random.default_rng(4))
         head.w.data[:] = np.eye(3)
         head.b.data[:] = 0.0
-        o = np.array([0.5, -1.0, 2.0])
+        o = np.array([[0.5, 1.0], [-1.0, 0.0], [2.0, 3.0]])  # two samples
         np.testing.assert_array_equal(classify(ad.constant(o), head).data, o)
 
     def test_hand_value(self):
         head = ClassifierHead.init(1, 2, np.random.default_rng(5))
         head.w.data[:] = [[1.0, 1.0]]
         head.b.data[:] = [1.0]
-        assert classify(ad.constant([2.0, 3.0]), head).data[0] == 6.0
+        assert classify(col([2.0, 3.0]), head).data[0, 0] == 6.0
 
 
 class TestHierarchicalLoss:
@@ -150,6 +157,19 @@ class TestHierarchicalLoss:
         mean = LossReport.mean(reports)
         assert mean.total == mean.model + mean.vehicle
 
+    def test_batch_loss_is_mean_of_samples(self):
+        rng = np.random.default_rng(8)
+        lm, lv = rng.uniform(-3, 3, size=(7, 4)), rng.uniform(-3, 3, size=(13, 4))
+        ym, yv = np.array([0, 6, 2, 2]), np.array([12, 0, 5, 7])
+        total, report = hierarchical_loss(ad.constant(lm), ym, ad.constant(lv), yv)
+        singles = [hierarchical_loss(ad.constant(lm[:, i]), ym[i], ad.constant(lv[:, i]),
+                                     yv[i])[1] for i in range(4)]
+        assert total.item() == report.total == report.model + report.vehicle
+        mean = LossReport.mean(singles)
+        assert report.model == pytest.approx(mean.model, rel=1e-15)
+        assert report.vehicle == pytest.approx(mean.vehicle, rel=1e-15)
+        np.testing.assert_allclose(report.per_sample, [r.total for r in singles], rtol=1e-15)
+
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
             hierarchical_loss(ad.constant(np.zeros(3)), 3, ad.constant(np.zeros(3)), 0)
@@ -158,12 +178,12 @@ class TestHierarchicalLoss:
 class TestUnroll:
     def test_zero_parameters_give_zero_outputs(self):
         p = zero_params(3, 3)
-        s1, s2 = two_steps(ad.constant([1.0, -2.0, 0.5]), ad.constant([4.0, 4.0, 4.0]), p)
+        s1, s2 = two_steps(col([1.0, -2.0, 0.5]), col([4.0, 4.0, 4.0]), p)
         np.testing.assert_allclose(s1.h.data, 0.0, atol=1e-15)
         np.testing.assert_allclose(s2.h.data, 0.0, atol=1e-15)
 
     def test_scalar_two_step_hand_case(self):
-        x1 = ad.constant([1.0])
+        x1 = col([1.0])
         s1, s2 = two_steps(x1, x1, scalar_params())
         h1, *_ = scalar_step_oracle(1.0, 0.0)
         h2, z2, r2, n2 = scalar_step_oracle(1.0, h1)
@@ -175,21 +195,21 @@ class TestUnroll:
     def test_provider_dimension_checked(self):
         p = GruParams.init(3, 4, np.random.default_rng(8))
         with pytest.raises(ShapeError):
-            two_steps(ad.constant(np.zeros(3)), ad.constant(np.zeros(2)), p)
+            two_steps(col(np.zeros(3)), col(np.zeros(2)), p)
 
     def test_shared_weights_receive_gradient_from_both_branches(self):
         rng = np.random.default_rng(9)
         p = GruParams.init(3, 4, rng)
         heads = [ClassifierHead.init(2, 4, rng), ClassifierHead.init(5, 4, rng)]
-        x1 = ad.constant(rng.uniform(-1, 1, size=3))
-        x2 = ad.constant(rng.uniform(-1, 1, size=3))
+        x1 = col(rng.uniform(-1, 1, size=3))
+        x2 = col(rng.uniform(-1, 1, size=3))
 
         def branch_grad(branch, h0=None):
             for t in p.named().values():
                 t.zero_grad()
             s1, s2 = two_steps(x1, x2, p, h0=h0)
             target = classify(s1.h, heads[0]) if branch == "model" else classify(s2.h, heads[1])
-            ad.backward(ad.softmax_cross_entropy(target, 1))
+            ad.backward(ad.tsum(ad.softmax_cross_entropy(target, [1])))
             return {k: (None if t.grad is None else t.grad.copy())
                     for k, t in p.named().items()}
 
@@ -207,7 +227,7 @@ class TestUnroll:
                 assert g_model[name] is not None and np.any(g_model[name] != 0), name
 
         # With a nonzero starting state the coarse branch reaches everything.
-        g_model_h0 = branch_grad("model", h0=ad.constant(rng.uniform(0.5, 1.0, size=4)))
+        g_model_h0 = branch_grad("model", h0=col(rng.uniform(0.5, 1.0, size=4)))
         for name in g_model_h0:
             assert g_model_h0[name] is not None and np.any(g_model_h0[name] != 0), name
 
@@ -216,12 +236,13 @@ class TestUnroll:
         p = GruParams.init(3, 4, rng)
         head_m = ClassifierHead.init(2, 4, rng)
         head_v = ClassifierHead.init(5, 4, rng)
-        x1 = ad.constant(rng.uniform(-1, 1, size=3))
-        x2 = ad.constant(rng.uniform(-1, 1, size=3))
+        x1 = ad.constant(rng.uniform(-1, 1, size=(3, 3)))  # a batch of three
+        x2 = ad.constant(rng.uniform(-1, 1, size=(3, 3)))
 
         def f():
             s1, s2 = two_steps(x1, x2, p)
-            total, _ = hierarchical_loss(classify(s1.h, head_m), 0, classify(s2.h, head_v), 4)
+            total, _ = hierarchical_loss(classify(s1.h, head_m), np.array([0, 1, 0]),
+                                         classify(s2.h, head_v), np.array([4, 2, 3]))
             return total
 
         named = {**p.named(), **head_m.named("hm"), **head_v.named("hv")}

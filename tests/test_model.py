@@ -156,6 +156,40 @@ class TestVariants:
         assert ModelConfig(num_models=2, num_vehicles=2).hidden == 1024
 
 
+class TestBatch:
+    @pytest.mark.parametrize("case", ["rnn_ha", "fc_ha", "rnn_h_no_attention", "rnn_ha_conv"])
+    def test_batch_of_five_is_mean_of_five_singles(self, case):
+        # One graph over a batch gives the mean loss and the mean gradient of
+        # the samples' own graphs, up to summation order.
+        conv = dict(backbone="conv", conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        model = Model(small_config(variant=case.removesuffix("_conv"), seed=23,
+                                   **(conv if case.endswith("_conv") else {})))
+        rng = np.random.default_rng(24)
+        shape = (10, 10, 1) if case.endswith("_conv") else (2, 3, 4)
+        inputs = rng.uniform(-1.0, 1.0, size=(5, *shape))
+        y_model, y_vehicle = rng.integers(3, size=5), rng.integers(6, size=5)
+        params = model.params()
+
+        def loss_and_grads(inp, ym, yv):
+            for t in params.values():
+                t.zero_grad()
+            total, report, result = model.loss(inp, ym, yv)
+            ad.backward(total)
+            grads = {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                     for k, t in params.items()}
+            return total.item(), grads, result
+
+        total, grads, result = loss_and_grads(inputs, y_model, y_vehicle)
+        assert result.logits_model.shape == (3, 5) and result.o2.shape == (8, 5)
+        singles = [loss_and_grads(inputs[i], int(y_model[i]), int(y_vehicle[i]))
+                   for i in range(5)]
+        assert total == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
+        for name in params:
+            expected = np.mean([s[1][name] for s in singles], axis=0)
+            scale = max(np.max(np.abs(expected)), 1e-300)
+            assert np.max(np.abs(grads[name] - expected)) <= 1e-12 * scale, name
+
+
 class TestGradientSeparation:
     def test_model_loss_ignores_attention_params(self):
         model = Model(small_config(variant="rnn_ha", seed=13))

@@ -5,7 +5,8 @@ from hareid import autodiff as ad
 from hareid.data import SynthConfig, synth_generate, training_items
 from hareid.errors import ConfigError, NumericError
 from hareid.model import Model, ModelConfig
-from hareid.optim import RmspropState, TrainSchedule, lr_schedule, rmsprop_step, train
+from hareid.optim import (RmspropState, TrainSchedule, lr_schedule, rmsprop_step, rng_for,
+                          train)
 
 
 def tiny_problem(seed, epochs=11):
@@ -88,6 +89,9 @@ class TestSchedule:
             TrainSchedule(initial_lr=0.0)
         with pytest.raises(ConfigError):
             TrainSchedule(batch_size=0)
+        with pytest.raises(ConfigError):
+            TrainSchedule(epochs=-1)
+        assert TrainSchedule(epochs=0).epochs == 0
 
 
 class TestTrain:
@@ -120,6 +124,18 @@ class TestTrain:
             result = train(model, items, schedule, seed=3)
             traces.append([(e, r.total, r.model, r.vehicle) for e, r in result.trace])
         assert traces[0] == traces[1]
+
+    def test_non_finite_loss_names_epoch_batch_and_item(self):
+        model, items, schedule = tiny_problem(seed=6)
+        poisoned = 5
+        inp, y_model, y_vehicle = items[poisoned]
+        inp = inp.copy()
+        inp.flat[0] = np.nan
+        items[poisoned] = (inp, y_model, y_vehicle)
+        position = int(np.flatnonzero(rng_for(6, 0).permutation(len(items)) == poisoned)[0])
+        with pytest.raises(NumericError, match=f"^epoch 0, batch {position // 16}: "
+                                               f".* item {poisoned}$"):
+            train(model, items, schedule, seed=6)
 
     def test_resume_matches_uninterrupted_run(self):
         model_a, items, schedule = tiny_problem(seed=4, epochs=6)
