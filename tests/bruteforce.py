@@ -63,6 +63,10 @@ def bf_metrics(query_feats, query_labels, gallery_feats, gallery_labels, ks=(1, 
         aps.append(ap)
         rank = next(k for k, rel in enumerate(relevance, start=1) if rel)
         first_hits.append(rank)
+    return bf_summary(aps, first_hits, skipped, ks)
+
+
+def bf_summary(aps, first_hits, skipped, ks=(1, 5)):
     mean_ap = float(np.mean(aps)) if aps else 0.0
     cmc = {}
     for k in ks:
@@ -71,3 +75,56 @@ def bf_metrics(query_feats, query_labels, gallery_feats, gallery_labels, ks=(1, 
         else:
             cmc[k] = 0.0
     return mean_ap, cmc, skipped
+
+
+def bf_veri(features, vehicles, cameras, tracks, queries, agg="max"):
+    """Image-to-track mAP, CMC@k and skipped count by full enumeration.
+
+    Tracks are numbered in order of first appearance; a track holding any
+    image from the query's camera is not ranked; a track scores the max (or
+    the mean) of its images' similarities to the query.
+    """
+    unit = [bf_normalize(f) for f in features]
+    members = {}
+    for i, t in enumerate(tracks):
+        members.setdefault(t, []).append(i)
+    aps = []
+    first_hits = []
+    skipped = 0
+    for qi in queries:
+        scores = []
+        relevant = []
+        for images in members.values():
+            if any(cameras[i] == cameras[qi] for i in images):
+                continue
+            sims = [bf_dot(unit[qi], unit[i]) for i in images]
+            if agg == "max":
+                score = sims[0]
+                for s in sims[1:]:
+                    if s > score:
+                        score = s
+            else:
+                score = sum(sims) / len(sims)
+            scores.append(score)
+            relevant.append(vehicles[images[0]] == vehicles[qi])
+        relevance = [relevant[o] for o in bf_order(scores)]
+        ap = bf_average_precision(relevance)
+        if ap is None:
+            skipped += 1
+            continue
+        aps.append(ap)
+        first_hits.append(next(k for k, rel in enumerate(relevance, start=1) if rel))
+    return bf_summary(aps, first_hits, skipped)
+
+
+def bf_vehicleid_repeat(features, vehicles, gallery):
+    """One repeated-gallery repeat from its gallery image ids: every other
+    image of each gallery vehicle, in gallery then image order, queries the
+    gallery."""
+    query_ids = []
+    for g in gallery:
+        for i, v in enumerate(vehicles):
+            if v == vehicles[g] and i != g:
+                query_ids.append(i)
+    return bf_metrics([features[i] for i in query_ids], [vehicles[i] for i in query_ids],
+                      [features[g] for g in gallery], [vehicles[g] for g in gallery])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bruteforce import bf_metrics
+from bruteforce import bf_metrics, bf_vehicleid_repeat, bf_veri
 from hareid.data import LabeledSample
 from hareid.errors import ConfigError, ShapeError, ValidationError
 from hareid.retrieval import (EvaluationReport, RetrievalIndex, average_precision,
@@ -239,6 +239,64 @@ class TestOracleEquivalence:
             assert report.map == bf_map, f"case {case}"
             assert report.cmc[1] == bf_cmc[1] and report.cmc[5] == bf_cmc[5], f"case {case}"
             assert report.counts["skipped"] == bf_skipped, f"case {case}"
+
+
+def random_protocol_instance(rng):
+    """Features and track metadata in shuffled order: vehicles with one to
+    three tracks of one to three images, each track under a random camera.
+    One feature row duplicates another (exact ties) and one is zero; a
+    vehicle seen by one camera only leaves its queries nothing to rank."""
+    rows = []
+    for v in range(int(rng.integers(2, 6))):
+        for t in range(int(rng.integers(1, 4))):
+            camera = f"c{rng.integers(3)}"
+            rows += [(f"v{v}", camera, f"v{v}_t{t}")] * int(rng.integers(1, 4))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    feats = rng.normal(size=(len(rows), int(rng.integers(2, 5))))
+    if len(rows) >= 3:
+        feats[-1] = feats[0]
+        feats[1] = 0.0
+    meta = [sample(v, camera=c, track=t, source=str(i)) for i, (v, c, t) in enumerate(rows)]
+    return feats, meta
+
+
+class TestProtocolOracle:
+    @pytest.mark.parametrize("agg", ["max", "mean"])
+    def test_veri_matches_brute_force(self, agg):
+        rng = np.random.default_rng(8)
+        skipped = 0
+        for case in range(150):
+            feats, meta = random_protocol_instance(rng)
+            queries = range(len(meta)) if case % 3 else sorted(
+                {int(q) for q in rng.integers(len(meta), size=3)})
+            report = veri_protocol(RetrievalIndex.build(feats, meta), queries=queries,
+                                   track_agg=agg)
+            bf_map, bf_cmc, bf_skipped = bf_veri(
+                feats, [s.vehicle_id for s in meta], [s.camera_id for s in meta],
+                [s.track_id for s in meta], queries, agg)
+            assert report.map == bf_map, f"case {case}"
+            assert report.cmc == bf_cmc, f"case {case}"
+            assert report.counts["skipped"] == bf_skipped, f"case {case}"
+            assert report.counts["queries"] + bf_skipped == len(queries), f"case {case}"
+            skipped += bf_skipped
+        assert skipped > 0
+
+    def test_vehicleid_repeats_match_brute_force(self):
+        rng = np.random.default_rng(9)
+        for case in range(100):
+            feats, meta = random_protocol_instance(rng)
+            vehicles = [s.vehicle_id for s in meta]
+            gallery_size = int(rng.integers(1, len(set(vehicles)) + 1))
+            report = vehicleid_protocol(RetrievalIndex.build(feats, meta), gallery_size,
+                                        repeats=3, seed=case)
+            for rep in report.repeats:
+                gallery_vehicles = [vehicles[g] for g in rep["gallery"]]
+                assert len(set(gallery_vehicles)) == gallery_size
+                bf_map, bf_cmc, bf_skipped = bf_vehicleid_repeat(feats, vehicles,
+                                                                 rep["gallery"])
+                assert rep["map"] == bf_map, f"case {case}"
+                assert rep["cmc"] == {str(k): v for k, v in bf_cmc.items()}, f"case {case}"
+                assert rep["skipped"] == bf_skipped, f"case {case}"
 
 
 class TestScaleInvariance:
