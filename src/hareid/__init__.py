@@ -22,11 +22,9 @@ from .errors import (ConfigError, FormatError, HareidError, NumericError, ShapeE
                      ValidationError)
 from .gru import (ClassifierHead, GruParams, GruState, LossReport, Mlp, classify, gru_step,
                   hierarchical_loss)
-from .model import (VARIANTS, FeatureVector, ForwardResult, Model, ModelConfig,
-                    normalize_feature)
+from .model import VARIANTS, FeatureVector, ForwardResult, Model, ModelConfig, unit_rows
 from .optim import RmspropState, TrainSchedule, lr_schedule, rmsprop_step, rng_for, train
 from .retrieval import (EvaluationReport, RetrievalIndex, average_precision, cmc_at_k,
-                        cosine_similarity, image_retrieval_metrics, rank_items,
-                        vehicleid_protocol, veri_protocol)
+                        image_retrieval_metrics, rank_items, vehicleid_protocol, veri_protocol)
 
 __version__ = "0.1.0"

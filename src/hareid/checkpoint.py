@@ -13,14 +13,19 @@ Layout (all integers little-endian):
         float64 alpha, float64 delta, then the squared-gradient averages in
         the same named-tensor record format.
 
-Saving a loaded checkpoint reproduces the file byte for byte.
+Saving a loaded checkpoint reproduces the file byte for byte. A save writes
+a temporary file and renames it over the path, so a failed save leaves the
+previous checkpoint whole. A malformed file raises FormatError.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from io import BufferedReader
+from pathlib import Path
 
 import numpy as np
 
@@ -43,21 +48,31 @@ def _write_named(f, name: str, arr: np.ndarray) -> None:
 
 
 def _read_exact(f: BufferedReader, count: int, what: str) -> bytes:
-    raw = f.read(count)
-    if len(raw) != count:
+    """The next ``count`` bytes, checked against the bytes left before reading."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
         raise FormatError(f"checkpoint truncated while reading {what}: "
-                          f"expected {count} bytes, got {len(raw)}")
-    return raw
+                          f"expected {count} bytes, got {left}")
+    return f.read(count)
+
+
+def _read_text(f: BufferedReader, count: int, what: str) -> str:
+    try:
+        return _read_exact(f, count, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"checkpoint {what} is not UTF-8: {exc}") from None
 
 
 def _read_named(f) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<I", _read_exact(f, 4, "tensor name length"))
-    name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+    name = _read_text(f, name_len, "tensor name")
     (ndim,) = struct.unpack("<I", _read_exact(f, 4, "tensor rank"))
     dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor dims"))
-    count = int(np.prod(dims)) if dims else 1
-    data = np.frombuffer(_read_exact(f, 8 * count, f"tensor {name}"), dtype="<f8")
-    return name, data.reshape(dims).copy()
+    data = np.frombuffer(_read_exact(f, 8 * math.prod(dims), f"tensor {name}"), dtype="<f8")
+    try:
+        return name, data.reshape(dims).copy()
+    except ValueError:  # more axes than numpy allows, or a size that overflows
+        raise FormatError(f"checkpoint tensor {name} has unusable shape {dims}") from None
 
 
 @dataclass
@@ -72,23 +87,30 @@ class Checkpoint:
 def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor | np.ndarray],
                     opt: RmspropState | None, epoch: int, seed: int) -> None:
     config_bytes = config.to_text().encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(config_bytes)))
-        f.write(config_bytes)
-        f.write(struct.pack("<QI", seed, epoch))
-        f.write(struct.pack("<I", len(params)))
-        for name, value in params.items():
-            arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-            _write_named(f, name, arr)
-        if opt is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<dd", opt.alpha, opt.delta))
-            for name in params:
-                _write_named(f, name, opt.v[name])
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<I", len(config_bytes)))
+            f.write(config_bytes)
+            f.write(struct.pack("<QI", seed, epoch))
+            f.write(struct.pack("<I", len(params)))
+            for name, value in params.items():
+                arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+                _write_named(f, name, arr)
+            if opt is None:
+                f.write(struct.pack("<B", 0))
+            else:
+                f.write(struct.pack("<B", 1))
+                f.write(struct.pack("<dd", opt.alpha, opt.delta))
+                for name in params:
+                    _write_named(f, name, opt.v[name])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -100,7 +122,7 @@ def load_checkpoint(path) -> Checkpoint:
         if version != VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         (config_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        config = ModelConfig.from_text(_read_exact(f, config_len, "config").decode("utf-8"))
+        config = ModelConfig.from_text(_read_text(f, config_len, "config"))
         seed, epoch = struct.unpack("<QI", _read_exact(f, 12, "seed/epoch"))
         (n_params,) = struct.unpack("<I", _read_exact(f, 4, "parameter count"))
         params = dict(_read_named(f) for _ in range(n_params))

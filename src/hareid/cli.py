@@ -19,7 +19,7 @@ import numpy as np
 from . import backbone, data, formats
 from .autodiff import grad_check_groups
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .errors import ConfigError, HareidError, ValidationError
+from .errors import ConfigError, HareidError
 from .model import VARIANTS, Model, ModelConfig
 from .optim import TrainSchedule, rng_for, train
 from .retrieval import EvaluationReport, RetrievalIndex, vehicleid_protocol, veri_protocol
@@ -158,11 +158,7 @@ def cmd_extract(args) -> int:
 def cmd_eval(args) -> int:
     split, _ = _load_split_and_maps(args)
     samples = _samples_for(split, args.split)
-    features = formats.load_features(args.features)
-    if len(features) != len(samples):
-        raise ValidationError(f"{len(features)} features but {len(samples)} samples "
-                              f"in split {args.split!r}")
-    index = RetrievalIndex.build(features, samples)
+    index = RetrievalIndex.build(formats.load_features(args.features), samples)
     if args.protocol == "veri":
         report = veri_protocol(index, track_agg=args.track_agg)
     else:

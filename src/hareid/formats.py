@@ -103,6 +103,8 @@ def _read_tokens(raw: bytes, count: int, start: int) -> tuple[list[int], int]:
             j += 1
         if j == i:
             raise FormatError("unexpected end of image header")
+        if not raw[i:j].isdigit() or j - i > 10:
+            raise FormatError(f"bad image token {raw[i:j][:16]!r}, expected a decimal number")
         tokens.append(int(raw[i:j]))
         i = j
     return tokens, i
@@ -120,10 +122,10 @@ def read_image(path) -> np.ndarray:
         raise FormatError(f"{path}: only 8-bit images supported, maxval={maxval}")
     n = h * w * channels
     if kind in (b"P5", b"P6"):
-        pixels = np.frombuffer(raw, dtype=np.uint8, count=-1, offset=pos + 1)
+        pixels = np.frombuffer(raw[pos + 1:pos + 1 + n], dtype=np.uint8)
         if pixels.size < n:
             raise FormatError(f"{path}: expected {n} pixel bytes, got {pixels.size}")
-        values = pixels[:n].astype(np.float64)
+        values = pixels.astype(np.float64)
     else:
         tokens, _ = _read_tokens(raw, n, pos)
         values = np.asarray(tokens, dtype=np.float64)

@@ -21,7 +21,7 @@ import numpy as np
 from . import attention as att
 from .autodiff import Tensor, global_average_pool, reshape, stack, zeros
 from .backbone import ActivationMap, ConvStackConfig, ConvStackParams, conv_forward
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp, classify,
                   gru_step, hierarchical_loss)
 
@@ -100,8 +100,11 @@ class ModelConfig:
             return ConvStackConfig(layers=layers, kernel=kernel, channels=channels,
                                    in_channels=in_channels, stride=stride, pool=bool(pool))
 
-        return cls(**{key: field(key, parse) for key, parse in _TEXT_FIELDS.items()},
-                   conv=field("conv", conv_stack) if "conv" in kv else None)
+        try:
+            return cls(**{key: field(key, parse) for key, parse in _TEXT_FIELDS.items()},
+                       conv=field("conv", conv_stack) if "conv" in kv else None)
+        except ConfigError as exc:
+            raise FormatError(f"model config is inconsistent: {exc}") from None
 
 
 @dataclass
@@ -113,13 +116,19 @@ class FeatureVector:
     normalized: bool
 
 
-def normalize_feature(values: np.ndarray) -> FeatureVector:
-    """l2-normalize an arbitrary vector with the zero-vector convention."""
-    values = np.asarray(values, dtype=np.float64)
-    norm = float(np.linalg.norm(values))
-    if norm == 0.0:
-        return FeatureVector(values=values.copy(), normalized=False)
-    return FeatureVector(values=values / norm, normalized=True)
+def unit_rows(values) -> tuple[np.ndarray, np.ndarray]:
+    """l2-normalize the rows of an (n, dim) array; a zero row stays zero and
+    is flagged in the returned (n,) mask. A row whose norm is not finite (a
+    NaN or infinite entry, or an overflow) is a NumericError."""
+    rows = np.asarray(values, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ShapeError(f"features must be (n, dim), got shape {rows.shape}")
+    norms = np.linalg.norm(rows, axis=1)
+    if not np.isfinite(norms).all():
+        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise NumericError(f"feature row {bad} has non-finite norm {norms[bad]}")
+    zero = norms == 0.0
+    return rows / np.where(zero, 1.0, norms)[:, None], zero
 
 
 @dataclass
@@ -244,7 +253,8 @@ class Model:
         return total, report, result
 
     def extract_feature(self, inp) -> FeatureVector:
-        return normalize_feature(self.forward(inp).o2.data)
+        values, zero = unit_rows(self.forward(inp).o2.data[None])
+        return FeatureVector(values=values[0], normalized=not zero[0])
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = self.params()

@@ -75,3 +75,17 @@ class TestCheckpoint:
         from hareid.errors import ConfigError
         with pytest.raises(ConfigError):
             other.load_state(ckpt.params)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        model = small_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model.config, model.params(), None, epoch=1, seed=5)
+        before = path.read_bytes()
+        # The last tensor cannot be converted to float64: the write fails
+        # after the header and every other tensor are out.
+        broken = {**model.params(), "zz.bad": np.array(["not a number"])}
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model.config, broken, None, epoch=2, seed=5)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).epoch == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -208,6 +208,21 @@ class TestTrain:
         assert formats.load_features(feat).shape == (4, 6)
 
 
+    def test_non_numeric_image_header_is_format_error(self, tmp_path, capsys):
+        formats.write_pgm(tmp_path / "good.pgm", np.zeros((8, 8), dtype=np.uint8))
+        (tmp_path / "bad.pgm").write_bytes(b"P2\n8 x8\n255\n" + b"0 " * 64)
+        (tmp_path / "manifest.csv").write_text(
+            "split,source,vehicle_id,model_id\ntrain,good.pgm,v0,m0\n"
+            "train,bad.pgm,v1,m0\ntest,good.pgm,t0,m0\n")
+        assert run(["train", "--manifest", str(tmp_path / "manifest.csv"),
+                    "--image-root", str(tmp_path), "--backbone", "conv",
+                    "--conv-layers", "2", "--conv-channels", "4",
+                    "--out-dir", str(tmp_path / "run"), "--hidden", "6", "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "x8" in err
+
+
 class TestExtract:
     def test_feature_file_header_and_norms(self, tiny_set, tiny_run, tmp_path):
         out = tmp_path / "f.feat"
@@ -252,6 +267,31 @@ class TestExtract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'seed'" in err
+
+
+    @pytest.mark.parametrize("corrupt", ["config_byte", "tensor_rank"])
+    def test_corrupt_checkpoint_is_format_error(self, tiny_set, tiny_run, tmp_path, capsys,
+                                                corrupt):
+        raw = bytearray((tiny_run / "checkpoint.ckpt").read_bytes())
+        at = len(MAGIC) + 4
+        (length,) = struct.unpack_from("<I", raw, at)
+        config_end = at + 4 + length
+        if corrupt == "config_byte":
+            raw[config_end - 2] = 0xFF  # not UTF-8
+        else:
+            # The first tensor record follows seed, epoch and the tensor count.
+            name_at = config_end + 12 + 4
+            (name_len,) = struct.unpack_from("<I", raw, name_at)
+            struct.pack_into("<I", raw, name_at + 4 + name_len, 0x7FFFFFFF)
+        ckpt = tmp_path / "corrupt.ckpt"
+        ckpt.write_bytes(bytes(raw))
+        assert run(["extract", "--checkpoint", str(ckpt),
+                    "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out", str(tmp_path / "f.feat")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("UTF-8" if corrupt == "config_byte" else "truncated") in err
 
 
 class TestEval:
@@ -313,6 +353,20 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             run(["eval", "--features", "x", "--manifest", "y", "--protocol", "market"])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("protocol", ["veri", "vehicleid"])
+    def test_non_finite_feature_row_is_named(self, tiny_set, tmp_path, capsys, protocol):
+        split = load_manifest(tiny_set / "manifest.csv")
+        feats = np.ones((len(split.test), 4))
+        feats[3, 1] = np.nan
+        formats.write_features(tmp_path / "f.feat", feats)
+        assert run(["eval", "--features", str(tmp_path / "f.feat"),
+                    "--manifest", str(tiny_set / "manifest.csv"),
+                    "--protocol", protocol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "row 3 " in captured.err
 
     def test_feature_count_mismatch(self, tiny_set, tmp_path, capsys):
         formats.write_features(tmp_path / "f.feat", np.ones((3, 4)))

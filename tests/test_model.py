@@ -6,8 +6,8 @@ import pytest
 
 from hareid import autodiff as ad
 from hareid.backbone import ConvStackConfig
-from hareid.errors import ConfigError, FormatError, ShapeError
-from hareid.model import Model, ModelConfig, normalize_feature
+from hareid.errors import ConfigError, FormatError, NumericError, ShapeError
+from hareid.model import Model, ModelConfig, unit_rows
 
 BASE = dict(num_models=3, num_vehicles=6, d=4, hidden=8, seed=0)
 
@@ -257,19 +257,29 @@ class TestConfigText:
 
 class TestExtractFeature:
     def test_three_four_five(self):
-        fv = normalize_feature(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(fv.values, [0.6, 0.8], atol=1e-15)
-        assert fv.normalized
+        rows, zero = unit_rows(np.array([[3.0, 4.0], [0.0, -2.0]]))
+        np.testing.assert_allclose(rows, [[0.6, 0.8], [0.0, -1.0]], atol=1e-15)
+        assert not zero.any()
 
     def test_unit_vector_unchanged(self):
-        v = np.array([1.0, 0.0, 0.0])
-        fv = normalize_feature(v)
-        np.testing.assert_array_equal(fv.values, v)
+        v = np.array([[1.0, 0.0, 0.0]])
+        rows, _ = unit_rows(v)
+        np.testing.assert_array_equal(rows, v)
 
     def test_zero_vector_flagged(self):
-        fv = normalize_feature(np.zeros(4))
-        assert not fv.normalized
-        np.testing.assert_array_equal(fv.values, np.zeros(4))
+        rows, zero = unit_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert zero.tolist() == [True, False]
+        np.testing.assert_array_equal(rows[0], [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_row_is_named(self, bad):
+        # 1e200 is finite, but its square overflows the norm.
+        values = np.ones((4, 3))
+        values[2, 1] = bad
+        values[3, 0] = bad
+        with pytest.raises(NumericError, match="row 2 "):
+            unit_rows(values)
 
     def test_extracted_features_are_unit_norm(self):
         model = Model(small_config(seed=17))

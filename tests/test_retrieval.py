@@ -7,7 +7,7 @@ from bruteforce import bf_metrics, bf_vehicleid_repeat, bf_veri
 from hareid.data import LabeledSample
 from hareid.errors import ConfigError, ShapeError, ValidationError
 from hareid.retrieval import (EvaluationReport, RetrievalIndex, average_precision,
-                              cmc_at_k, cosine_similarity, image_retrieval_metrics,
+                              cmc_at_k, first_hit_rank, image_retrieval_metrics,
                               rank_items, vehicleid_protocol, veri_protocol)
 
 
@@ -16,24 +16,31 @@ def sample(vehicle, camera=None, track=None, source="0"):
                          camera_id=camera, track_id=track)
 
 
+def cosine(u, v):
+    """Cosine similarity as retrieval computes it: the dot product of two
+    unit rows of an index."""
+    index = RetrievalIndex.build(np.array([u, v], dtype=float), [sample("a"), sample("b")])
+    return float(index.features[0] @ index.features[1])
+
+
 class TestCosine:
     def test_equal_vectors(self):
         u = np.array([0.3, -1.2, 2.0])
-        assert cosine_similarity(u, u) == pytest.approx(1.0, abs=1e-12)
+        assert cosine(u, u) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_hand_value(self):
-        assert cosine_similarity([1.0, 0.0], [1.0, 1.0]) == pytest.approx(
-            1.0 / math.sqrt(2.0), abs=1e-12)
+        assert cosine([1.0, 0.0], [1.0, 1.0]) == pytest.approx(1.0 / math.sqrt(2.0),
+                                                               abs=1e-12)
 
     def test_zero_vector_convention(self):
-        assert cosine_similarity([0.0, 0.0], [1.0, 2.0]) == 0.0
+        assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            cosine_similarity([1.0], [1.0, 2.0])
+            RetrievalIndex.build(np.array([1.0, 2.0]), [sample("a"), sample("b")])
 
 
 class TestAveragePrecision:
@@ -74,10 +81,22 @@ class TestCmc:
 
 class TestRanking:
     def test_tie_breaks_toward_smaller_id(self):
-        assert rank_items([0.5, 0.7, 0.5]) == [1, 0, 2]
+        assert rank_items([0.5, 0.7, 0.5]).tolist() == [1, 0, 2]
 
     def test_descending(self):
-        assert rank_items([0.1, 0.9, 0.5]) == [1, 2, 0]
+        assert rank_items([0.1, 0.9, 0.5]).tolist() == [1, 2, 0]
+
+    def test_signed_zeros_tie(self):
+        assert rank_items([-0.0, 0.0, -1.0, 0.0]).tolist() == [0, 1, 3, 2]
+
+
+class TestFirstHitRank:
+    def test_first_relevant_rank(self):
+        assert first_hit_rank([0, 0, 1, 1]) == 3
+
+    def test_no_relevant_is_none(self):
+        assert first_hit_rank([False, False]) is None
+        assert first_hit_rank([]) is None
 
 
 class TestIndex:
