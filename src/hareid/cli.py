@@ -21,7 +21,7 @@ from .autodiff import grad_check_groups
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, HareidError
 from .model import VARIANTS, Model, ModelConfig
-from .optim import TrainSchedule, rng_for, train
+from .optim import RmspropState, TrainSchedule, rng_for, train
 from .retrieval import EvaluationReport, RetrievalIndex, vehicleid_protocol, veri_protocol
 
 
@@ -133,14 +133,25 @@ def cmd_train(args) -> int:
                           f"classes, manifest has {split.num_models}/{split.num_vehicles}")
 
     items = data.training_items(split, maps, image_root=args.image_root)
-    result = train(model, items, schedule, seed, start_epoch=start_epoch, state=state)
-    _write_loss_rows(out_dir / "loss.csv", result.trace, append=bool(args.resume))
-    save_checkpoint(out_dir / "checkpoint.ckpt", config, model.params(),
-                    result.state, result.next_epoch, seed)
-    for epoch, report in result.trace:
+    if state is None:
+        state = RmspropState.init(model.params())
+    loss_path, ckpt_path = out_dir / "loss.csv", out_dir / "checkpoint.ckpt"
+    if not args.resume:
+        _write_loss_rows(loss_path, [], append=False)
+
+    def on_epoch(epoch, report) -> None:
+        # Every finished epoch is on disk before the next starts, so an
+        # interrupted run resumes from its last epoch.
+        save_checkpoint(ckpt_path, config, model.params(), state, epoch + 1, seed)
+        _write_loss_rows(loss_path, [(epoch, report)], append=True)
         print(f"epoch {epoch}: total={report.total:.6f} model={report.model:.6f} "
-              f"vehicle={report.vehicle:.6f}")
-    print(f"checkpoint: {out_dir / 'checkpoint.ckpt'}")
+              f"vehicle={report.vehicle:.6f}", flush=True)
+
+    result = train(model, items, schedule, seed, start_epoch=start_epoch, state=state,
+                   on_epoch=on_epoch)
+    if not result.trace:
+        save_checkpoint(ckpt_path, config, model.params(), state, result.next_epoch, seed)
+    print(f"checkpoint: {ckpt_path}")
     return 0
 
 

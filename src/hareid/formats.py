@@ -7,7 +7,8 @@ Descriptor and feature files share one layout, differing only in magic:
     row-major order with the channel axis fastest.
 
 Feature files (FEAT1) store one vector per item as h = w = 1, d = dim.
-Images are 8-bit PGM (P2/P5) or PPM (P3/P6), scaled to [0, 1] on read.
+Images are 8-bit PGM (P2/P5) or PPM (P3/P6), scaled to [0, 1] on read; a
+sample above the header's maxval is a FormatError.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ def read_image(path) -> np.ndarray:
     else:
         tokens, _ = _read_tokens(raw, n, pos)
         values = np.asarray(tokens, dtype=np.float64)
+    if values.max(initial=0) > maxval:
+        raise FormatError(f"{path}: sample {int(values.max())} above maxval {maxval}")
     return (values / maxval).reshape(h, w, channels)
 
 

@@ -1,26 +1,39 @@
 """Cosine-similarity retrieval and the two evaluation protocols.
 
 Features are l2-normalized rows (``model.unit_rows``), so the dot product of
-two rows is their cosine. Every evaluation hands one (scores, relevant) pair
-per query to one scorer. A stable ``np.argsort`` of the negated scores ranks
-the gallery, so exact ties break toward the smaller gallery item id and
-results are deterministic even with quantized features; AP adds the
-precision at each relevant rank in rank order (``np.cumsum``). A query with
-no relevant gallery item is skipped and counted in the report.
+two rows is their cosine. Every evaluation scores its queries in blocks of at
+most ``_BLOCK`` through one scorer, so no (queries, items) array is larger
+than one block. Each query's similarities are one ``features @ q`` product
+written into its row of the block. No gallery is sorted: a relevant item's
+rank is 1 + the number of items scoring higher, plus those scoring equal with
+a smaller item id, which is the order a stable sort of the negated scores
+gives, so exact ties break toward the smaller id and results are
+deterministic even with quantized features. AP adds the precision at each
+relevant rank in rank order (``np.cumsum``) and the first hit is the smallest
+relevant rank. A query with no relevant gallery item is skipped and counted
+in the report. ``rank_items``, ``average_precision`` and ``first_hit_rank``
+state these definitions on one ranking.
 
 * Image-to-track protocol: each query is one image, gallery units are the
   tracks of all vehicles, tracks containing any image from the query's own
-  camera are excluded, and a track scores the max (optionally the mean) of
-  its member images' similarities.
+  camera are excluded (they score ``-inf`` and are not relevant), and a track
+  scores the max (optionally the mean) of its member images' similarities.
 * Repeated-sampling protocol: per repeat, a fixed-size set of vehicles is
   drawn, one random image per vehicle forms the gallery, every other image
   of those vehicles queries it, and metrics average over ten repeats.
+
+The tables these protocols read from sample metadata (vehicle, camera and
+track codes, each track's cameras, the tracks grouped by size, each vehicle's
+tracks and images) are cached properties of ``RetrievalIndex``, built on
+first use and reused by every later call on the same index.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +41,8 @@ from .data import LabeledSample
 from .errors import ConfigError, ValidationError
 from .model import unit_rows
 from .optim import rng_for
+
+_BLOCK = 64  # queries scored per block; bounds every (queries, items) array
 
 
 def rank_items(similarities) -> np.ndarray:
@@ -55,9 +70,37 @@ def cmc_at_k(ranks, k: int) -> float:
     return np.count_nonzero(ranks <= k) / ranks.size if ranks.size else 0.0
 
 
+def _codes(keys) -> np.ndarray:
+    """Each key's index among the distinct keys in order of first appearance."""
+    seen: dict = {}
+    return np.array([seen.setdefault(k, len(seen)) for k in keys], dtype=np.intp)
+
+
+def _padded(counts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i holds the next counts[i] values; rows are padded to one width
+    (at least 1). Returns the table and the mask of its real entries."""
+    real = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
+    table = np.zeros(real.shape, dtype=np.intp)
+    table[real] = values
+    return table, real
+
+
+class TrackTables(NamedTuple):
+    """Image-to-track tables of one index; tracks are numbered in order of
+    first appearance, so ties rank the earlier track first."""
+
+    camera: np.ndarray          # (images,) camera code of each image
+    camera_tracks: np.ndarray   # (cameras, tracks) True where a track holds the camera
+    groups: list                # per track size: (track ids, (tracks, size) image ids)
+    vehicle_tracks: np.ndarray  # (vehicles, width) each vehicle's tracks, ascending
+    vehicle_has: np.ndarray     # (vehicles, width) False on padding
+
+
 @dataclass
 class RetrievalIndex:
-    """l2-normalized features plus the metadata retrieval needs."""
+    """l2-normalized features plus the metadata retrieval needs. The tables
+    derived from ``samples`` are built on first use and cached, so neither
+    list may change afterwards."""
 
     features: np.ndarray  # (n, dim), rows normalized (zero rows left zero)
     samples: list[LabeledSample]
@@ -73,6 +116,54 @@ class RetrievalIndex:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    @cached_property
+    def vehicle_codes(self) -> np.ndarray:
+        """(images,) vehicle code of each image, in order of first appearance."""
+        return _codes(s.vehicle_id for s in self.samples)
+
+    @cached_property
+    def vehicle_images(self) -> list[np.ndarray]:
+        """Each vehicle's image ids, ascending, indexed by vehicle code."""
+        counts = np.bincount(self.vehicle_codes)
+        order = np.argsort(self.vehicle_codes, kind="stable")
+        ends = np.cumsum(counts)
+        return [order[end - count:end] for count, end in zip(counts, ends)]
+
+    @cached_property
+    def track_tables(self) -> TrackTables:
+        """The image-to-track tables; a sample without camera/track metadata
+        or a track mixing vehicles is a ValidationError (and caches nothing)."""
+        samples = self.samples
+        for s in samples:
+            if s.camera_id is None or s.track_id is None:
+                raise ValidationError(f"sample of vehicle {s.vehicle_id} lacks "
+                                      "camera_id/track_id metadata")
+        track = _codes(s.track_id for s in samples)
+        camera = _codes(s.camera_id for s in samples)
+        vehicle = self.vehicle_codes
+        sizes = np.bincount(track)
+        first = np.unique(track, return_index=True)[1]
+        track_vehicle = vehicle[first]
+        mixed = np.flatnonzero(vehicle != track_vehicle[track])
+        if mixed.size:
+            i = mixed[0]
+            raise ValidationError(f"track {samples[i].track_id} mixes vehicles "
+                                  f"{samples[first[track[i]]].vehicle_id} and "
+                                  f"{samples[i].vehicle_id}")
+        camera_tracks = np.zeros((camera.max(initial=-1) + 1, len(sizes)), dtype=bool)
+        camera_tracks[camera, track] = True
+        # Tracks of one size reduce as rows of one (tracks, size) matrix of image
+        # ids in image order, where np.mean adds in the same order as on one track.
+        by_track = np.argsort(track, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        groups = []
+        for size in np.unique(sizes):
+            tracks = np.flatnonzero(sizes == size)
+            groups.append((tracks, by_track[starts[tracks, None] + np.arange(size)]))
+        vehicle_tracks, vehicle_has = _padded(np.bincount(track_vehicle),
+                                              np.argsort(track_vehicle, kind="stable"))
+        return TrackTables(camera, camera_tracks, groups, vehicle_tracks, vehicle_has)
 
 
 @dataclass
@@ -93,20 +184,52 @@ class EvaluationReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
-def _score(queries) -> tuple[float, dict[int, float], int, int]:
-    """mAP, CMC@1/@5, answered and skipped counts of (scores, relevant)
-    pairs, one per query; a query with nothing relevant is skipped."""
-    ap_values, first_hits, skipped = [], [], 0
-    for scores, relevant in queries:
-        ranked = relevant[rank_items(scores)]
-        ap = average_precision(ranked)
-        if ap is None:
-            skipped += 1
-            continue
-        ap_values.append(ap)
-        first_hits.append(first_hit_rank(ranked))
-    mean_ap = float(np.mean(ap_values)) if ap_values else 0.0
-    return mean_ap, {k: cmc_at_k(first_hits, k) for k in (1, 5)}, len(ap_values), skipped
+def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
+    """(query ids, (queries, gallery) similarities) per block of queries.
+
+    Each row is one ``gallery @ q`` product written in place: a block GEMM
+    would add the terms in another order and move similarities by an ulp.
+    """
+    for lo in range(0, len(queries), _BLOCK):
+        block = queries[lo:lo + _BLOCK]
+        sims = np.empty((len(block), len(gallery)))
+        for row, qi in zip(sims, block):
+            np.matmul(gallery, features[qi], out=row)
+        yield block, sims
+
+
+def _score(blocks) -> tuple[float, dict[int, float], int, int]:
+    """mAP, CMC@1/@5, answered and skipped counts of query blocks.
+
+    A block is a (queries, items) score matrix, each query's relevant item
+    positions as a (queries, width) table, and the mask of the table's
+    entries that count; a query with none is skipped. A relevant item's rank
+    is 1 + the items scoring higher or scoring equal at a smaller position,
+    its place in a stable sort of the negated scores, so no row is sorted.
+    """
+    ap_blocks, first_blocks, skipped = [np.empty(0)], [np.empty(0)], 0
+    for scores, relevant, real in blocks:
+        ids = np.arange(scores.shape[1])
+        ranks = np.full(relevant.shape, np.inf)
+        for slot in range(relevant.shape[1]):
+            rows = np.flatnonzero(real[:, slot])
+            items = relevant[rows, slot, None]
+            row_scores = scores[rows]
+            own = np.take_along_axis(row_scores, items, axis=1)
+            ahead = (row_scores > own) | ((row_scores == own) & (ids < items))
+            ranks[rows, slot] = 1 + np.count_nonzero(ahead, axis=1)
+        ranks.sort(axis=1)
+        hits = np.count_nonzero(real, axis=1)
+        answered = hits > 0
+        skipped += int(np.count_nonzero(~answered))
+        ranks = ranks[answered]
+        # k / inf = 0: padding adds exact zeros after the last precision term.
+        terms = np.arange(1, ranks.shape[1] + 1) / ranks
+        ap_blocks.append(np.cumsum(terms, axis=1)[:, -1] / hits[answered])
+        first_blocks.append(ranks[:, 0])
+    aps, first_hits = np.concatenate(ap_blocks), np.concatenate(first_blocks)
+    mean_ap = float(np.mean(aps)) if aps.size else 0.0
+    return mean_ap, {k: cmc_at_k(first_hits, k) for k in (1, 5)}, aps.size, skipped
 
 
 def image_retrieval_metrics(query_features, query_labels, gallery_features,
@@ -117,68 +240,61 @@ def image_retrieval_metrics(query_features, query_labels, gallery_features,
     if len(qf) != len(query_labels) or len(gf) != len(gallery_labels):
         raise ValidationError(f"{len(qf)}/{len(gf)} query/gallery features but "
                               f"{len(query_labels)}/{len(gallery_labels)} labels")
-    labels = np.asarray(gallery_labels)
-    mean_ap, cmc, answered, skipped = _score((gf @ q, labels == label)
-                                             for q, label in zip(qf, query_labels))
+    labels = _codes([*gallery_labels, *query_labels])
+    gallery, query = labels[:len(gf)], labels[len(gf):]
+
+    def blocks():
+        for block, sims in _similarity_blocks(gf, qf, np.arange(len(qf))):
+            relevant = query[block, None] == gallery
+            yield (sims, *_padded(np.count_nonzero(relevant, axis=1),
+                                  np.nonzero(relevant)[1]))
+
+    mean_ap, cmc, answered, skipped = _score(blocks())
     return EvaluationReport(protocol="image", map=mean_ap, cmc=cmc,
                             counts={"queries": answered, "skipped": skipped,
                                     "gallery": len(gallery_labels)})
 
 
-def _codes(keys) -> np.ndarray:
-    """Each key's index among the distinct keys in order of first appearance."""
-    seen: dict = {}
-    return np.array([seen.setdefault(k, len(seen)) for k in keys], dtype=np.intp)
+def _query_ids(queries, n: int) -> np.ndarray:
+    ids = np.arange(n) if queries is None else np.asarray(queries)
+    if ids.size == 0:
+        return np.empty(0, dtype=np.intp)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ValidationError(f"query ids must be a sequence of integers, got {queries!r}")
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise ValidationError(f"query id {bad[0]} not in [0, {n})")
+    return ids
 
 
 def veri_protocol(index: RetrievalIndex, queries=None,
                   track_agg: str = "max") -> EvaluationReport:
-    """Image-to-track evaluation with same-camera tracks excluded."""
+    """Image-to-track evaluation with same-camera tracks excluded; the
+    queries are image ids (default: every image), each in [0, len(index))."""
     if track_agg not in ("max", "mean"):
         raise ConfigError(f"unknown track aggregation {track_agg!r}")
-    samples = index.samples
-    for s in samples:
-        if s.camera_id is None or s.track_id is None:
-            raise ValidationError(f"sample of vehicle {s.vehicle_id} lacks "
-                                  "camera_id/track_id metadata")
-
-    # Tracks in order of first appearance, so ties rank the earlier track first.
-    track = _codes(s.track_id for s in samples)
-    camera = _codes(s.camera_id for s in samples)
-    vehicle = np.array([s.vehicle_id for s in samples])
-    sizes = np.bincount(track)
-    track_vehicle = vehicle[np.unique(track, return_index=True)[1]]
-    mixed = np.flatnonzero(vehicle != track_vehicle[track])
-    if mixed.size:
-        i = mixed[0]
-        raise ValidationError(f"track {samples[i].track_id} mixes vehicles "
-                              f"{track_vehicle[track[i]]} and {samples[i].vehicle_id}")
-    has_camera = np.zeros((len(sizes), camera.max(initial=-1) + 1), dtype=bool)
-    has_camera[track, camera] = True
-    # Tracks of one size reduce as rows of one (tracks, size) matrix of image
-    # ids in image order, where np.mean adds in the same order as on one track.
-    by_track = np.argsort(track, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    groups = []
-    for size in np.unique(sizes):
-        tracks = np.flatnonzero(sizes == size)
-        groups.append((tracks, by_track[starts[tracks, None] + np.arange(size)]))
+    tables = index.track_tables
+    ids = _query_ids(queries, len(index))
     reduce = np.max if track_agg == "max" else np.mean
+    vehicle = index.vehicle_codes
+    num_tracks = tables.camera_tracks.shape[1]
 
-    def track_scores(qi: int) -> tuple[np.ndarray, np.ndarray]:
-        sims = index.features @ index.features[qi]
-        scores = np.empty(len(sizes))
-        for tracks, images in groups:
-            scores[tracks] = reduce(sims[images], axis=1)
-        candidates = np.flatnonzero(~has_camera[:, camera[qi]])
-        return scores[candidates], track_vehicle[candidates] == vehicle[qi]
+    def blocks():
+        for block, sims in _similarity_blocks(index.features, index.features, ids):
+            scores = np.empty((len(block), num_tracks))
+            for tracks, images in tables.groups:
+                scores[:, tracks] = reduce(sims[:, images], axis=-1)
+            excluded = tables.camera_tracks[tables.camera[block]]
+            scores[excluded] = -np.inf
+            relevant = tables.vehicle_tracks[vehicle[block]]
+            real = (tables.vehicle_has[vehicle[block]]
+                    & ~np.take_along_axis(excluded, relevant, axis=1))
+            yield scores, relevant, real
 
-    if queries is None:
-        queries = range(len(index))
-    mean_ap, cmc, answered, skipped = _score(track_scores(qi) for qi in queries)
+    mean_ap, cmc, answered, skipped = _score(blocks())
     return EvaluationReport(protocol="veri", map=mean_ap, cmc=cmc,
                             counts={"queries": answered, "skipped": skipped,
-                                    "gallery_tracks": len(sizes),
+                                    "gallery_tracks": num_tracks,
                                     "zero_features": index.zero_count})
 
 
@@ -187,27 +303,28 @@ def vehicleid_protocol(index: RetrievalIndex, gallery_size: int,
     """Repeated random-gallery evaluation (one gallery image per vehicle)."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    vehicle = _codes(s.vehicle_id for s in index.samples)
-    vehicle_images = [np.flatnonzero(vehicle == v) for v in range(vehicle.max(initial=-1) + 1)]
+    vehicle, vehicle_images = index.vehicle_codes, index.vehicle_images
     if gallery_size < 1 or gallery_size > len(vehicle_images):
         raise ConfigError(f"gallery_size {gallery_size} not in [1, {len(vehicle_images)}]; "
                           f"choose a size up to the number of test vehicles")
 
     per_repeat: list[dict] = []
+    slot = np.zeros(len(vehicle_images), dtype=np.intp)
     for r in range(repeats):
         rng = rng_for(seed, r)
         chosen = rng.choice(len(vehicle_images), size=gallery_size, replace=False)
         gallery: list[int] = []
-        query_ids: list[int] = []
+        query_parts: list[np.ndarray] = []
         for v in chosen:
             images = vehicle_images[v]
             pick = int(rng.integers(len(images)))
             gallery.append(images[pick])
-            query_ids.extend(img for k, img in enumerate(images) if k != pick)
-        gallery_feats, gallery_vehicles = index.features[gallery], vehicle[gallery]
+            query_parts += [images[:pick], images[pick + 1:]]
+        slot[chosen] = np.arange(gallery_size)  # each query's one relevant item
         mean_ap, cmc, answered, skipped = _score(
-            (gallery_feats @ q, gallery_vehicles == v)
-            for q, v in zip(index.features[query_ids], vehicle[query_ids]))
+            (sims, slot[vehicle[block], None], np.ones((len(block), 1), dtype=bool))
+            for block, sims in _similarity_blocks(index.features[gallery], index.features,
+                                                  np.concatenate(query_parts)))
         per_repeat.append({"repeat": r, "seed": [seed, r], "map": mean_ap,
                            "cmc": {str(k): v for k, v in sorted(cmc.items())},
                            "queries": answered, "skipped": skipped,

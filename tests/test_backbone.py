@@ -168,6 +168,14 @@ class TestImages:
         assert img.shape == (1, 2, 3)
         np.testing.assert_allclose(img[0, 0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("content", [b"P2\n1 1\n10\n200\n", b"P5\n1 1\n10\n\xc8",
+                                         b"P3\n1 1\n10\n0 11 0\n", b"P6\n1 1\n10\n\x00\x0b\x00"])
+    def test_sample_above_maxval_rejected(self, tmp_path, content):
+        path = tmp_path / "over.pnm"
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match="above maxval 10"):
+            formats.read_image(path)
+
     def test_16bit_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")

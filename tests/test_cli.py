@@ -106,6 +106,35 @@ class TestTrain:
         assert ((full_dir / "checkpoint.ckpt").read_bytes()
                 == (part_dir / "checkpoint.ckpt").read_bytes())
 
+    def test_interrupted_run_resumes_from_last_epoch(self, tiny_set, tmp_path, monkeypatch):
+        base = ["--manifest", str(tiny_set / "manifest.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"),
+                "--hidden", "8", "--batch-size", "8", "--seed", "2", "--epochs", "4"]
+        full_dir = tmp_path / "full"
+        assert run(["train", *base, "--out-dir", str(full_dir)]) == 0
+        real_train = cli.train
+
+        def killed_after_epoch_1(*args, on_epoch, **kwargs):
+            def hook(epoch, report):
+                on_epoch(epoch, report)
+                if epoch == 1:
+                    raise KeyboardInterrupt
+            return real_train(*args, on_epoch=hook, **kwargs)
+
+        monkeypatch.setattr(cli, "train", killed_after_epoch_1)
+        part_dir = tmp_path / "part"
+        with pytest.raises(KeyboardInterrupt):
+            run(["train", *base, "--out-dir", str(part_dir)])
+        monkeypatch.undo()
+        assert load_checkpoint(part_dir / "checkpoint.ckpt").epoch == 2
+        assert len((part_dir / "loss.csv").read_text().splitlines()) == 3  # header + 2
+        assert run(["train", *base, "--out-dir", str(part_dir),
+                    "--resume", str(part_dir / "checkpoint.ckpt")]) == 0
+        assert ((full_dir / "loss.csv").read_bytes()
+                == (part_dir / "loss.csv").read_bytes())
+        assert ((full_dir / "checkpoint.ckpt").read_bytes()
+                == (part_dir / "checkpoint.ckpt").read_bytes())
+
     def test_config_file_with_cli_precedence(self, tiny_set, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("hidden=8\nepochs=0\nbatch-size=8\n")
@@ -208,9 +237,11 @@ class TestTrain:
         assert formats.load_features(feat).shape == (4, 6)
 
 
-    def test_non_numeric_image_header_is_format_error(self, tmp_path, capsys):
+    @staticmethod
+    def train_on_bad_image(tmp_path, capsys, content: bytes) -> str:
+        """`train --backbone conv` with one bad training image; its one error line."""
         formats.write_pgm(tmp_path / "good.pgm", np.zeros((8, 8), dtype=np.uint8))
-        (tmp_path / "bad.pgm").write_bytes(b"P2\n8 x8\n255\n" + b"0 " * 64)
+        (tmp_path / "bad.pgm").write_bytes(content)
         (tmp_path / "manifest.csv").write_text(
             "split,source,vehicle_id,model_id\ntrain,good.pgm,v0,m0\n"
             "train,bad.pgm,v1,m0\ntest,good.pgm,t0,m0\n")
@@ -220,7 +251,15 @@ class TestTrain:
                     "--out-dir", str(tmp_path / "run"), "--hidden", "6", "--epochs", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "x8" in err
+        return err
+
+    def test_non_numeric_image_header_is_format_error(self, tmp_path, capsys):
+        assert "x8" in self.train_on_bad_image(tmp_path, capsys,
+                                               b"P2\n8 x8\n255\n" + b"0 " * 64)
+
+    def test_image_sample_above_maxval_is_format_error(self, tmp_path, capsys):
+        err = self.train_on_bad_image(tmp_path, capsys, b"P5\n8 8\n10\n" + bytes([200] * 64))
+        assert "above maxval 10" in err
 
 
 class TestExtract:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bruteforce import bf_metrics, bf_vehicleid_repeat, bf_veri
 from hareid.data import LabeledSample
 from hareid.errors import ConfigError, ShapeError, ValidationError
-from hareid.retrieval import (EvaluationReport, RetrievalIndex, average_precision,
+from hareid.retrieval import (_BLOCK, EvaluationReport, RetrievalIndex, average_precision,
                               cmc_at_k, first_hit_rank, image_retrieval_metrics,
                               rank_items, vehicleid_protocol, veri_protocol)
 
@@ -260,16 +261,17 @@ class TestOracleEquivalence:
             assert report.counts["skipped"] == bf_skipped, f"case {case}"
 
 
-def random_protocol_instance(rng):
+def random_protocol_instance(rng, vehicles=(2, 6), tracks=(1, 4), images=(1, 4)):
     """Features and track metadata in shuffled order: vehicles with one to
-    three tracks of one to three images, each track under a random camera.
-    One feature row duplicates another (exact ties) and one is zero; a
-    vehicle seen by one camera only leaves its queries nothing to rank."""
+    three tracks of one to three images (or counts drawn from the given
+    half-open ranges), each track under a random camera. One feature row
+    duplicates another (exact ties) and one is zero; a vehicle seen by one
+    camera only leaves its queries nothing to rank."""
     rows = []
-    for v in range(int(rng.integers(2, 6))):
-        for t in range(int(rng.integers(1, 4))):
+    for v in range(int(rng.integers(*vehicles))):
+        for t in range(int(rng.integers(*tracks))):
             camera = f"c{rng.integers(3)}"
-            rows += [(f"v{v}", camera, f"v{v}_t{t}")] * int(rng.integers(1, 4))
+            rows += [(f"v{v}", camera, f"v{v}_t{t}")] * int(rng.integers(*images))
     rows = [rows[i] for i in rng.permutation(len(rows))]
     feats = rng.normal(size=(len(rows), int(rng.integers(2, 5))))
     if len(rows) >= 3:
@@ -316,6 +318,82 @@ class TestProtocolOracle:
                 assert rep["map"] == bf_map, f"case {case}"
                 assert rep["cmc"] == {str(k): v for k, v in bf_cmc.items()}, f"case {case}"
                 assert rep["skipped"] == bf_skipped, f"case {case}"
+
+
+def large_protocol_instance(rng):
+    """A random instance with more than two query blocks and tracks of up to
+    13 images, so a track mean adds with NumPy's pairwise summation."""
+    feats, meta = random_protocol_instance(rng, vehicles=(12, 13), tracks=(2, 4),
+                                           images=(6, 14))
+    sizes = Counter(s.track_id for s in meta)
+    assert len(meta) > 2 * _BLOCK and len(meta) % _BLOCK and max(sizes.values()) >= 9
+    return feats, meta
+
+
+class TestProtocolBlocks:
+    """Oracle cases spanning several query blocks, and index reuse."""
+
+    @pytest.mark.parametrize("agg", ["max", "mean"])
+    def test_veri_matches_brute_force_across_blocks(self, agg):
+        rng = np.random.default_rng(12)
+        for case in range(8):
+            feats, meta = large_protocol_instance(rng)
+            queries = range(len(meta))
+            report = veri_protocol(RetrievalIndex.build(feats, meta), track_agg=agg)
+            bf_map, bf_cmc, bf_skipped = bf_veri(
+                feats, [s.vehicle_id for s in meta], [s.camera_id for s in meta],
+                [s.track_id for s in meta], queries, agg)
+            assert report.map == bf_map, f"case {case}"
+            assert report.cmc == bf_cmc, f"case {case}"
+            assert report.counts["skipped"] == bf_skipped, f"case {case}"
+            assert report.counts["queries"] + bf_skipped == len(queries), f"case {case}"
+
+    def test_vehicleid_matches_brute_force_across_blocks(self):
+        rng = np.random.default_rng(13)
+        for case in range(8):
+            feats, meta = large_protocol_instance(rng)
+            vehicles = [s.vehicle_id for s in meta]
+            report = vehicleid_protocol(RetrievalIndex.build(feats, meta),
+                                        len(set(vehicles)), repeats=2, seed=case)
+            for rep in report.repeats:
+                assert rep["queries"] > 2 * _BLOCK and rep["queries"] % _BLOCK
+                bf_map, bf_cmc, bf_skipped = bf_vehicleid_repeat(feats, vehicles,
+                                                                 rep["gallery"])
+                assert rep["map"] == bf_map, f"case {case}"
+                assert rep["cmc"] == {str(k): v for k, v in bf_cmc.items()}, f"case {case}"
+                assert rep["skipped"] == bf_skipped, f"case {case}"
+
+    def test_reused_index_gives_the_same_reports(self):
+        feats, meta = large_protocol_instance(np.random.default_rng(14))
+        calls = [lambda idx: veri_protocol(idx, track_agg="max"),
+                 lambda idx: veri_protocol(idx, track_agg="mean"),
+                 lambda idx: vehicleid_protocol(idx, gallery_size=5, repeats=3, seed=1),
+                 lambda idx: veri_protocol(idx, queries=range(70, 140), track_agg="mean")]
+        fresh = [call(RetrievalIndex.build(feats, meta)).as_dict() for call in calls]
+        index = RetrievalIndex.build(feats, meta)
+        for _ in range(2):
+            assert [call(index).as_dict() for call in calls] == fresh
+
+    def test_metadata_errors_raised_on_every_call(self):
+        missing = RetrievalIndex.build(np.ones((2, 2)), [sample("A", "c0", "t0"), sample("A")])
+        mixed = RetrievalIndex.build(np.ones((2, 2)), [sample("A", "c0", "t0"),
+                                                       sample("B", "c1", "t0")])
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="lacks"):
+                veri_protocol(missing)
+            with pytest.raises(ValidationError, match="mixes vehicles A and B"):
+                veri_protocol(mixed)
+        assert vehicleid_protocol(missing, gallery_size=1, repeats=1).counts["queries_total"] == 1
+
+    @pytest.mark.parametrize("queries, named", [([-1], "-1"), ([0, 4], "4"), ([7], "7")])
+    def test_query_id_out_of_range(self, queries, named):
+        index = veri_fixture([0.9, 0.5, 0.8])
+        with pytest.raises(ValidationError, match=f"query id {named} not in"):
+            veri_protocol(index, queries=queries)
+
+    def test_query_ids_must_be_integers(self):
+        with pytest.raises(ValidationError, match="integers"):
+            veri_protocol(veri_fixture([0.9, 0.5, 0.8]), queries=[0.0])
 
 
 class TestScaleInvariance:
