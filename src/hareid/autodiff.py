@@ -8,8 +8,8 @@ weight sharing across the two recurrent steps come out right.
 
 A minibatch is one graph. Per-sample vectors are stacked as columns, so a
 batch's hidden state is (H, B) and each weight product W @ X is one matrix
-product whose backward sums over the batch; activation maps stack along a
-leading axis, (B, h, w, d). The elementwise primitives broadcast an operand
+product whose backward sums over the batch; images and activation maps
+stack along a leading axis, (B, H, W, C) and (B, h, w, d). The elementwise primitives broadcast an operand
 whose shape is a prefix of the other's along the remaining axes, such as a
 per-feature bias (H,) over the columns of an (H, B) stack.
 
@@ -382,21 +382,6 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Equal-shape tensors along a new leading axis: per-sample maps into a batch."""
-    tensors = tuple(tensors)
-    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
-        raise ShapeError(f"stack needs equal shapes, got {[t.shape for t in tensors]}")
-    out = Tensor(np.stack([t.data for t in tensors]), op="stack", parents=tensors)
-
-    def _bw(g):
-        for t, g_t in zip(tensors, g):
-            _add_grad(t, g_t)
-
-    out._backward = _bw
-    return out
-
-
 def scale_rows(x: Tensor, a: Tensor) -> Tensor:
     """Multiply row i of x (m,d) by scalar a[i]; the attention weighting step."""
     if x.data.ndim != 2 or a.data.ndim != 1 or x.shape[0] != a.shape[0]:
@@ -480,11 +465,15 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """Valid 2-D convolution of x (H,W,Cin) with kernel (kh,kw,Cin,Cout)."""
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d: need (H,W,C) input and (kh,kw,Cin,Cout) kernel, "
+    """Valid 2-D convolution of x (..., H, W, Cin) with kernel (kh,kw,Cin,Cout).
+
+    Leading axes are a batch of images: the windows of all of them meet the
+    kernel in one GEMM, whose backward sums the kernel gradient over the batch.
+    """
+    if x.data.ndim < 3 or kernel.data.ndim != 4:
+        raise ShapeError(f"conv2d: need (..., H,W,C) input and (kh,kw,Cin,Cout) kernel, "
                          f"got {x.shape} and {kernel.shape}")
-    h, w, cin = x.shape
+    *batch, h, w, cin = x.shape
     kh, kw, kcin, cout = kernel.shape
     if kcin != cin:
         raise ShapeError(f"conv2d: input channels {cin} != kernel channels {kcin} "
@@ -497,24 +486,26 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d: input {x.shape} too small for kernel {kernel.shape} "
                          f"at stride {stride}")
 
-    cols = np.empty((oh, ow, kh, kw, cin))
+    cols = np.empty((*batch, oh, ow, kh, kw, cin))
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j, :] = x.data[i:i + oh * stride:stride, j:j + ow * stride:stride, :]
-    flat = cols.reshape(oh * ow, kh * kw * cin)
-    y = (flat @ kernel.data.reshape(-1, cout) + bias.data).reshape(oh, ow, cout)
+            cols[..., i, j, :] = x.data[..., i:i + oh * stride:stride,
+                                        j:j + ow * stride:stride, :]
+    flat = cols.reshape(-1, kh * kw * cin)
+    y = (flat @ kernel.data.reshape(-1, cout) + bias.data).reshape(*batch, oh, ow, cout)
     out = Tensor(y, op="conv2d", parents=(x, kernel, bias))
 
     def _bw(g):
-        gf = g.reshape(oh * ow, cout)
+        gf = g.reshape(-1, cout)
         _add_grad(kernel, (flat.T @ gf).reshape(kernel.shape))
         _add_grad(bias, gf.sum(axis=0))
         if x.requires_grad:
-            dcols = (gf @ kernel.data.reshape(-1, cout).T).reshape(oh, ow, kh, kw, cin)
+            dcols = (gf @ kernel.data.reshape(-1, cout).T).reshape(cols.shape)
             dx = np.zeros_like(x.data)
             for i in range(kh):
                 for j in range(kw):
-                    dx[i:i + oh * stride:stride, j:j + ow * stride:stride, :] += dcols[:, :, i, j, :]
+                    dx[..., i:i + oh * stride:stride,
+                       j:j + ow * stride:stride, :] += dcols[..., i, j, :]
             _add_grad(x, dx)
 
     out._backward = _bw
@@ -522,27 +513,30 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
 
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; a partial window at the edge is kept.
+    """2x2 max pooling with stride 2 over the (H, W) axes of x (..., H, W, C);
+    a partial window at the edge is kept.
 
     Ties route the gradient to the first element of the window, so the
     backward pass is deterministic.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"max_pool2 needs an (H,W,C) tensor, got shape {x.shape}")
-    h, w, c = x.shape
+    if x.data.ndim < 3:
+        raise ShapeError(f"max_pool2 needs an (..., H,W,C) tensor, got shape {x.shape}")
+    *batch, h, w, c = x.shape
     oh, ow = (h + 1) // 2, (w + 1) // 2
-    padded = np.full((oh * 2, ow * 2, c), -np.inf)
-    padded[:h, :w, :] = x.data
-    windows = padded.reshape(oh, 2, ow, 2, c).transpose(0, 2, 4, 1, 3).reshape(oh, ow, c, 4)
-    idx = windows.argmax(axis=3)
-    y = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
-    out = Tensor(y, op="max_pool2", parents=(x,))
+    padded = np.full((*batch, oh * 2, ow * 2, c), -np.inf)
+    padded[..., :h, :w, :] = x.data
+    windows = padded.reshape(-1, oh, 2, ow, 2, c).transpose(0, 1, 3, 5, 2, 4)
+    windows = windows.reshape(-1, oh, ow, c, 4)
+    idx = windows.argmax(axis=4)
+    pad_shape = padded.shape
+    y = np.take_along_axis(windows, idx[..., None], axis=4)[..., 0]
+    out = Tensor(y.reshape(*batch, oh, ow, c), op="max_pool2", parents=(x,))
 
     def _bw(g):
-        dwin = np.zeros((oh, ow, c, 4))
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=3)
-        dpad = dwin.reshape(oh, ow, c, 2, 2).transpose(0, 3, 1, 4, 2).reshape(oh * 2, ow * 2, c)
-        _add_grad(x, dpad[:h, :w, :])
+        dwin = np.zeros(idx.shape + (4,))
+        np.put_along_axis(dwin, idx[..., None], g.reshape(idx.shape)[..., None], axis=4)
+        dpad = dwin.reshape(-1, oh, ow, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+        _add_grad(x, dpad.reshape(pad_shape)[..., :h, :w, :])
 
     out._backward = _bw
     return out

@@ -20,10 +20,9 @@ from .errors import ConfigError, ShapeError
 @dataclass
 class ActivationMap:
     """An (h, w, d) activation tensor, or a batch of them stacked as
-    (B, h, w, d), plus where it came from."""
+    (B, h, w, d)."""
 
     tensor: Tensor
-    provenance: str = "conv"  # conv | ingested
 
     def __post_init__(self):
         if self.tensor.data.ndim not in (3, 4) or min(self.tensor.shape) < 1:
@@ -33,17 +32,6 @@ class ActivationMap:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.tensor.shape
-
-
-def to_descriptors(amap: ActivationMap) -> list[np.ndarray]:
-    """The h*w deep descriptors in row-major order (row index outer)."""
-    h, w, d = amap.shape
-    return list(amap.tensor.data.reshape(h * w, d))
-
-
-def from_descriptors(descriptors, h: int, w: int, provenance: str = "ingested") -> ActivationMap:
-    arr = np.asarray(descriptors, dtype=np.float64)
-    return ActivationMap(Tensor(arr.reshape(h, w, -1)), provenance=provenance)
 
 
 @dataclass
@@ -101,15 +89,17 @@ class ConvStackParams:
 
 
 def conv_forward(image, params: ConvStackParams) -> ActivationMap:
-    """Run the conv stack on an (H, W, C) image; fully differentiable."""
+    """Run the conv stack on an (H, W, C) image or a (B, H, W, C) stack of
+    them, the whole stack as one graph; fully differentiable."""
     x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
-    if x.data.ndim != 3:
-        raise ShapeError(f"conv_forward expects an (H,W,C) image, got shape {x.shape}")
-    if x.shape[2] != params.config.in_channels:
-        raise ShapeError(f"image has {x.shape[2]} channels, stack expects "
+    if x.data.ndim not in (3, 4):
+        raise ShapeError(f"conv_forward expects an (H,W,C) image or a (B,H,W,C) stack, "
+                         f"got shape {x.shape}")
+    if x.shape[-1] != params.config.in_channels:
+        raise ShapeError(f"image has {x.shape[-1]} channels, stack expects "
                          f"{params.config.in_channels}")
     for k, b in zip(params.kernels, params.biases):
         x = relu(conv2d(x, k, b, stride=params.config.stride))
         if params.config.pool:
             x = max_pool2(x)
-    return ActivationMap(x, provenance="conv")
+    return ActivationMap(x)

@@ -58,6 +58,14 @@ def _features(model: Model, samples, maps: np.ndarray | None, image_root=None) -
                      for s in samples])
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated flag value; empty items are skipped."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _write_loss_rows(path, rows, append: bool) -> None:
     mode = "a" if append and Path(path).exists() else "w"
     with open(path, mode, newline="") as f:
@@ -219,8 +227,7 @@ def cmd_attmap(args) -> int:
     samples = _samples_for(split, args.split)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ids = [int(tok) for tok in args.samples.split(",") if tok.strip() != ""]
-    for i in ids:
+    for i in _int_list(args.samples, "--samples"):
         if not 0 <= i < len(samples):
             raise IndexError(f"sample id {i} out of range for split of {len(samples)}")
         inp = data.sample_input(samples[i], maps, image_root=args.image_root)
@@ -251,7 +258,7 @@ def run_variant(split: data.DatasetSplit, maps: np.ndarray, variant: str, seed: 
 def cmd_ablate(args) -> int:
     split, maps = _load_split_and_maps(args)
     schedule = _schedule_from_args(args)
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip() != ""]
+    seeds = _int_list(args.seeds, "--seeds")
     gallery_size = args.gallery_size or len({s.vehicle_id for s in split.test})
     results: dict[str, dict] = {}
     for variant in VARIANTS:
@@ -278,7 +285,7 @@ def cmd_ablate(args) -> int:
 # Parser
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="hareid",
                                      description="Coarse-to-fine hierarchical attention "
                                                  "re-identification engine")
@@ -393,45 +400,43 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     p.add_argument("--eval-seed", type=int, default=0)
     p.set_defaults(func=cmd_ablate, seed=0)
 
-    command_actions = {sp.prog.split()[-1]: {a.dest: a for a in sp._actions}  # noqa: SLF001
-                       for sp in subcommands}
-    return parser, command_actions
+    return parser, {sp.prog.split()[-1]: sp for sp in subcommands}
 
 
-def _apply_config_file(command_actions: dict[str, dict], args: argparse.Namespace,
-                       argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
-    text = Path(args.config).read_text()
-    actions = command_actions[args.command]
-    explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for tok in argv if tok.startswith("--")}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _config_defaults(path, command: argparse.ArgumentParser) -> dict[str, object]:
+    """A config file's values, typed like the command's own flags."""
+    actions = {a.dest: a for a in command._actions}  # noqa: SLF001
+    defaults: dict[str, object] = {}
+    for lineno, line in enumerate(formats.text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key, value = key.strip().replace("-", "_"), value.strip()
         if not sep:
-            raise ConfigError(f"{args.config}:{lineno}: expected key=value")
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
         if key not in actions:
-            raise ConfigError(f"{args.config}:{lineno}: unknown option {key!r} "
-                              f"for command {args.command}")
-        if key in explicit:
-            continue
+            raise ConfigError(f"{path}:{lineno}: unknown option {key!r} "
+                              f"for command {command.prog.split()[-1]}")
         action = actions[key]
         try:
-            setattr(args, key, action.type(value.strip()) if action.type else value.strip())
+            defaults[key] = action.type(value) if action.type else value
         except ValueError as exc:
-            raise ConfigError(f"{args.config}:{lineno}: bad value for {key!r}: {exc}") from None
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    return defaults
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, command_actions = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(command_actions, args, argv)
+        if args.config:
+            # The file's values become the command's defaults, so any flag
+            # argparse recognises on the command line, a prefix included, wins.
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command))
+            args = parser.parse_args(argv)
         if "HAR_SEED" in os.environ and hasattr(args, "seed"):
             try:
                 args.seed = int(os.environ["HAR_SEED"])

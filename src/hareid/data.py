@@ -91,8 +91,7 @@ _HEADER_OPTIONAL = ["camera_id", "track_id"]
 
 
 def load_manifest(path) -> DatasetSplit:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+    rows = list(csv.reader(formats.text_lines(path)))
     if not rows:
         raise ValidationError(f"{path}: empty manifest")
     header = [c.strip() for c in rows[0]]
@@ -165,7 +164,6 @@ class SynthDataset:
     maps: np.ndarray                       # (N, grid, grid, d), manifest order
     signature_cells: dict[str, tuple[int, int]]
     model_patterns: np.ndarray             # (models, d)
-    signatures: dict[str, np.ndarray]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -192,7 +190,6 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
     maps: list[np.ndarray] = []
     samples: dict[str, list[LabeledSample]] = {"train": [], "test": []}
     signature_cells: dict[str, tuple[int, int]] = {}
-    signatures: dict[str, np.ndarray] = {}
 
     for split_idx, split_name in enumerate(("train", "test")):
         for m in range(config.models):
@@ -206,7 +203,6 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
                 cell = int(cells[m, slot])
                 row, col = cell // g, cell % g
                 signature_cells[vehicle_id] = (row, col)
-                signatures[vehicle_id] = sig
                 for j in range(config.images_per_vehicle):
                     cam = j % config.cameras
                     arr = np.tile(patterns[m], (g, g, 1)) + views[cam]
@@ -220,7 +216,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
 
     split = DatasetSplit(train=samples["train"], test=samples["test"])
     return SynthDataset(split=split, maps=np.stack(maps), signature_cells=signature_cells,
-                        model_patterns=patterns, signatures=signatures)
+                        model_patterns=patterns)
 
 
 def write_synth(ds: SynthDataset, out_dir) -> dict[str, Path]:

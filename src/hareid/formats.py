@@ -1,4 +1,4 @@
-"""Binary and image file formats.
+"""Binary, image and text file formats.
 
 Descriptor and feature files share one layout, differing only in magic:
 
@@ -14,6 +14,7 @@ sample above the header's maxval is a FormatError.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,8 @@ def _read_block(path, magic: bytes) -> np.ndarray:
     return data.reshape(n, h, w, d)
 
 
-def write_tensor_file(path, maps, magic: bytes = DESC_MAGIC) -> None:
-    """Write a batch of equally shaped (h, w, d) arrays."""
+def write_tensor_file(path, maps) -> None:
+    """Write a batch of equally shaped (h, w, d) arrays as a DESC1 file."""
     maps = [np.asarray(m, dtype=np.float64) for m in maps]
     if not maps:
         raise FormatError("refusing to write an empty tensor file")
@@ -62,11 +63,22 @@ def write_tensor_file(path, maps, magic: bytes = DESC_MAGIC) -> None:
     for m in maps:
         if m.shape != shape or m.ndim != 3:
             raise FormatError(f"inconsistent map shapes: {shape} vs {m.shape}")
-    _write_block(path, np.stack(maps), magic)
+    _write_block(path, np.stack(maps), DESC_MAGIC)
 
 
-def read_tensor_file(path, magic: bytes = DESC_MAGIC) -> np.ndarray:
-    return _read_block(path, magic)
+def read_tensor_file(path) -> np.ndarray:
+    return _read_block(path, DESC_MAGIC)
+
+
+def text_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as they are consumed and with their
+    line endings; a byte sequence that is not UTF-8 is a FormatError naming
+    the file."""
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            yield from f
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_features(path, features: np.ndarray) -> None:

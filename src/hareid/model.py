@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from .autodiff import Tensor, global_average_pool, reshape, stack, zeros
+from .autodiff import Tensor, global_average_pool, reshape, zeros
 from .backbone import ActivationMap, ConvStackConfig, ConvStackParams, conv_forward
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp, classify,
@@ -201,17 +201,15 @@ class Model:
         """The (B, h, w, d) map stack of a batch of inputs, and whether the
         input was a single sample (an (h, w, d) map or an (H, W, C) image,
         run as a batch of one)."""
-        if self.conv_params is not None and not isinstance(inp, ActivationMap):
-            images = np.asarray(inp, dtype=np.float64)
-            single = images.ndim == 3
-            tensor = stack([conv_forward(image, self.conv_params).tensor
-                            for image in (images[None] if single else images)])
-            return ActivationMap(tensor, provenance="conv"), single
-        amap = inp if isinstance(inp, ActivationMap) else ActivationMap(
-            Tensor(np.asarray(inp, dtype=np.float64)), provenance="ingested")
+        if isinstance(inp, ActivationMap):
+            amap = inp
+        elif self.conv_params is not None:
+            amap = conv_forward(inp, self.conv_params)
+        else:
+            amap = ActivationMap(Tensor(np.asarray(inp, dtype=np.float64)))
         single = amap.tensor.data.ndim == 3
         if single:
-            amap = ActivationMap(reshape(amap.tensor, (1, *amap.shape)), amap.provenance)
+            amap = ActivationMap(reshape(amap.tensor, (1, *amap.shape)))
         if amap.shape[-1] != self.config.d:
             raise ShapeError(f"activation map depth {amap.shape[-1]} does not match "
                              f"config.d = {self.config.d}")

@@ -68,10 +68,8 @@ class RmspropState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, params: dict[str, Tensor], alpha: float = 0.99,
-             delta: float = 1e-8) -> "RmspropState":
-        return cls(alpha=alpha, delta=delta,
-                   v={name: np.zeros_like(t.data) for name, t in params.items()})
+    def init(cls, params: dict[str, Tensor]) -> "RmspropState":
+        return cls(v={name: np.zeros_like(t.data) for name, t in params.items()})
 
 
 def rmsprop_step(params: dict[str, Tensor], state: RmspropState, lr: float) -> None:
@@ -110,10 +108,14 @@ def train(model: Model, items: Sequence[TrainItem], schedule: TrainSchedule,
     gradient is that of its mean loss. Items are read one at a time, once
     per epoch, and their inputs must share one shape. A non-finite loss stops
     training with a ``NumericError`` naming the epoch, the batch and the
-    first bad item.
+    first bad item; ``schedule.epochs`` below ``start_epoch`` is a
+    ``ConfigError``.
     """
     if not items:
         raise ConfigError("training set is empty")
+    if schedule.epochs < start_epoch:
+        raise ConfigError(f"epochs={schedule.epochs} is below the epoch to resume from "
+                          f"({start_epoch}); a run cannot be rewound")
     params = model.params()
     if state is None:
         state = RmspropState.init(params)

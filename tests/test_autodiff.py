@@ -271,6 +271,9 @@ class TestGradCheck:
         v = ad.parameter(rand(rng, 4))  # a per-feature bias
         w = ad.parameter(rand(rng, 2, 4))  # a weight
         maps = ad.parameter(rand(rng, 3, 2, 2, 4))  # three 2x2 maps of depth 4
+        images = ad.parameter(rand(rng, 2, 5, 5, 2))  # two 5x5 images of 2 channels
+        kernel = ad.parameter(rand(rng, 2, 2, 2, 3))  # 2x2 windows, 2 -> 3 channels
+        bias = ad.parameter(rand(rng, 3))
         probes: dict[tuple[int, ...], ad.Tensor] = {}
 
         def weighted(t):
@@ -295,11 +298,14 @@ class TestGradCheck:
             "reshape": lambda: weighted(ad.reshape(x, (3, 4))),
             "transpose": lambda: weighted(ad.transpose(x)),
             "sum": lambda: weighted(ad.tsum(maps, keep=1)),
-            "stack": lambda: weighted(ad.stack([x, ad.mul(x, x)])),
+            # Stride 2 leaves the last row and column out; the odd size pools
+            # a partial window.
+            "conv2d": lambda: weighted(ad.conv2d(images, kernel, bias, stride=2)),
+            "max_pool2": lambda: weighted(ad.max_pool2(images)),
             "cross_entropy": lambda: weighted(ad.softmax_cross_entropy(x, [1, 3, 0])),
         }
         for name, f in cases.items():
-            err = ad.grad_check(f, [x, v, w, maps])
+            err = ad.grad_check(f, [x, v, w, maps, images, kernel, bias])
             assert err < 1e-4, f"{name}: rel err {err}"
 
     def test_wrong_backward_is_caught(self, monkeypatch):

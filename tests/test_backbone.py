@@ -27,7 +27,6 @@ class TestConvStack:
         params = backbone.ConvStackParams.init(cfg, np.random.default_rng(0))
         amap = backbone.conv_forward(np.random.default_rng(1).uniform(size=(16, 16, 1)), params)
         assert amap.shape == (2, 2, 32)
-        assert amap.provenance == "conv"
 
     def test_shape_matches_oracle_across_configs(self):
         rng = np.random.default_rng(2)
@@ -82,26 +81,6 @@ class TestConvStack:
 
         err = ad.grad_check(f, list(params.named().values()))
         assert err < 1e-4
-
-
-class TestDescriptors:
-    def test_single_location_map(self):
-        amap = backbone.from_descriptors(np.arange(6.0), 1, 1)
-        descs = backbone.to_descriptors(amap)
-        assert len(descs) == 1
-        np.testing.assert_array_equal(descs[0], np.arange(6.0))
-
-    def test_row_major_order(self):
-        amap = backbone.ActivationMap(ad.constant(np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1)))
-        descs = backbone.to_descriptors(amap)
-        np.testing.assert_array_equal(np.concatenate(descs), [1.0, 2.0, 3.0, 4.0])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        arr = rng.uniform(size=(3, 4, 5))
-        amap = backbone.ActivationMap(ad.constant(arr))
-        back = backbone.from_descriptors(np.stack(backbone.to_descriptors(amap)), 3, 4)
-        np.testing.assert_array_equal(back.tensor.data, arr)
 
 
 class TestDesc1Format:

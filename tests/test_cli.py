@@ -106,6 +106,20 @@ class TestTrain:
         assert ((full_dir / "checkpoint.ckpt").read_bytes()
                 == (part_dir / "checkpoint.ckpt").read_bytes())
 
+    def test_resume_cannot_rewind_the_checkpoint(self, tiny_set, tmp_path, capsys):
+        base = ["train", "--manifest", str(tiny_set / "manifest.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"), "--out-dir", str(tmp_path),
+                "--hidden", "8", "--batch-size", "8", "--seed", "2"]
+        assert run([*base, "--epochs", "4"]) == 0
+        ckpt = tmp_path / "checkpoint.ckpt"
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        assert run([*base, "--epochs", "2", "--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "epochs=2" in err and "(4)" in err
+        assert ckpt.read_bytes() == before
+
     def test_interrupted_run_resumes_from_last_epoch(self, tiny_set, tmp_path, monkeypatch):
         base = ["--manifest", str(tiny_set / "manifest.csv"),
                 "--descriptors", str(tiny_set / "descriptors.desc"),
@@ -153,6 +167,14 @@ class TestTrain:
                     "--out-dir", str(out2), "--config", str(cfg2),
                     "--hidden", "8", "--seed", "6"]) == 0
         assert load_checkpoint(out2 / "checkpoint.ckpt").config.hidden == 8
+        # A flag given as a prefix of its name is as explicit as the full name.
+        out3 = tmp_path / "out3"
+        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(out3), "--config", str(cfg2),
+                    "--hid", "8", "--epoch", "1", "--seed", "6"]) == 0
+        ckpt = load_checkpoint(out3 / "checkpoint.ckpt")
+        assert (ckpt.config.hidden, ckpt.epoch) == (8, 1)
 
     def test_unknown_config_key(self, tiny_set, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -260,6 +282,36 @@ class TestTrain:
     def test_image_sample_above_maxval_is_format_error(self, tmp_path, capsys):
         err = self.train_on_bad_image(tmp_path, capsys, b"P5\n8 8\n10\n" + bytes([200] * 64))
         assert "above maxval 10" in err
+
+
+@pytest.mark.parametrize("case", ["samples", "seeds", "manifest", "config"])
+def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case):
+    manifest, desc = str(tiny_set / "manifest.csv"), str(tiny_set / "descriptors.desc")
+    if case == "samples":
+        argv = ["attmap", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
+                "--manifest", manifest, "--descriptors", desc, "--samples", "0,x",
+                "--out-dir", str(tmp_path)]
+        names = ("--samples", "'0,x'")
+    elif case == "seeds":
+        argv = ["ablate", "--manifest", manifest, "--descriptors", desc,
+                "--out-dir", str(tmp_path), "--seeds", "0,y"]
+        names = ("--seeds", "'0,y'")
+    elif case == "manifest":
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes((tiny_set / "manifest.csv").read_bytes().replace(b"m0", b"m\xe9"))
+        argv = ["train", "--manifest", str(latin1), "--descriptors", desc,
+                "--out-dir", str(tmp_path)]
+        names = (str(latin1), "UTF-8")
+    else:
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\nhidden=8\n")
+        argv = ["train", "--manifest", manifest, "--descriptors", desc,
+                "--out-dir", str(tmp_path), "--config", str(cfg)]
+        names = (str(cfg), "UTF-8")
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in names), err
 
 
 class TestExtract:

@@ -223,6 +223,22 @@ class TestConvBackbone:
         kernel = model.conv_params.kernels[0]
         assert kernel.grad is not None and np.any(kernel.grad)
 
+    def test_stack_forward_matches_per_image_forwards(self):
+        # The stack runs as one graph, its convolutions as one GEMM over every
+        # image's windows; only summation order may differ from one image alone.
+        model = Model(small_config(backbone="conv", seed=25,
+                                   conv=ConvStackConfig(layers=2, kernel=2, channels=4)))
+        images = np.random.default_rng(26).uniform(size=(3, 9, 10, 1))
+        batch = model.forward(images)
+        for i, image in enumerate(images):
+            single = model.forward(image)
+            for name in ("x1", "o1", "o2", "logits_model", "logits_vehicle"):
+                np.testing.assert_allclose(getattr(batch, name).data[:, i],
+                                           getattr(single, name).data, rtol=1e-12, atol=0,
+                                           err_msg=name)
+            np.testing.assert_allclose(batch.attention.a[i], single.attention.a,
+                                       rtol=1e-12, atol=0)
+
     def test_conv_channel_config_mismatch(self):
         with pytest.raises(ConfigError):
             ModelConfig(num_models=2, num_vehicles=2, d=8, backbone="conv",

@@ -25,16 +25,16 @@ def checkpoint_bytes(tmp_path):
     return path.read_bytes()
 
 
-def tensor_bytes(tmp_path, magic):
+def tensor_bytes(tmp_path, write, shape):
     path = tmp_path / "valid.bin"
-    formats.write_tensor_file(path, np.arange(12.0).reshape(2, 1, 1, 6), magic)
+    write(path, np.arange(12.0).reshape(shape))
     return path.read_bytes()
 
 
 VALID = {
     "CKPT1": checkpoint_bytes,
-    "DESC1": lambda tmp: tensor_bytes(tmp, formats.DESC_MAGIC),
-    "FEAT1": lambda tmp: tensor_bytes(tmp, formats.FEAT_MAGIC),
+    "DESC1": lambda tmp: tensor_bytes(tmp, formats.write_tensor_file, (2, 1, 1, 6)),
+    "FEAT1": lambda tmp: tensor_bytes(tmp, formats.write_features, (2, 6)),
     "PGM P2": lambda tmp: b"P2\n# grid\n3 2\n255\n0 10 20\n30 40 255\n",
     "PGM P5": lambda tmp: b"P5\n3 2\n255\n" + bytes([0, 10, 20, 30, 40, 255]),
 }
