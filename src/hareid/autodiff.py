@@ -96,10 +96,6 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
-
-
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x

@@ -14,6 +14,16 @@ yields the coarse-level output o1, step 2 consumes the attention embedding
 The joint objective is the plain sum of the two cross-entropy branches;
 there is no weighting knob. A minibatch runs as one graph: x and h hold one
 column per sample, and each branch is the mean over the batch.
+
+Step 1 passes ``None`` for the state. At h = 0 every state-side product
+W_h* h, the reset gate's only use r * (W_hg h) and the carry z * h are exact
+zeros, so the step computes only
+
+    z = sigmoid(W_xz x + b_z),  n = tanh(W_xg x + b_g),  h' = (1 - z) * n
+
+and its ``GruState.r`` is ``None``. Because W @ 0 = 0 exactly for finite W
+and a + 0 = a, the values and gradients are those of the full cell run on an
+explicit zero state, up to the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -87,16 +97,24 @@ class GruState:
 
     h: Tensor
     z: Tensor
-    r: Tensor
+    r: Tensor | None  # None for a step from the zero state
     n: Tensor
 
 
-def gru_step(x: Tensor, h_prev: Tensor, params: GruParams) -> GruState:
+def gru_step(x: Tensor, h_prev: Tensor | None, params: GruParams) -> GruState:
     """One step over a batch: inputs x (D, B) and states h_prev (H, B), one
-    column per sample."""
+    column per sample; ``None`` for h_prev is the zero state."""
     if x.data.ndim != 2 or x.shape[0] != params.input_dim:
         raise ShapeError(f"gru_step: input shape {x.shape} does not match "
                          f"parameter input dim {params.input_dim}")
+    if h_prev is None:
+        z = sigmoid(params.w_xz @ x + params.b_z)
+        n = tanh(params.w_xg @ x + params.b_g)
+        # n * (1 - z), not (1 - z) * n: backward then reaches n's subtree
+        # before z's, as in the full cell where z * h is walked first, so a
+        # leaf both gates read (a conv backbone's pooled x) sums its gradient
+        # terms in the same order.
+        return GruState(h=n * (1.0 - z), z=z, r=None, n=n)
     if h_prev.shape != (params.hidden, x.shape[1]):
         raise ShapeError(f"gru_step: state shape {h_prev.shape} does not match "
                          f"hidden size {params.hidden} and batch {x.shape[1]}")

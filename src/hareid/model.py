@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from .autodiff import Tensor, global_average_pool, reshape, zeros
+from .autodiff import Tensor, global_average_pool, reshape
 from .backbone import ActivationMap, ConvStackConfig, ConvStackParams, conv_forward
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp, classify,
@@ -57,6 +57,9 @@ class ModelConfig:
             raise ConfigError("class counts and dimensions must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.attn_hidden < 0:
+            raise ConfigError(f"attn_hidden must be >= 0 (0 means hidden // 2), "
+                              f"got {self.attn_hidden}")
         if self.backbone == "conv":
             if self.conv is None:
                 self.conv = ConvStackConfig(channels=self.d)
@@ -218,18 +221,16 @@ class Model:
     def forward(self, inp) -> ForwardResult:
         """Run a batch (a (B, h, w, d) map stack or (B, H, W, C) images) as one
         graph; a single map or image comes back as the sample's vectors."""
-        cfg = self.config
         amap, single = self._activation_maps(inp)
         x1 = global_average_pool(amap.tensor)
         if self.gru is None:
             o1 = self.fc1.apply(x1)
         else:
-            h0 = zeros((cfg.hidden, amap.shape[0]))
-            o1 = gru_step(x1, h0, self.gru).h  # coarse step, zero state
+            o1 = gru_step(x1, None, self.gru).h  # coarse step, zero state
         if self.attn is None:
             x2, attention = x1, None
         else:
-            x2, attention = att.attention_pipeline(o1, amap, self.attn, cfg.epsilon)
+            x2, attention = att.attention_pipeline(o1, amap, self.attn, self.config.epsilon)
         if self.gru is None:
             o2 = self.fc2.apply(x2)
         else:

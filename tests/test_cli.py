@@ -210,6 +210,16 @@ class TestTrain:
         assert "epochs" in err
         assert not (tmp_path / "checkpoint.ckpt").exists()
 
+    def test_negative_attn_hidden_is_config_error(self, tiny_set, tmp_path, capsys):
+        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "1",
+                    "--attn-hidden", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "attn_hidden" in err
+        assert not (tmp_path / "checkpoint.ckpt").exists()
+
     def test_non_finite_item_is_named(self, tiny_set, tmp_path, capsys):
         split = load_manifest(tiny_set / "manifest.csv")
         maps = formats.read_tensor_file(tiny_set / "descriptors.desc")

@@ -30,9 +30,10 @@ def col(values):
 
 
 def two_steps(x1, x2, p, h0=None):
-    # The coarse-to-fine unroll of Model.forward: step 1 from h0 (zero by
-    # default), step 2 from step 1's state, both with the same weights.
-    s1 = gru_step(x1, ad.zeros((p.hidden, x1.shape[1])) if h0 is None else h0, p)
+    # The coarse-to-fine unroll of Model.forward: step 1 from h0 (None, the
+    # zero state, by default), step 2 from step 1's state, both with the same
+    # weights.
+    s1 = gru_step(x1, h0, p)
     return s1, gru_step(x2, s1.h, p)
 
 
@@ -81,6 +82,34 @@ class TestGruStep:
             gru_step(col(np.zeros(3)), col(np.zeros(5)), p)
         with pytest.raises(ShapeError):  # batches of different sizes
             gru_step(ad.constant(np.zeros((3, 2))), ad.constant(np.zeros((4, 3))), p)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_zero_state_matches_explicit_zeros(self, batch):
+        # The None path drops only products with an exact zero factor, so its
+        # values and gradients equal the full cell's on a zero state.
+        rng = np.random.default_rng(11)
+        p = GruParams.init(4, 6, rng)
+        for t in p.named().values():
+            t.data[:] = rng.uniform(-2, 2, size=t.shape)
+        x = ad.constant(rng.uniform(-2, 2, size=(4, batch)))
+        weights = ad.constant(rng.uniform(-1, 1, size=(6, batch)))
+
+        def run(h_prev):
+            for t in p.named().values():
+                t.zero_grad()
+            state = gru_step(x, h_prev, p)
+            ad.backward(ad.tsum(state.h * weights))
+            return state, {k: np.zeros_like(t.data) if t.grad is None else t.grad
+                           for k, t in p.named().items()}
+
+        implicit, g_implicit = run(None)
+        explicit, g_explicit = run(ad.constant(np.zeros((6, batch))))
+        assert implicit.r is None
+        for gate in ("h", "z", "n"):
+            assert np.array_equal(getattr(implicit, gate).data,
+                                  getattr(explicit, gate).data), gate
+        for name in g_explicit:
+            assert np.array_equal(g_implicit[name], g_explicit[name]), name
 
     def test_gate_ranges_and_convex_combination(self):
         rng = np.random.default_rng(2)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hareid import autodiff as ad
+from hareid import gru
+from hareid import model as model_module
 from hareid.backbone import ConvStackConfig
 from hareid.errors import ConfigError, FormatError, NumericError, ShapeError
 from hareid.model import Model, ModelConfig, unit_rows
@@ -190,6 +192,52 @@ class TestBatch:
             assert np.max(np.abs(grads[name] - expected)) <= 1e-12 * scale, name
 
 
+class TestZeroStateStep:
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("variant", ["rnn_ha", "rnn_h_no_attention"])
+    def test_coarse_step_has_no_state_side_products(self, variant, batch):
+        # Step 1 runs from the zero state without W_h* products, so only
+        # step 2 multiplies by the three state-side matrices.
+        model = Model(small_config(variant=variant, seed=27))
+        inputs = np.random.default_rng(28).uniform(-1.0, 1.0, size=(batch, 2, 3, 4))
+        labels = np.arange(batch)
+        total, _, _ = model.loss(inputs, labels % 3, labels % 6)
+        state_side = {id(model.gru.w_hz), id(model.gru.w_hr), id(model.gru.w_hg)}
+        products = [n for n in ad.Graph.from_root(total).nodes
+                    if n.op == "matmul" and any(id(p) in state_side for p in n.parents)]
+        assert len(products) == 3
+
+    @pytest.mark.parametrize("case", ["rnn_ha", "rnn_h_no_attention", "rnn_ha_conv",
+                                      "rnn_h_no_attention_conv"])
+    def test_loss_and_gradients_match_explicit_zero_state(self, case, monkeypatch):
+        # Bit for bit, including the order in which a leaf read by both
+        # steps (the conv backbone's pooled x in the no-attention variant)
+        # sums its gradient terms.
+        conv = dict(backbone="conv", conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        model = Model(small_config(variant=case.removesuffix("_conv"), seed=29,
+                                   **(conv if case.endswith("_conv") else {})))
+        rng = np.random.default_rng(30)
+        shape = (10, 10, 1) if case.endswith("_conv") else (2, 3, 4)
+        inputs = rng.uniform(-1.0, 1.0, size=(5, *shape))
+        labels = np.arange(5)
+
+        def loss_and_grads():
+            for t in model.params().values():
+                t.zero_grad()
+            total, _, _ = model.loss(inputs, labels % 3, labels % 6)
+            ad.backward(total)
+            return total.item(), {k: np.zeros_like(t.data) if t.grad is None else t.grad
+                                  for k, t in model.params().items()}
+
+        total, grads = loss_and_grads()
+        monkeypatch.setattr(model_module, "gru_step", lambda x, h, p: gru.gru_step(
+            x, ad.constant(np.zeros((p.hidden, x.shape[1]))) if h is None else h, p))
+        explicit_total, explicit_grads = loss_and_grads()
+        assert total == explicit_total
+        for name in grads:
+            assert np.array_equal(grads[name], explicit_grads[name]), name
+
+
 class TestGradientSeparation:
     def test_model_loss_ignores_attention_params(self):
         model = Model(small_config(variant="rnn_ha", seed=13))
@@ -260,6 +308,11 @@ class TestConfigText:
                  if not l.startswith(f"{key}=")]
         with pytest.raises(FormatError, match=f"'{key}'"):
             ModelConfig.from_text("\n".join(lines))
+
+    def test_negative_attn_hidden_is_format_error(self):
+        text = small_config().to_text().replace("attn_hidden=0", "attn_hidden=-3")
+        with pytest.raises(FormatError, match="attn_hidden"):
+            ModelConfig.from_text(text)
 
     @pytest.mark.parametrize("key,value", [("hidden", "abc"), ("epsilon", "x"),
                                            ("conv", "3,2")])

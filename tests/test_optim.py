@@ -69,6 +69,54 @@ class TestRmsprop:
         np.testing.assert_array_equal(state.v["q"], [0.0])
 
 
+def sliced_problem():
+    # The 0-d scale, the empty vector and the 1-D bias fit in one RMSprop
+    # slice; the (1000, 77) weight spans several and ends in a partial one;
+    # the column-major (300, 250) weight must be updated in place through its
+    # row blocks.
+    rng = np.random.default_rng(12)
+    params = {"s": ad.parameter(rng.uniform(-1, 1, size=())),
+              "e": ad.parameter(np.zeros(0)),
+              "b": ad.parameter(rng.uniform(-1, 1, size=300)),
+              "w": ad.parameter(rng.uniform(-1, 1, size=(1000, 77))),
+              "f": ad.parameter(np.asfortranarray(rng.uniform(-1, 1, size=(300, 250))))}
+    state = RmspropState.init(params)
+    return rng, params, state
+
+
+class TestSlicedRmsprop:
+    def test_bit_identical_to_whole_array_formula(self):
+        rng, params, state = sliced_problem()
+        data = {k: t.data for k, t in params.items()}
+        theta = {k: t.data.copy() for k, t in params.items()}
+        v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        for lr in (1e-3, 1e-3, 1e-4, 1e-4):
+            for k, t in params.items():
+                t.grad = np.asarray(rng.normal(size=t.shape) * 10.0 ** rng.integers(-6, 2))
+                g = t.grad
+                v[k] = state.alpha * v[k] + (1.0 - state.alpha) * g * g
+                theta[k] = theta[k] - lr * g / (np.sqrt(v[k]) + state.delta)
+            rmsprop_step(params, state, lr)
+            for k, t in params.items():
+                assert t.data is data[k], k
+                assert t.data.tobytes() == np.asarray(theta[k]).tobytes(), k
+                assert state.v[k].tobytes() == np.asarray(v[k]).tobytes(), k
+
+    def test_non_finite_in_last_slice_mutates_nothing(self):
+        rng, params, state = sliced_problem()
+        for t in params.values():
+            t.grad = rng.normal(size=t.shape)
+        rmsprop_step(params, state, 1e-3)
+        before = {k: (t.data.tobytes(), state.v[k].tobytes()) for k, t in params.items()}
+        for t in params.values():
+            t.grad = rng.normal(size=t.shape)
+        params["w"].grad[-1, -1] = np.nan
+        with pytest.raises(NumericError, match="parameter w"):
+            rmsprop_step(params, state, 1e-3)
+        assert {k: (t.data.tobytes(), state.v[k].tobytes())
+                for k, t in params.items()} == before
+
+
 class TestSchedule:
     def test_paper_values(self):
         assert lr_schedule(0) == 0.001
