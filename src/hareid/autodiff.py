@@ -13,6 +13,13 @@ stack along a leading axis, (B, H, W, C) and (B, h, w, d). The elementwise primi
 whose shape is a prefix of the other's along the remaining axes, such as a
 per-feature bias (H,) over the columns of an (H, B) stack.
 
+Every primitive builds its output through one lean constructor that sets the
+node's fields directly: float64 data (a 0-d array for a scalar), whether any
+parent needs a gradient, the parents, the op name and the backward rule. A
+Python number used as an operand, as in ``1.0 - z``, becomes a parentless
+constant the same way; it receives no gradient. ``Tensor(data)``,
+``parameter`` and ``constant`` make leaves.
+
 Tensors are treated as immutable once they participate in a graph; leaf data
 may be mutated between graphs (that is how the optimizer updates parameters).
 """
@@ -32,18 +39,13 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
-                 parents: tuple["Tensor", ...] = ()):
+    def __init__(self, data, requires_grad: bool = False):
+        """A leaf holding ``data`` as float64; the primitives build op nodes."""
         self.data = np.asarray(data, dtype=np.float64)
-        if not requires_grad:
-            for p in parents:
-                if p.requires_grad:
-                    requires_grad = True
-                    break
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.op = op
-        self.parents = parents
+        self.op = "leaf"
+        self.parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -96,10 +98,35 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+def _node(data, op: str, parents: tuple[Tensor, ...]) -> Tensor:
+    """A primitive's output node, built without ``Tensor.__init__``.
+
+    ``data`` is computed from float64 operands, so only a NumPy scalar (from
+    a full reduction, or from two 0-d operands) needs converting, to a 0-d
+    array. The node requires a gradient if any parent does; the primitive
+    sets its ``_backward`` rule. Without parents it is a constant.
+    """
+    out = object.__new__(Tensor)
+    out.data = data if data.__class__ is np.ndarray else np.asarray(data, dtype=np.float64)
+    requires_grad = False
+    for p in parents:
+        if p.requires_grad:
+            requires_grad = True
+            break
+    out.requires_grad = requires_grad
+    out.grad = None
+    out.op = op
+    out.parents = parents
+    out._backward = None
+    return out
+
+
 def _as_tensor(x) -> Tensor:
+    """``x`` if it is a tensor; otherwise, a Python number as in ``1.0 - z``,
+    a parentless constant holding it."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return _node(np.asarray(x, dtype=np.float64), "leaf", ())
 
 
 def _add_grad(t: Tensor, g: np.ndarray) -> None:
@@ -193,7 +220,7 @@ def _operands(x: Tensor, y: Tensor, op: str) -> tuple[np.ndarray, np.ndarray]:
 def add(x, y) -> Tensor:
     x, y = _as_tensor(x), _as_tensor(y)
     xd, yd = _operands(x, y, "add")
-    out = Tensor(xd + yd, op="add", parents=(x, y))
+    out = _node(xd + yd, "add", (x, y))
 
     def _bw(g):
         if x.requires_grad:
@@ -208,7 +235,7 @@ def add(x, y) -> Tensor:
 def sub(x, y) -> Tensor:
     x, y = _as_tensor(x), _as_tensor(y)
     xd, yd = _operands(x, y, "sub")
-    out = Tensor(xd - yd, op="sub", parents=(x, y))
+    out = _node(xd - yd, "sub", (x, y))
 
     def _bw(g):
         if x.requires_grad:
@@ -223,7 +250,7 @@ def sub(x, y) -> Tensor:
 def mul(x, y) -> Tensor:
     x, y = _as_tensor(x), _as_tensor(y)
     xd, yd = _operands(x, y, "mul")
-    out = Tensor(xd * yd, op="mul", parents=(x, y))
+    out = _node(xd * yd, "mul", (x, y))
 
     def _bw(g):
         if x.requires_grad:
@@ -238,7 +265,7 @@ def mul(x, y) -> Tensor:
 def div(x, y) -> Tensor:
     x, y = _as_tensor(x), _as_tensor(y)
     xd, yd = _operands(x, y, "div")
-    out = Tensor(xd / yd, op="div", parents=(x, y))
+    out = _node(xd / yd, "div", (x, y))
 
     def _bw(g):
         if x.requires_grad:
@@ -263,7 +290,7 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     y = _logistic(x.data)
-    out = Tensor(y, op="sigmoid", parents=(x,))
+    out = _node(y, "sigmoid", (x,))
 
     def _bw(g):
         _add_grad(x, g * y * (1.0 - y))
@@ -274,7 +301,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = Tensor(y, op="tanh", parents=(x,))
+    out = _node(y, "tanh", (x,))
 
     def _bw(g):
         _add_grad(x, g * (1.0 - y * y))
@@ -287,7 +314,7 @@ def softplus(x: Tensor) -> Tensor:
     # max(x, 0) + log(1 + exp(-|x|)): identical to log(1 + exp(x)) without
     # overflow, and strictly positive for every representable input.
     y = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    out = Tensor(y, op="softplus", parents=(x,))
+    out = _node(y, "softplus", (x,))
 
     def _bw(g):
         _add_grad(x, g * _logistic(x.data))
@@ -298,7 +325,7 @@ def softplus(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     y = np.maximum(x.data, 0.0)
-    out = Tensor(y, op="relu", parents=(x,))
+    out = _node(y, "relu", (x,))
 
     def _bw(g):
         _add_grad(x, g * (x.data > 0))
@@ -325,7 +352,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    out = Tensor(ad @ bd, op="matmul", parents=(a, b))
+    out = _node(ad @ bd, "matmul", (a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -342,7 +369,7 @@ def tsum(x: Tensor, keep: int = 0) -> Tensor:
     by default; ``keep=1`` sums each sample of a stack."""
     if not 0 <= keep <= x.data.ndim:
         raise ShapeError(f"tsum: cannot keep {keep} axes of shape {x.shape}")
-    out = Tensor(x.data.reshape(x.shape[:keep] + (-1,)).sum(axis=-1), op="sum", parents=(x,))
+    out = _node(x.data.reshape(x.shape[:keep] + (-1,)).sum(axis=-1), "sum", (x,))
 
     def _bw(g):
         _add_grad(x, np.broadcast_to(_trailing(g, x.data.ndim), x.shape))
@@ -356,7 +383,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if shape == x.data.shape:
         return x
-    out = Tensor(x.data.reshape(shape), op="reshape", parents=(x,))
+    out = _node(x.data.reshape(shape), "reshape", (x,))
 
     def _bw(g):
         _add_grad(x, g.reshape(x.shape))
@@ -369,7 +396,7 @@ def transpose(x: Tensor) -> Tensor:
     """Swap the two axes of a matrix."""
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a matrix, got shape {x.shape}")
-    out = Tensor(x.data.T, op="transpose", parents=(x,))
+    out = _node(x.data.T, "transpose", (x,))
 
     def _bw(g):
         _add_grad(x, g.T)
@@ -382,7 +409,7 @@ def scale_rows(x: Tensor, a: Tensor) -> Tensor:
     """Multiply row i of x (m,d) by scalar a[i]; the attention weighting step."""
     if x.data.ndim != 2 or a.data.ndim != 1 or x.shape[0] != a.shape[0]:
         raise ShapeError(f"scale_rows: shapes {x.shape} and {a.shape} do not align")
-    out = Tensor(x.data * a.data[:, None], op="scale_rows", parents=(x, a))
+    out = _node(x.data * a.data[:, None], "scale_rows", (x, a))
 
     def _bw(g):
         if x.requires_grad:
@@ -409,7 +436,7 @@ def global_average_pool(x: Tensor) -> Tensor:
     *batch, h, w, d = x.shape
     n, m = x.data.size // (h * w * d), h * w
     pooled = x.data.reshape(n, m, d).sum(axis=1) / m
-    out = Tensor(pooled.T.reshape(d, *batch), op="gap", parents=(x,))
+    out = _node(pooled.T.reshape(d, *batch), "gap", (x,))
 
     def _bw(g):
         per_sample = g.reshape(d, n).T / m
@@ -445,7 +472,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     ez = np.exp(z - zmax)
     total = np.sum(ez, axis=0)
     loss = np.log(total) - (z[flat, cols] - zmax)
-    out = Tensor(loss.reshape(labels.shape), op="cross_entropy", parents=(logits,))
+    out = _node(loss.reshape(labels.shape), "cross_entropy", (logits,))
 
     def _bw(g):
         p = ez / total
@@ -489,7 +516,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                                         j:j + ow * stride:stride, :]
     flat = cols.reshape(-1, kh * kw * cin)
     y = (flat @ kernel.data.reshape(-1, cout) + bias.data).reshape(*batch, oh, ow, cout)
-    out = Tensor(y, op="conv2d", parents=(x, kernel, bias))
+    out = _node(y, "conv2d", (x, kernel, bias))
 
     def _bw(g):
         gf = g.reshape(-1, cout)
@@ -526,7 +553,7 @@ def max_pool2(x: Tensor) -> Tensor:
     idx = windows.argmax(axis=4)
     pad_shape = padded.shape
     y = np.take_along_axis(windows, idx[..., None], axis=4)[..., 0]
-    out = Tensor(y.reshape(*batch, oh, ow, c), op="max_pool2", parents=(x,))
+    out = _node(y.reshape(*batch, oh, ow, c), "max_pool2", (x,))
 
     def _bw(g):
         dwin = np.zeros(idx.shape + (4,))

@@ -33,7 +33,7 @@ fine structure. Every image of a model-m vehicle seen by camera c is
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +156,12 @@ class SynthConfig:
             raise ConfigError(f"grid {self.grid}x{self.grid} is too small for "
                               f"{2 * self.vehicles_per_model} distinct signature cells "
                               "per model")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not np.isfinite(value):
+                raise ConfigError(f"synthetic {f.name} must be finite, got {value}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"synthetic noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -187,10 +193,13 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
     views = rng.normal(size=(config.cameras, g, g, d)) * (config.view_amplitude / np.sqrt(d))
     views -= views.mean(axis=(1, 2), keepdims=True)  # exact zero spatial mean
 
-    maps: list[np.ndarray] = []
+    n = config.images_per_vehicle
+    cams = np.arange(n) % config.cameras
+    maps = np.empty((config.models * per_model * n, g, g, d))
     samples: dict[str, list[LabeledSample]] = {"train": [], "test": []}
     signature_cells: dict[str, tuple[int, int]] = {}
 
+    start = 0
     for split_idx, split_name in enumerate(("train", "test")):
         for m in range(config.models):
             for i in range(config.vehicles_per_model):
@@ -203,19 +212,22 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
                 cell = int(cells[m, slot])
                 row, col = cell // g, cell % g
                 signature_cells[vehicle_id] = (row, col)
-                for j in range(config.images_per_vehicle):
-                    cam = j % config.cameras
-                    arr = np.tile(patterns[m], (g, g, 1)) + views[cam]
-                    if config.noise_sigma > 0:
-                        arr += rng.normal(size=(g, g, d)) * config.noise_sigma
-                    arr[row, col] += sig
+                # The vehicle's n images in one block. One noise draw of n
+                # images takes the same numbers from the stream as n draws of
+                # one image each.
+                block = maps[start:start + n]
+                np.add(patterns[m], views[cams], out=block)
+                if config.noise_sigma > 0:
+                    block += rng.normal(size=(n, g, g, d)) * config.noise_sigma
+                block[:, row, col] += sig
+                for j, cam in enumerate(cams):
                     samples[split_name].append(LabeledSample(
-                        source=str(len(maps)), vehicle_id=vehicle_id, model_id=model_id,
+                        source=str(start + j), vehicle_id=vehicle_id, model_id=model_id,
                         camera_id=f"c{cam}", track_id=f"{vehicle_id}_c{cam}"))
-                    maps.append(arr)
+                start += n
 
     split = DatasetSplit(train=samples["train"], test=samples["test"])
-    return SynthDataset(split=split, maps=np.stack(maps), signature_cells=signature_cells,
+    return SynthDataset(split=split, maps=maps, signature_cells=signature_cells,
                         model_patterns=patterns)
 
 

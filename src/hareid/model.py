@@ -7,6 +7,10 @@ Three variants share the surrounding plumbing:
 * ``fc_ha``              GRU replaced by two independent two-layer
                          MLPs; attention kept.
 
+Training runs the whole chain and both heads (``Model.forward``); extraction
+(``Model.extract_feature``) stops after the fine step, without the heads,
+and l2-normalizes o2.
+
 Parameter registration order is fixed (conv stack, recurrent or fc block,
 model head, vehicle head, attention net) so that, for one seed, variants
 sharing a prefix draw identical initial values for it.
@@ -218,10 +222,11 @@ class Model:
                              f"config.d = {self.config.d}")
         return amap, single
 
-    def forward(self, inp) -> ForwardResult:
-        """Run a batch (a (B, h, w, d) map stack or (B, H, W, C) images) as one
-        graph; a single map or image comes back as the sample's vectors."""
-        amap, single = self._activation_maps(inp)
+    def _steps(self, amap: ActivationMap) -> tuple[Tensor, Tensor, Tensor,
+                                                   att.AttentionWeights | None]:
+        """GAP, the coarse step, attention and the fine step over a map stack:
+        x1, o1 and o2 as columns, and the attention snapshot (None without
+        attention)."""
         x1 = global_average_pool(amap.tensor)
         if self.gru is None:
             o1 = self.fc1.apply(x1)
@@ -235,6 +240,13 @@ class Model:
             o2 = self.fc2.apply(x2)
         else:
             o2 = gru_step(x2, o1, self.gru).h  # fine step, same weights, state o1
+        return x1, o1, o2, attention
+
+    def forward(self, inp) -> ForwardResult:
+        """Run a batch (a (B, h, w, d) map stack or (B, H, W, C) images) as one
+        graph; a single map or image comes back as the sample's vectors."""
+        amap, single = self._activation_maps(inp)
+        x1, o1, o2, attention = self._steps(amap)
         result = ForwardResult(
             x1=x1, o1=o1, o2=o2,
             logits_model=classify(o1, self.head_model),
@@ -252,7 +264,13 @@ class Model:
         return total, report, result
 
     def extract_feature(self, inp) -> FeatureVector:
-        values, zero = unit_rows(self.forward(inp).o2.data[None])
+        """The retrieval feature of one map or image: its o2, l2-normalized.
+        The classifier heads are not built."""
+        amap, single = self._activation_maps(inp)
+        if not single:
+            raise ShapeError(f"extract_feature takes one map or image, got a stack of "
+                             f"shape {amap.shape}")
+        values, zero = unit_rows(self._steps(amap)[2].data.T)
         return FeatureVector(values=values[0], normalized=not zero[0])
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:

@@ -241,6 +241,70 @@ class TestBackward:
                 assert pos[id(parent)] < pos[id(node)]
 
 
+def op_table(rng, leaf):
+    """The leaves (made by ``leaf``) and one case per primitive: a batch of
+    three samples with distinct values, a per-feature bias, a weight, a
+    stack of maps and a stack of images with a conv kernel and bias."""
+    x = leaf(rand(rng, 4, 3))  # 4 features x 3 samples
+    v = leaf(rand(rng, 4))  # a per-feature bias
+    w = leaf(rand(rng, 2, 4))  # a weight
+    maps = leaf(rand(rng, 3, 2, 2, 4))  # three 2x2 maps of depth 4
+    images = leaf(rand(rng, 2, 5, 5, 2))  # two 5x5 images of 2 channels
+    kernel = leaf(rand(rng, 2, 2, 2, 3))  # 2x2 windows, 2 -> 3 channels
+    bias = leaf(rand(rng, 3))
+    cases = {
+        "sigmoid": lambda: ad.sigmoid(x),
+        "tanh": lambda: ad.tanh(x),
+        "softplus": lambda: ad.softplus(x),
+        "relu": lambda: ad.relu(x),
+        "add": lambda: ad.add(x, v),
+        "sub": lambda: ad.sub(v, ad.mul(x, x)),
+        "mul": lambda: ad.mul(x, v),
+        "div": lambda: ad.div(x, ad.add(ad.mul(v, v), 3.0)),
+        "matmul": lambda: ad.matmul(w, x),
+        "stacked matmul": lambda: ad.matmul(
+            ad.reshape(maps, (3, 4, 4)), ad.reshape(ad.transpose(x), (3, 4, 1))),
+        "gap": lambda: ad.global_average_pool(maps),
+        "scale_rows": lambda: ad.scale_rows(ad.reshape(maps, (12, 4)), ad.reshape(x, (12,))),
+        "reshape": lambda: ad.reshape(x, (3, 4)),
+        "transpose": lambda: ad.transpose(x),
+        "sum": lambda: ad.tsum(maps, keep=1),
+        "sum to a scalar": lambda: ad.tsum(x),
+        # Stride 2 leaves the last row and column out; the odd size pools
+        # a partial window.
+        "conv2d": lambda: ad.conv2d(images, kernel, bias, stride=2),
+        "max_pool2": lambda: ad.max_pool2(images),
+        "cross_entropy": lambda: ad.softmax_cross_entropy(x, [1, 3, 0]),
+    }
+    return [x, v, w, maps, images, kernel, bias], cases
+
+
+class TestNodes:
+    @pytest.mark.parametrize("leaf", [ad.parameter, ad.constant])
+    def test_every_output_is_a_float64_array_needing_what_its_parents_need(self, leaf):
+        _, cases = op_table(np.random.default_rng(7), leaf)
+        for name, op in cases.items():
+            out = op()
+            assert type(out.data) is np.ndarray and out.data.dtype == np.float64, name
+            assert out.requires_grad == any(p.requires_grad for p in out.parents), name
+            assert out.requires_grad == (leaf is ad.parameter), name
+            assert out.grad is None and out._backward is not None, name
+
+    def test_python_number_operand_is_a_parentless_constant(self):
+        x = ad.parameter([0.5, -1.5])
+        for out in (1.0 - x, x + 2, 3.0 * x, x / 4.0, ad.tsum(x) / 2):
+            constants = [p for p in out.parents if p is not x and p.op == "leaf"]
+            assert len(constants) == 1
+            c = constants[0]
+            assert c.parents == () and not c.requires_grad and c._backward is None
+            assert type(c.data) is np.ndarray and c.data.dtype == np.float64
+            assert c.data.ndim == 0
+            assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+            ad.backward(ad.tsum(out))
+            assert c.grad is None and x.grad is not None
+            x.zero_grad()
+
+
 class TestGradCheck:
     def test_square(self):
         x = ad.parameter(3.0)
@@ -267,45 +331,15 @@ class TestGradCheck:
         # the loss weights every output element differently, so a gradient
         # summed over the wrong axis or routed to the wrong sample fails.
         rng = np.random.default_rng(6)
-        x = ad.parameter(rand(rng, 4, 3))  # 4 features x 3 samples
-        v = ad.parameter(rand(rng, 4))  # a per-feature bias
-        w = ad.parameter(rand(rng, 2, 4))  # a weight
-        maps = ad.parameter(rand(rng, 3, 2, 2, 4))  # three 2x2 maps of depth 4
-        images = ad.parameter(rand(rng, 2, 5, 5, 2))  # two 5x5 images of 2 channels
-        kernel = ad.parameter(rand(rng, 2, 2, 2, 3))  # 2x2 windows, 2 -> 3 channels
-        bias = ad.parameter(rand(rng, 3))
+        params, cases = op_table(rng, ad.parameter)
         probes: dict[tuple[int, ...], ad.Tensor] = {}
 
         def weighted(t):
             probe = probes.setdefault(t.shape, ad.constant(rand(rng, *t.shape)))
             return ad.tsum(ad.mul(t, probe))
 
-        cases = {
-            "sigmoid": lambda: weighted(ad.sigmoid(x)),
-            "tanh": lambda: weighted(ad.tanh(x)),
-            "softplus": lambda: weighted(ad.softplus(x)),
-            "relu": lambda: weighted(ad.relu(x)),
-            "add": lambda: weighted(ad.add(x, v)),
-            "sub": lambda: weighted(ad.sub(v, ad.mul(x, x))),
-            "mul": lambda: weighted(ad.mul(x, v)),
-            "div": lambda: weighted(ad.div(x, ad.add(ad.mul(v, v), 3.0))),
-            "matmul": lambda: weighted(ad.matmul(w, x)),
-            "stacked matmul": lambda: weighted(ad.matmul(
-                ad.reshape(maps, (3, 4, 4)), ad.reshape(ad.transpose(x), (3, 4, 1)))),
-            "gap": lambda: weighted(ad.global_average_pool(maps)),
-            "scale_rows": lambda: weighted(ad.scale_rows(ad.reshape(maps, (12, 4)),
-                                                         ad.reshape(x, (12,)))),
-            "reshape": lambda: weighted(ad.reshape(x, (3, 4))),
-            "transpose": lambda: weighted(ad.transpose(x)),
-            "sum": lambda: weighted(ad.tsum(maps, keep=1)),
-            # Stride 2 leaves the last row and column out; the odd size pools
-            # a partial window.
-            "conv2d": lambda: weighted(ad.conv2d(images, kernel, bias, stride=2)),
-            "max_pool2": lambda: weighted(ad.max_pool2(images)),
-            "cross_entropy": lambda: weighted(ad.softmax_cross_entropy(x, [1, 3, 0])),
-        }
-        for name, f in cases.items():
-            err = ad.grad_check(f, [x, v, w, maps, images, kernel, bias])
+        for name, op in cases.items():
+            err = ad.grad_check(lambda: weighted(op()), params)
             assert err < 1e-4, f"{name}: rel err {err}"
 
     def test_wrong_backward_is_caught(self, monkeypatch):

@@ -106,6 +106,40 @@ class TestManifest:
                 dat.load_manifest(path)
 
 
+def per_image_synth(config, seed):
+    """The generator as a loop over images, one noise draw per image: the
+    reference for the per-vehicle blocks of ``synth_generate``."""
+    rng = dat.rng_for(seed)
+    g, d = config.grid, config.d
+    per_model = 2 * config.vehicles_per_model
+    patterns = np.stack([dat._unit(rng.normal(size=d)) * config.pattern_amplitude
+                         for _ in range(config.models)])
+    cone = np.ones(d) / np.sqrt(d)
+    bank = np.stack([dat._unit(config.signature_cone * cone + np.eye(d)[k % d])
+                     for k in range(per_model)])
+    cells = np.stack([rng.choice(g * g, size=per_model, replace=False)
+                      for _ in range(config.models)])
+    views = rng.normal(size=(config.cameras, g, g, d)) * (config.view_amplitude / np.sqrt(d))
+    views -= views.mean(axis=(1, 2), keepdims=True)
+    maps, cameras = [], []
+    for split_idx in range(2):
+        for m in range(config.models):
+            for i in range(config.vehicles_per_model):
+                slot = split_idx * config.vehicles_per_model + i
+                sig = dat._unit(bank[slot] + config.signature_jitter * rng.normal(size=d))
+                sig = sig * config.signature_amplitude
+                row, col = divmod(int(cells[m, slot]), g)
+                for j in range(config.images_per_vehicle):
+                    cam = j % config.cameras
+                    arr = np.tile(patterns[m], (g, g, 1)) + views[cam]
+                    if config.noise_sigma > 0:
+                        arr += rng.normal(size=(g, g, d)) * config.noise_sigma
+                    arr[row, col] += sig
+                    maps.append(arr)
+                    cameras.append(f"c{cam}")
+    return np.stack(maps), cameras
+
+
 class TestSynthGenerate:
     def test_declared_counts(self):
         cfg = dat.SynthConfig()
@@ -115,6 +149,19 @@ class TestSynthGenerate:
         assert ds.split.num_models == 8
         assert ds.split.num_vehicles == 64
         assert ds.maps.shape == (2560, 6, 6, 16)
+
+    @pytest.mark.parametrize("config", [
+        dat.SynthConfig(),
+        dat.SynthConfig(models=3, vehicles_per_model=2, images_per_vehicle=5, grid=3, d=6,
+                        cameras=3, noise_sigma=0.0),
+    ])
+    def test_vehicle_blocks_equal_per_image_draws(self, config):
+        ds = dat.synth_generate(config, seed=11)
+        maps, cameras = per_image_synth(config, seed=11)
+        assert np.array_equal(ds.maps, maps)
+        samples = ds.split.train + ds.split.test
+        assert [int(s.source) for s in samples] == list(range(len(maps)))
+        assert [s.camera_id for s in samples] == cameras
 
     def test_determinism_bytes(self, tmp_path):
         cfg = dat.SynthConfig(models=2, vehicles_per_model=2, images_per_vehicle=3,
@@ -142,6 +189,17 @@ class TestSynthGenerate:
     def test_grid_too_small(self):
         with pytest.raises(ConfigError, match="too small"):
             dat.SynthConfig(models=2, vehicles_per_model=8, grid=3)
+
+    @pytest.mark.parametrize("name", ["noise_sigma", "pattern_amplitude", "signature_amplitude",
+                                      "view_amplitude", "signature_jitter", "signature_cone"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_setting(self, name, bad):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            dat.SynthConfig(**{name: bad})
+
+    def test_negative_noise(self):
+        with pytest.raises(ConfigError, match="noise_sigma must be >= 0"):
+            dat.SynthConfig(noise_sigma=-1e-9)
 
     def test_signature_cells_distinct_within_model(self):
         ds = dat.synth_generate(dat.SynthConfig(models=3, vehicles_per_model=4,

@@ -99,7 +99,7 @@ class TestGruStep:
                 t.zero_grad()
             state = gru_step(x, h_prev, p)
             ad.backward(ad.tsum(state.h * weights))
-            return state, {k: np.zeros_like(t.data) if t.grad is None else t.grad
+            return state, {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                            for k, t in p.named().items()}
 
         implicit, g_implicit = run(None)

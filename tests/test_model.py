@@ -226,7 +226,7 @@ class TestZeroStateStep:
                 t.zero_grad()
             total, _, _ = model.loss(inputs, labels % 3, labels % 6)
             ad.backward(total)
-            return total.item(), {k: np.zeros_like(t.data) if t.grad is None else t.grad
+            return total.item(), {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
                                   for k, t in model.params().items()}
 
         total, grads = loss_and_grads()
@@ -357,3 +357,25 @@ class TestExtractFeature:
             fv = model.extract_feature(random_map(rng))
             assert fv.normalized
             assert np.linalg.norm(fv.values) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("case", ["rnn_ha", "fc_ha", "rnn_h_no_attention", "rnn_ha_conv",
+                                      "fc_ha_conv", "rnn_h_no_attention_conv"])
+    def test_feature_is_normalized_forward_o2(self, case):
+        # Extraction runs the recurrent steps without the heads; its feature
+        # is bit for bit the one a full forward pass gives.
+        conv = dict(backbone="conv", conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        model = Model(small_config(variant=case.removesuffix("_conv"), seed=31,
+                                   **(conv if case.endswith("_conv") else {})))
+        rng = np.random.default_rng(32)
+        shape = (10, 10, 1) if case.endswith("_conv") else (2, 3, 4)
+        for _ in range(3):
+            inp = rng.uniform(-1.0, 1.0, size=shape)
+            expected, zero = unit_rows(model.forward(inp).o2.data[None])
+            fv = model.extract_feature(inp)
+            assert np.array_equal(fv.values, expected[0])
+            assert fv.normalized == (not zero[0])
+
+    def test_stack_is_rejected(self):
+        model = Model(small_config(seed=33))
+        with pytest.raises(ShapeError, match="one map or image"):
+            model.extract_feature(np.ones((2, 2, 2, 4)))
