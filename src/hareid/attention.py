@@ -32,17 +32,11 @@ DEFAULT_EPSILON = 0.1
 
 @dataclass
 class AttentionWeights:
-    """Raw scores s and normalized weights a over the spatial grid, (h, w) for
-    one sample or (B, h, w) for a batch (numpy snapshots; the differentiable
-    path lives in the tensors they came from)."""
+    """The normalized weights a over the spatial grid, (h, w) for one sample
+    or (B, h, w) for a batch: the data of the weight tensor, for reporting and
+    export (the differentiable path lives in the tensor itself)."""
 
-    s: np.ndarray
     a: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        if self.s.shape != self.a.shape:
-            raise ShapeError(f"score grid {self.s.shape} != weight grid {self.a.shape}")
 
     def argmax_cell(self) -> tuple[int, int]:
         flat = int(np.argmax(self.a))
@@ -83,14 +77,12 @@ def normalize_scores(s: Tensor, epsilon: float = DEFAULT_EPSILON) -> Tensor:
 
 
 def attend(a: Tensor, amap: ActivationMap) -> Tensor:
-    """Scale every descriptor by its scalar weight: f_hat_ij = a_ij * f_ij."""
+    """Scale every descriptor by its scalar weight, f_hat_ij = a_ij * f_ij, in
+    one node: weights (B, h, w) over maps (B, h, w, d), or (h, w) over one map."""
     if a.shape != amap.shape[:-1]:
         raise ShapeError(f"attend: weight grid {a.shape} does not match "
                          f"map grid {amap.shape[:-1]}")
-    d = amap.shape[-1]
-    cells = a.data.size
-    attended = scale_rows(reshape(amap.tensor, (cells, d)), reshape(a, (cells,)))
-    return reshape(attended, amap.shape)
+    return scale_rows(amap.tensor, a)
 
 
 def attention_embedding(attended: Tensor) -> Tensor:
@@ -103,11 +95,11 @@ def attention_pipeline(o1: Tensor, amap: ActivationMap, params: Mlp,
     """Full guidance -> scores -> normalize -> attend -> embed chain over a
     batch: o1 (H, B) and maps (B, h, w, d) give x2 (d, B).
 
-    Returns the differentiable x2 and a numpy snapshot of the weights for
-    reporting and export.
+    Returns the differentiable x2 and the weights' data for reporting and
+    export (the graph never mutates a node's data, so it is not copied).
     """
     w = guidance_signal(o1, params)
     s = attention_scores(w, amap)
     a = normalize_scores(s, epsilon)
     x2 = attention_embedding(attend(a, amap))
-    return x2, AttentionWeights(s=s.data.copy(), a=a.data.copy(), epsilon=epsilon)
+    return x2, AttentionWeights(a=a.data)

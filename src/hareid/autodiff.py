@@ -13,12 +13,12 @@ stack along a leading axis, (B, H, W, C) and (B, h, w, d). The elementwise primi
 whose shape is a prefix of the other's along the remaining axes, such as a
 per-feature bias (H,) over the columns of an (H, B) stack.
 
-Every primitive builds its output through one lean constructor that sets the
-node's fields directly: float64 data (a 0-d array for a scalar), whether any
-parent needs a gradient, the parents, the op name and the backward rule. A
-Python number used as an operand, as in ``1.0 - z``, becomes a parentless
-constant the same way; it receives no gradient. ``Tensor(data)``,
-``parameter`` and ``constant`` make leaves.
+Every primitive takes tensors and builds its output through one lean
+constructor that sets the node's fields directly: float64 data (a 0-d array
+for a scalar), whether any parent needs a gradient, the parents, the op name
+and the backward rule. The operator sugar turns a Python-number operand, as
+in ``1.0 - z``, into a parentless constant built the same way; it receives no
+gradient. ``Tensor(data)``, ``parameter`` and ``constant`` make leaves.
 
 Tensors are treated as immutable once they participate in a graph; leaf data
 may be mutated between graphs (that is how the optimizer updates parameters).
@@ -26,7 +26,6 @@ may be mutated between graphs (that is how the optimizer updates parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,25 +64,25 @@ class Tensor:
 
     # Operator sugar; every overload maps onto one of the named primitives.
     def __add__(self, other):
-        return add(self, other)
+        return add(self, _as_tensor(other))
 
     def __radd__(self, other):
         return add(_as_tensor(other), self)
 
     def __sub__(self, other):
-        return sub(self, other)
+        return sub(self, _as_tensor(other))
 
     def __rsub__(self, other):
         return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
-        return mul(self, other)
+        return mul(self, _as_tensor(other))
 
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
     def __truediv__(self, other):
-        return div(self, other)
+        return div(self, _as_tensor(other))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -122,8 +121,8 @@ def _node(data, op: str, parents: tuple[Tensor, ...]) -> Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    """``x`` if it is a tensor; otherwise, a Python number as in ``1.0 - z``,
-    a parentless constant holding it."""
+    """An operator's other operand: ``x`` if it is a tensor; otherwise, a
+    Python number as in ``1.0 - z``, a parentless constant holding it."""
     if isinstance(x, Tensor):
         return x
     return _node(np.asarray(x, dtype=np.float64), "leaf", ())
@@ -138,33 +137,24 @@ def _add_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-@dataclass
-class Graph:
-    """Topologically ordered view of the tensors reachable from a root.
-
-    Every tensor's parents appear before the tensor itself.
-    """
-
-    nodes: list[Tensor]
-
-    @classmethod
-    def from_root(cls, root: Tensor) -> "Graph":
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node.parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return cls(order)
+def topological_order(root: Tensor) -> list[Tensor]:
+    """The tensors reachable from ``root``, each after all of its parents."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node.parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
 
 
 def backward(loss: Tensor) -> None:
@@ -176,9 +166,9 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    graph = Graph.from_root(loss)
+    order = topological_order(loss)
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(graph.nodes):
+    for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None
@@ -217,8 +207,7 @@ def _operands(x: Tensor, y: Tensor, op: str) -> tuple[np.ndarray, np.ndarray]:
                      "and neither is a prefix of the other")
 
 
-def add(x, y) -> Tensor:
-    x, y = _as_tensor(x), _as_tensor(y)
+def add(x: Tensor, y: Tensor) -> Tensor:
     xd, yd = _operands(x, y, "add")
     out = _node(xd + yd, "add", (x, y))
 
@@ -232,8 +221,7 @@ def add(x, y) -> Tensor:
     return out
 
 
-def sub(x, y) -> Tensor:
-    x, y = _as_tensor(x), _as_tensor(y)
+def sub(x: Tensor, y: Tensor) -> Tensor:
     xd, yd = _operands(x, y, "sub")
     out = _node(xd - yd, "sub", (x, y))
 
@@ -247,8 +235,7 @@ def sub(x, y) -> Tensor:
     return out
 
 
-def mul(x, y) -> Tensor:
-    x, y = _as_tensor(x), _as_tensor(y)
+def mul(x: Tensor, y: Tensor) -> Tensor:
     xd, yd = _operands(x, y, "mul")
     out = _node(xd * yd, "mul", (x, y))
 
@@ -262,8 +249,7 @@ def mul(x, y) -> Tensor:
     return out
 
 
-def div(x, y) -> Tensor:
-    x, y = _as_tensor(x), _as_tensor(y)
+def div(x: Tensor, y: Tensor) -> Tensor:
     xd, yd = _operands(x, y, "div")
     out = _node(xd / yd, "div", (x, y))
 
@@ -346,7 +332,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     one GEMM. The stacked case multiplies per-sample data, such as each
     sample's descriptors by that sample's guidance vector.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim not in (2, 3) or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
@@ -406,16 +391,18 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def scale_rows(x: Tensor, a: Tensor) -> Tensor:
-    """Multiply row i of x (m,d) by scalar a[i]; the attention weighting step."""
-    if x.data.ndim != 2 or a.data.ndim != 1 or x.shape[0] != a.shape[0]:
+    """Scale each row of x (..., d), a vector along the last axis, by its own
+    scalar in a, of shape x.shape[:-1]: the attention weighting step, where
+    a (B, h, w) weights the descriptors of a (B, h, w, d) map stack."""
+    if x.data.ndim < 1 or a.shape != x.shape[:-1]:
         raise ShapeError(f"scale_rows: shapes {x.shape} and {a.shape} do not align")
-    out = _node(x.data * a.data[:, None], "scale_rows", (x, a))
+    out = _node(x.data * a.data[..., None], "scale_rows", (x, a))
 
     def _bw(g):
         if x.requires_grad:
-            _add_grad(x, g * a.data[:, None])
+            _add_grad(x, g * a.data[..., None])
         if a.requires_grad:
-            _add_grad(a, np.sum(g * x.data, axis=1))
+            _add_grad(a, np.sum(g * x.data, axis=-1))
 
     out._backward = _bw
     return out

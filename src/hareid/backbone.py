@@ -49,16 +49,11 @@ class ConvStackConfig:
     stride: int = 1
     pool: bool = True
 
-    def output_shape(self, h: int, w: int) -> tuple[int, int, int]:
-        for _ in range(self.layers):
-            h = (h - self.kernel) // self.stride + 1
-            w = (w - self.kernel) // self.stride + 1
-            if h < 1 or w < 1:
-                raise ConfigError(f"conv stack reduces a {h}x{w} map below 1x1 "
-                                  f"(kernel {self.kernel}, stride {self.stride})")
-            if self.pool:
-                h, w = (h + 1) // 2, (w + 1) // 2
-        return h, w, self.channels
+    def __post_init__(self):
+        for name in ("layers", "kernel", "channels", "in_channels", "stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"conv stack {name} must be at least 1, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass

@@ -361,7 +361,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--track-agg", choices=("max", "mean"), default="max")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval, descriptors=None)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every variant")
     add_common(p)
@@ -398,7 +398,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--gallery-size", type=int, default=0)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--eval-seed", type=int, default=0)
-    p.set_defaults(func=cmd_ablate, seed=0)
+    p.set_defaults(func=cmd_ablate)
 
     return parser, {sp.prog.split()[-1]: sp for sp in subcommands}
 
@@ -437,12 +437,16 @@ def main(argv=None) -> int:
             command = commands[args.command]
             command.set_defaults(**_config_defaults(args.config, command))
             args = parser.parse_args(argv)
-        if "HAR_SEED" in os.environ and hasattr(args, "seed"):
+        if "HAR_SEED" in os.environ and (hasattr(args, "seed") or hasattr(args, "seeds")):
             try:
-                args.seed = int(os.environ["HAR_SEED"])
+                seed = int(os.environ["HAR_SEED"])
             except ValueError:
                 raise ConfigError(f"HAR_SEED must be an integer, got "
                                   f"{os.environ['HAR_SEED']!r}") from None
+            if hasattr(args, "seeds"):  # ablate: train and evaluate with the one seed
+                args.seeds, args.eval_seed = str(seed), seed
+            else:
+                args.seed = seed
         return args.func(args)
     except (HareidError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

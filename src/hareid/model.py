@@ -61,6 +61,10 @@ class ModelConfig:
             raise ConfigError("class counts and dimensions must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not np.isfinite(self.input_gain):
+            raise ConfigError(f"input_gain must be finite, got {self.input_gain}")
         if self.attn_hidden < 0:
             raise ConfigError(f"attn_hidden must be >= 0 (0 means hidden // 2), "
                               f"got {self.attn_hidden}")
@@ -158,8 +162,7 @@ class ForwardResult:
 
         weights = self.attention
         if weights is not None:
-            weights = att.AttentionWeights(s=weights.s[0], a=weights.a[0],
-                                           epsilon=weights.epsilon)
+            weights = att.AttentionWeights(a=weights.a[0])
         return ForwardResult(x1=column(self.x1), o1=column(self.o1), o2=column(self.o2),
                              logits_model=column(self.logits_model),
                              logits_vehicle=column(self.logits_vehicle), attention=weights)
@@ -208,9 +211,7 @@ class Model:
         """The (B, h, w, d) map stack of a batch of inputs, and whether the
         input was a single sample (an (h, w, d) map or an (H, W, C) image,
         run as a batch of one)."""
-        if isinstance(inp, ActivationMap):
-            amap = inp
-        elif self.conv_params is not None:
+        if self.conv_params is not None:
             amap = conv_forward(inp, self.conv_params)
         else:
             amap = ActivationMap(Tensor(np.asarray(inp, dtype=np.float64)))

@@ -173,7 +173,7 @@ class TestPipeline:
         arr[1, 2] = 10.0
         s = att.attention_scores(ad.constant([1.0, 1.0]), make_map(arr))
         a = att.normalize_scores(s)
-        weights = att.AttentionWeights(s=s.data, a=a.data, epsilon=0.1)
+        weights = att.AttentionWeights(a=a.data)
         assert weights.argmax_cell() == (1, 2)
         others = np.delete(a.data.reshape(-1), 1 * 3 + 2)
         assert np.all(a.data[1, 2] > others)
@@ -221,7 +221,6 @@ class TestPipeline:
             w = params.apply(ad.constant(o1[:, i:i + 1])).data[:, 0]
             s = att.attention_scores(ad.constant(w), make_map(maps[i]))
             a = att.normalize_scores(s)
-            np.testing.assert_allclose(weights.s[i], s.data, rtol=1e-14)
             np.testing.assert_allclose(weights.a[i], a.data, rtol=1e-14)
             np.testing.assert_allclose(
                 x2.data[:, i], att.attention_embedding(att.attend(a, make_map(maps[i]))).data,

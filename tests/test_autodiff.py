@@ -115,6 +115,22 @@ class TestBinary:
             ad.mul(ad.constant(np.ones((2, 3))), ad.constant(np.ones(3)))
 
 
+class TestScaleRows:
+    def test_each_row_scaled_by_its_weight(self):
+        rng = np.random.default_rng(2)
+        x, a = rand(rng, 3, 2, 2, 4), rand(rng, 3, 2, 2)
+        out = ad.scale_rows(ad.constant(x), ad.constant(a)).data
+        for idx in np.ndindex(a.shape):
+            np.testing.assert_array_equal(out[idx], x[idx] * a[idx])
+
+    def test_misaligned_weights(self):
+        # The weights must have exactly the leading shape of x.
+        x = ad.constant(np.ones((3, 2, 2, 4)))
+        for shape in [(3, 2), (2, 2, 3), (3, 2, 2, 4), (12,)]:
+            with pytest.raises(ShapeError, match=r"scale_rows"):
+                ad.scale_rows(x, ad.constant(np.ones(shape)))
+
+
 class TestGlobalAveragePool:
     def test_constant_map(self):
         out = ad.global_average_pool(ad.constant(np.full((3, 2, 4), 7.5)))
@@ -233,10 +249,10 @@ class TestBackward:
 
     def test_topological_order(self):
         x = ad.parameter(1.0)
-        y = ad.mul(ad.add(x, 1.0), ad.sigmoid(x))
-        graph = ad.Graph.from_root(y)
-        pos = {id(n): i for i, n in enumerate(graph.nodes)}
-        for node in graph.nodes:
+        y = ad.mul(x + 1.0, ad.sigmoid(x))
+        order = ad.topological_order(y)
+        pos = {id(n): i for i, n in enumerate(order)}
+        for node in order:
             for parent in node.parents:
                 assert pos[id(parent)] < pos[id(node)]
 
@@ -260,12 +276,13 @@ def op_table(rng, leaf):
         "add": lambda: ad.add(x, v),
         "sub": lambda: ad.sub(v, ad.mul(x, x)),
         "mul": lambda: ad.mul(x, v),
-        "div": lambda: ad.div(x, ad.add(ad.mul(v, v), 3.0)),
+        "div": lambda: ad.div(x, ad.mul(v, v) + 3.0),
         "matmul": lambda: ad.matmul(w, x),
         "stacked matmul": lambda: ad.matmul(
             ad.reshape(maps, (3, 4, 4)), ad.reshape(ad.transpose(x), (3, 4, 1))),
         "gap": lambda: ad.global_average_pool(maps),
         "scale_rows": lambda: ad.scale_rows(ad.reshape(maps, (12, 4)), ad.reshape(x, (12,))),
+        "scale_rows over a map stack": lambda: ad.scale_rows(maps, ad.reshape(x, (3, 2, 2))),
         "reshape": lambda: ad.reshape(x, (3, 4)),
         "transpose": lambda: ad.transpose(x),
         "sum": lambda: ad.tsum(maps, keep=1),

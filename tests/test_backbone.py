@@ -23,7 +23,6 @@ class TestConvStack:
     def test_default_16x16_lands_on_2x2x32(self):
         cfg = backbone.ConvStackConfig()
         assert stack_shape_oracle(16, 16, 3, 2, 1, True, 32) == (2, 2, 32)
-        assert cfg.output_shape(16, 16) == (2, 2, 32)
         params = backbone.ConvStackParams.init(cfg, np.random.default_rng(0))
         amap = backbone.conv_forward(np.random.default_rng(1).uniform(size=(16, 16, 1)), params)
         assert amap.shape == (2, 2, 32)
@@ -40,14 +39,20 @@ class TestConvStack:
             expected = stack_shape_oracle(size, size, layers, kernel, stride, pool, channels)
             cfg = backbone.ConvStackConfig(layers=layers, kernel=kernel, channels=channels,
                                            stride=stride, pool=pool)
-            if expected is None:
-                with pytest.raises(ConfigError):
-                    cfg.output_shape(size, size)
-                continue
-            assert cfg.output_shape(size, size) == expected
             params = backbone.ConvStackParams.init(cfg, rng)
-            amap = backbone.conv_forward(rng.uniform(size=(size, size, 1)), params)
-            assert amap.shape == expected
+            image = rng.uniform(size=(size, size, 1))
+            if expected is None:
+                # A valid conv leaves h < 1 exactly when its input has h < kernel.
+                with pytest.raises(ShapeError):
+                    backbone.conv_forward(image, params)
+                continue
+            assert backbone.conv_forward(image, params).shape == expected
+
+    @pytest.mark.parametrize("name", ["layers", "kernel", "channels", "in_channels", "stride"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_settings_below_one_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            backbone.ConvStackConfig(**{name: value})
 
     def test_zero_image_zero_bias_gives_zero_map(self):
         cfg = backbone.ConvStackConfig(layers=2, channels=3)

@@ -281,28 +281,41 @@ class TestTrain:
 
 
     @staticmethod
-    def train_on_bad_image(tmp_path, capsys, content: bytes) -> str:
-        """`train --backbone conv` with one bad training image; its one error line."""
+    def train_conv_error(tmp_path, capsys, bad_image: bytes | None = None,
+                         flags=()) -> str:
+        """`train --backbone conv` that fails on one bad training image or on
+        ``flags``; its one error line."""
         formats.write_pgm(tmp_path / "good.pgm", np.zeros((8, 8), dtype=np.uint8))
-        (tmp_path / "bad.pgm").write_bytes(content)
+        second = "good.pgm"
+        if bad_image is not None:
+            (tmp_path / "bad.pgm").write_bytes(bad_image)
+            second = "bad.pgm"
         (tmp_path / "manifest.csv").write_text(
             "split,source,vehicle_id,model_id\ntrain,good.pgm,v0,m0\n"
-            "train,bad.pgm,v1,m0\ntest,good.pgm,t0,m0\n")
+            f"train,{second},v1,m0\ntest,good.pgm,t0,m0\n")
         assert run(["train", "--manifest", str(tmp_path / "manifest.csv"),
                     "--image-root", str(tmp_path), "--backbone", "conv",
-                    "--conv-layers", "2", "--conv-channels", "4",
+                    "--conv-layers", "2", "--conv-channels", "4", *flags,
                     "--out-dir", str(tmp_path / "run"), "--hidden", "6", "--epochs", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
     def test_non_numeric_image_header_is_format_error(self, tmp_path, capsys):
-        assert "x8" in self.train_on_bad_image(tmp_path, capsys,
-                                               b"P2\n8 x8\n255\n" + b"0 " * 64)
+        assert "x8" in self.train_conv_error(tmp_path, capsys,
+                                             b"P2\n8 x8\n255\n" + b"0 " * 64)
 
     def test_image_sample_above_maxval_is_format_error(self, tmp_path, capsys):
-        err = self.train_on_bad_image(tmp_path, capsys, b"P5\n8 8\n10\n" + bytes([200] * 64))
+        err = self.train_conv_error(tmp_path, capsys, b"P5\n8 8\n10\n" + bytes([200] * 64))
         assert "above maxval 10" in err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--conv-kernel", "0", "kernel"), ("--conv-kernel", "-1", "kernel"),
+        ("--conv-in-channels", "0", "in_channels"), ("--conv-layers", "0", "layers"),
+        ("--conv-channels", "0", "channels")])
+    def test_conv_setting_below_one_is_config_error(self, tmp_path, capsys, flag, value, name):
+        err = self.train_conv_error(tmp_path, capsys, flags=(flag, value))
+        assert f"conv stack {name} must be at least 1, got {value}" in err
 
 
 @pytest.mark.parametrize("case", ["samples", "seeds", "manifest", "config"])
@@ -380,6 +393,24 @@ class TestExtract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'seed'" in err
 
+
+    def test_checkpoint_conv_stride_zero_is_format_error(self, tmp_path, capsys):
+        formats.write_pgm(tmp_path / "a.pgm", np.zeros((8, 8), dtype=np.uint8))
+        (tmp_path / "manifest.csv").write_text(
+            "split,source,vehicle_id,model_id\ntrain,a.pgm,v0,m0\ntest,a.pgm,t0,m0\n")
+        common = ["--manifest", str(tmp_path / "manifest.csv"), "--image-root", str(tmp_path)]
+        assert run(["train", *common, "--backbone", "conv", "--conv-layers", "2",
+                    "--conv-channels", "4", "--out-dir", str(tmp_path / "run"),
+                    "--hidden", "6", "--epochs", "0"]) == 0
+        raw = (tmp_path / "run" / "checkpoint.ckpt").read_bytes()
+        assert raw.count(b"\nconv=2,2,4,1,1,1\n") == 1
+        ckpt = tmp_path / "stride0.ckpt"
+        ckpt.write_bytes(raw.replace(b"\nconv=2,2,4,1,1,1\n", b"\nconv=2,2,4,1,0,1\n"))
+        assert run(["extract", "--checkpoint", str(ckpt), *common,
+                    "--out", str(tmp_path / "f.feat")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'conv'" in err
 
     @pytest.mark.parametrize("corrupt", ["config_byte", "tensor_rank"])
     def test_corrupt_checkpoint_is_format_error(self, tiny_set, tiny_run, tmp_path, capsys,
@@ -574,6 +605,22 @@ class TestAttmap:
 
 
 class TestAblate:
+    def test_har_seed_sets_the_seed_and_eval_seed(self, tiny_set, tmp_path, monkeypatch):
+        # HAR_SEED=2 runs exactly what --seeds 2 --eval-seed 2 runs.
+        def ablate(out, *flags):
+            assert run(["ablate", "--manifest", str(tiny_set / "manifest.csv"),
+                        "--descriptors", str(tiny_set / "descriptors.desc"),
+                        "--out-dir", str(out), "--hidden", "8", "--epochs", "1",
+                        "--batch-size", "8", "--repeats", "2", *flags]) == 0
+            return (out / "ablation.json").read_bytes()
+
+        explicit = ablate(tmp_path / "explicit", "--seeds", "2", "--eval-seed", "2")
+        monkeypatch.setenv("HAR_SEED", "2")
+        from_env = ablate(tmp_path / "env", "--seeds", "0,1", "--eval-seed", "0")
+        assert from_env == explicit
+        results = json.loads(from_env)
+        assert all([r["seed"] for r in results[v]["per_seed"]] == [2] for v in results)
+
     def test_tiny_ablation_table(self, tiny_set, tmp_path, capsys):
         out = tmp_path / "ablate"
         assert run(["ablate", "--manifest", str(tiny_set / "manifest.csv"),

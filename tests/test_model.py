@@ -203,7 +203,7 @@ class TestZeroStateStep:
         labels = np.arange(batch)
         total, _, _ = model.loss(inputs, labels % 3, labels % 6)
         state_side = {id(model.gru.w_hz), id(model.gru.w_hr), id(model.gru.w_hg)}
-        products = [n for n in ad.Graph.from_root(total).nodes
+        products = [n for n in ad.topological_order(total)
                     if n.op == "matmul" and any(id(p) in state_side for p in n.parents)]
         assert len(products) == 3
 
@@ -236,6 +236,31 @@ class TestZeroStateStep:
         assert total == explicit_total
         for name in grads:
             assert np.array_equal(grads[name], explicit_grads[name]), name
+
+
+class TestGraphSize:
+    def test_extraction_builds_46_op_nodes(self, monkeypatch):
+        # A single map: its reshape to a batch of one, two poolings, the two
+        # GRU steps and the attention chain, whose weighting is one node.
+        model = Model(small_config(seed=34))
+        ops = []
+        node = ad._node
+
+        def counting(data, op, parents):
+            if parents:
+                ops.append(op)
+            return node(data, op, parents)
+
+        monkeypatch.setattr(ad, "_node", counting)
+        model.extract_feature(random_map(np.random.default_rng(35), h=2, w=3))
+        assert len(ops) == 46 and ops.count("scale_rows") == 1
+
+    def test_rnn_ha_loss_graph_of_64_samples_has_79_nodes(self):
+        model = Model(small_config(seed=36))
+        inputs = np.random.default_rng(37).uniform(-1.0, 1.0, size=(64, 2, 3, 4))
+        labels = np.arange(64)
+        total, _, _ = model.loss(inputs, labels % 3, labels % 6)
+        assert len(ad.topological_order(total)) == 79
 
 
 class TestGradientSeparation:
@@ -321,6 +346,21 @@ class TestConfigText:
         lines = [f"{key}={value}" if l.startswith(f"{key}=") else l
                  for l in text.splitlines()]
         with pytest.raises(FormatError, match=f"'{key}'"):
+            ModelConfig.from_text("\n".join(lines))
+
+
+    def test_zero_conv_stride_is_format_error(self):
+        text = small_config(backbone="conv").to_text()
+        assert "conv=3,2,4,1,1,1" in text
+        with pytest.raises(FormatError, match="'conv'"):
+            ModelConfig.from_text(text.replace("conv=3,2,4,1,1,1", "conv=3,2,4,1,0,1"))
+
+    @pytest.mark.parametrize("key,value", [("epsilon", "nan"), ("epsilon", "inf"),
+                                           ("epsilon", "0.0"), ("input_gain", "nan")])
+    def test_non_finite_or_non_positive_scale_is_format_error(self, key, value):
+        lines = [f"{key}={value}" if l.startswith(f"{key}=") else l
+                 for l in small_config().to_text().splitlines()]
+        with pytest.raises(FormatError, match=f"inconsistent: {key}"):
             ModelConfig.from_text("\n".join(lines))
 
 
