@@ -90,8 +90,8 @@ def attention_embedding(attended: Tensor) -> Tensor:
     return global_average_pool(attended)
 
 
-def attention_pipeline(o1: Tensor, amap: ActivationMap, params: Mlp,
-                       epsilon: float = DEFAULT_EPSILON) -> tuple[Tensor, AttentionWeights]:
+def attention_pipeline(o1: Tensor, amap: ActivationMap,
+                       params: Mlp) -> tuple[Tensor, AttentionWeights]:
     """Full guidance -> scores -> normalize -> attend -> embed chain over a
     batch: o1 (H, B) and maps (B, h, w, d) give x2 (d, B).
 
@@ -100,6 +100,6 @@ def attention_pipeline(o1: Tensor, amap: ActivationMap, params: Mlp,
     """
     w = guidance_signal(o1, params)
     s = attention_scores(w, amap)
-    a = normalize_scores(s, epsilon)
+    a = normalize_scores(s)
     x2 = attention_embedding(attend(a, amap))
     return x2, AttentionWeights(a=a.data)

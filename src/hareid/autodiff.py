@@ -474,8 +474,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # Convolution-stack primitives
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """Valid 2-D convolution of x (..., H, W, Cin) with kernel (kh,kw,Cin,Cout).
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Valid stride-1 2-D convolution of x (..., H, W, Cin) with kernel (kh,kw,Cin,Cout).
 
     Leading axes are a batch of images: the windows of all of them meet the
     kernel in one GEMM, whose backward sums the kernel gradient over the batch.
@@ -490,17 +490,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                          f"(shapes {x.shape}, {kernel.shape})")
     if bias.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({cout},)")
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    if h < kh or w < kw or oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d: input {x.shape} too small for kernel {kernel.shape} "
-                         f"at stride {stride}")
+    if h < kh or w < kw:
+        raise ShapeError(f"conv2d: input {x.shape} too small for kernel {kernel.shape}")
+    oh, ow = h - kh + 1, w - kw + 1
 
     cols = np.empty((*batch, oh, ow, kh, kw, cin))
     for i in range(kh):
         for j in range(kw):
-            cols[..., i, j, :] = x.data[..., i:i + oh * stride:stride,
-                                        j:j + ow * stride:stride, :]
+            cols[..., i, j, :] = x.data[..., i:i + oh, j:j + ow, :]
     flat = cols.reshape(-1, kh * kw * cin)
     y = (flat @ kernel.data.reshape(-1, cout) + bias.data).reshape(*batch, oh, ow, cout)
     out = _node(y, "conv2d", (x, kernel, bias))
@@ -514,8 +511,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             dx = np.zeros_like(x.data)
             for i in range(kh):
                 for j in range(kw):
-                    dx[..., i:i + oh * stride:stride,
-                       j:j + ow * stride:stride, :] += dcols[..., i, j, :]
+                    dx[..., i:i + oh, j:j + ow, :] += dcols[..., i, j, :]
             _add_grad(x, dx)
 
     out._backward = _bw

@@ -36,21 +36,20 @@ class ActivationMap:
 
 @dataclass
 class ConvStackConfig:
-    """conv -> ReLU -> 2x2 max-pool, repeated `layers` times, valid padding.
+    """conv -> ReLU -> 2x2 max-pool, repeated `layers` times: every convolution
+    is valid with stride 1, and every pool is ceil-mode 2x2 with stride 2.
 
-    With the defaults (three 2x2 valid convolutions, each followed by a
-    ceil-mode 2x2 pool) a 16x16 input lands on a 2x2 spatial grid.
+    With the defaults (three 2x2 convolutions) a 16x16 input lands on a 2x2
+    spatial grid. ``in_channels`` is the images' channel count.
     """
 
     layers: int = 3
     kernel: int = 2
     channels: int = 32
     in_channels: int = 1
-    stride: int = 1
-    pool: bool = True
 
     def __post_init__(self):
-        for name in ("layers", "kernel", "channels", "in_channels", "stride"):
+        for name in ("layers", "kernel", "channels", "in_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"conv stack {name} must be at least 1, "
                                   f"got {getattr(self, name)}")
@@ -94,7 +93,5 @@ def conv_forward(image, params: ConvStackParams) -> ActivationMap:
         raise ShapeError(f"image has {x.shape[-1]} channels, stack expects "
                          f"{params.config.in_channels}")
     for k, b in zip(params.kernels, params.biases):
-        x = relu(conv2d(x, k, b, stride=params.config.stride))
-        if params.config.pool:
-            x = max_pool2(x)
+        x = max_pool2(relu(conv2d(x, k, b)))
     return ActivationMap(x)

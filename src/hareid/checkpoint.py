@@ -10,8 +10,8 @@ Layout (all integers little-endian):
     uint32 n_params, then per tensor:
         uint32 name_len, name utf-8, uint32 ndim, uint32 dims..., float64 data
     uint8 has_optimizer, and if set:
-        float64 alpha, float64 delta, then the squared-gradient averages in
-        the same named-tensor record format.
+        float64 alpha, float64 delta (must equal ``optim.ALPHA``, ``optim.DELTA``),
+        then the squared-gradient averages in the same named-tensor record format.
 
 Saving a loaded checkpoint reproduces the file byte for byte. A save writes
 a temporary file and renames it over the path, so a failed save leaves the
@@ -32,7 +32,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import FormatError
 from .model import ModelConfig
-from .optim import RmspropState
+from .optim import ALPHA, DELTA, RmspropState
 
 MAGIC = b"CKPT1\n"
 VERSION = 1
@@ -104,7 +104,7 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor | np.nda
                 f.write(struct.pack("<B", 0))
             else:
                 f.write(struct.pack("<B", 1))
-                f.write(struct.pack("<dd", opt.alpha, opt.delta))
+                f.write(struct.pack("<dd", ALPHA, DELTA))
                 for name in params:
                     _write_named(f, name, opt.v[name])
         os.replace(tmp, path)
@@ -130,8 +130,10 @@ def load_checkpoint(path) -> Checkpoint:
         opt = None
         if has_opt:
             alpha, delta = struct.unpack("<dd", _read_exact(f, 16, "optimizer constants"))
-            v = dict(_read_named(f) for _ in range(n_params))
-            opt = RmspropState(alpha=alpha, delta=delta, v=v)
+            if (alpha, delta) != (ALPHA, DELTA):
+                raise FormatError(f"{path}: optimizer alpha, delta are {alpha!r}, {delta!r}; "
+                                  f"expected {ALPHA!r}, {DELTA!r}")
+            opt = RmspropState(v=dict(_read_named(f) for _ in range(n_params)))
         trailing = f.read(1)
         if trailing:
             raise FormatError(f"{path}: trailing bytes after checkpoint payload")

@@ -108,6 +108,7 @@ def cmd_train(args) -> int:
     schedule = _schedule_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    items = data.training_items(split, maps, image_root=args.image_root)
 
     if args.resume:
         model, ckpt = _model_from_checkpoint(args.resume)
@@ -117,10 +118,11 @@ def cmd_train(args) -> int:
         seed = ckpt.seed
     else:
         if args.backbone == "conv":
+            # The images set the input channels; train() refuses an empty set.
             conv = backbone.ConvStackConfig(layers=args.conv_layers,
                                             kernel=args.conv_kernel,
                                             channels=args.conv_channels,
-                                            in_channels=args.conv_in_channels)
+                                            in_channels=items[0][0].shape[-1] if items else 1)
             d = conv.channels
         else:
             conv = None
@@ -140,7 +142,6 @@ def cmd_train(args) -> int:
         raise ConfigError(f"checkpoint expects {config.num_models}/{config.num_vehicles} "
                           f"classes, manifest has {split.num_models}/{split.num_vehicles}")
 
-    items = data.training_items(split, maps, image_root=args.image_root)
     if state is None:
         state = RmspropState.init(model.params())
     loss_path, ckpt_path = out_dir / "loss.csv", out_dir / "checkpoint.ckpt"
@@ -331,7 +332,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--conv-layers", type=int, default=3)
     p.add_argument("--conv-kernel", type=int, default=2)
     p.add_argument("--conv-channels", type=int, default=32)
-    p.add_argument("--conv-in-channels", type=int, default=1)
     p.add_argument("--hidden", type=int, default=1024)
     p.add_argument("--attn-hidden", type=int, default=0, help="0 = hidden // 2")
     add_schedule(p)

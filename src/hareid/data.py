@@ -11,12 +11,12 @@ fine structure. Every image of a model-m vehicle seen by camera c is
     f[i,j] = pattern_m + view_c[i,j] + noise        at every cell, plus
     f[cell_v] += signature_v                        at the vehicle's own cell.
 
-* ``pattern_m`` is a per-model vector repeated over the whole grid, so
+* ``pattern_m`` is a per-model unit vector repeated over the whole grid, so
   global average pooling preserves it at full strength: coarse labels are
   decidable from the pooled embedding alone.
-* ``signature_v`` (the "windshield sticker") is written into one fixed cell
-  per vehicle, so pooling attenuates it by 1/(h*w): fine identity needs the
-  attended embedding. Sticker contents come from a shared bank of base
+* ``signature_v`` (the "windshield sticker", of norm ``SIGNATURE_AMPLITUDE``)
+  is written into one fixed cell per vehicle, so pooling attenuates it by
+  1/(h*w): fine identity needs the attended embedding. Sticker contents come from a shared bank of base
   directions, each a mix of one positive-cone component (common to every
   sticker, so a detector trained on seen vehicles also fires on unseen ones)
   and one near-orthogonal residual (so different stickers are far apart).
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError
 from .optim import rng_for
 
 
@@ -132,6 +132,8 @@ def write_manifest(path, split: DatasetSplit) -> None:
 # ---------------------------------------------------------------------------
 # Synthetic data
 
+SIGNATURE_AMPLITUDE = 3.0  # the norm of every sticker; model patterns are unit
+
 
 @dataclass
 class SynthConfig:
@@ -142,8 +144,6 @@ class SynthConfig:
     d: int = 16
     cameras: int = 4
     noise_sigma: float = 0.1
-    pattern_amplitude: float = 1.0
-    signature_amplitude: float = 3.0
     view_amplitude: float = 0.5
     signature_jitter: float = 0.1
     signature_cone: float = 0.6  # shared-cone weight of the sticker bank
@@ -181,8 +181,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
     g, d = config.grid, config.d
     per_model = 2 * config.vehicles_per_model  # train bank then test bank
 
-    patterns = np.stack([_unit(rng.normal(size=d)) * config.pattern_amplitude
-                         for _ in range(config.models)])
+    patterns = np.stack([_unit(rng.normal(size=d)) for _ in range(config.models)])
     # Sticker residuals wrap modulo d, so bases stay distinct within a split
     # as long as vehicles_per_model <= d.
     cone = np.ones(d) / np.sqrt(d)
@@ -208,7 +207,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
                 model_id = f"mod{m}"
                 sig = _unit(sticker_bank[slot]
                             + config.signature_jitter * rng.normal(size=d))
-                sig = sig * config.signature_amplitude
+                sig = sig * SIGNATURE_AMPLITUDE
                 cell = int(cells[m, slot])
                 row, col = cell // g, cell % g
                 signature_cells[vehicle_id] = (row, col)
@@ -239,7 +238,7 @@ def write_synth(ds: SynthDataset, out_dir) -> dict[str, Path]:
              "descriptors": out / "descriptors.desc",
              "signatures": out / "signatures.csv"}
     write_manifest(paths["manifest"], ds.split)
-    formats.write_tensor_file(paths["descriptors"], list(ds.maps))
+    formats.write_tensor_file(paths["descriptors"], ds.maps)
     with open(paths["signatures"], "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["vehicle_id", "signature_row", "signature_col"])
@@ -269,8 +268,12 @@ def sample_input(sample: LabeledSample, maps: np.ndarray | None = None,
 
 def training_items(split: DatasetSplit, maps: np.ndarray | None = None,
                    image_root=None) -> list[tuple[np.ndarray, int, int]]:
+    """(input, model label, vehicle label) per training sample, inputs of one shape."""
     items = []
     for sample in split.train:
-        y_model, y_vehicle = split.labels(sample)
-        items.append((sample_input(sample, maps, image_root), y_model, y_vehicle))
+        x = sample_input(sample, maps, image_root)
+        if items and x.shape != items[0][0].shape:
+            raise ShapeError(f"training sample {len(items)} ({sample.source}) has input "
+                             f"shape {x.shape}, sample 0 has {items[0][0].shape}")
+        items.append((x, *split.labels(sample)))
     return items

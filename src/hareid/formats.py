@@ -54,16 +54,13 @@ def _read_block(path, magic: bytes) -> np.ndarray:
     return data.reshape(n, h, w, d)
 
 
-def write_tensor_file(path, maps) -> None:
-    """Write a batch of equally shaped (h, w, d) arrays as a DESC1 file."""
-    maps = [np.asarray(m, dtype=np.float64) for m in maps]
-    if not maps:
+def write_tensor_file(path, maps: np.ndarray) -> None:
+    """Write an (n, h, w, d) stack of maps as a DESC1 file."""
+    if maps.ndim != 4:
+        raise FormatError(f"tensor file needs an (n, h, w, d) stack, got shape {maps.shape}")
+    if not len(maps):
         raise FormatError("refusing to write an empty tensor file")
-    shape = maps[0].shape
-    for m in maps:
-        if m.shape != shape or m.ndim != 3:
-            raise FormatError(f"inconsistent map shapes: {shape} vs {m.shape}")
-    _write_block(path, np.stack(maps), DESC_MAGIC)
+    _write_block(path, maps, DESC_MAGIC)
 
 
 def read_tensor_file(path) -> np.ndarray:

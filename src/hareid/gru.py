@@ -68,14 +68,13 @@ class GruParams:
     b_g: Tensor
 
     @classmethod
-    def init(cls, input_dim: int, hidden: int, rng: np.random.Generator,
-             input_gain: float = DEFAULT_INPUT_GAIN) -> "GruParams":
+    def init(cls, input_dim: int, hidden: int, rng: np.random.Generator) -> "GruParams":
         return cls(
-            w_xz=uniform_weight(hidden, input_dim, rng, input_gain),
+            w_xz=uniform_weight(hidden, input_dim, rng, DEFAULT_INPUT_GAIN),
             w_hz=uniform_weight(hidden, hidden, rng), b_z=parameter(np.zeros(hidden)),
-            w_xr=uniform_weight(hidden, input_dim, rng, input_gain),
+            w_xr=uniform_weight(hidden, input_dim, rng, DEFAULT_INPUT_GAIN),
             w_hr=uniform_weight(hidden, hidden, rng), b_r=parameter(np.zeros(hidden)),
-            w_xg=uniform_weight(hidden, input_dim, rng, input_gain),
+            w_xg=uniform_weight(hidden, input_dim, rng, DEFAULT_INPUT_GAIN),
             w_hg=uniform_weight(hidden, hidden, rng), b_g=parameter(np.zeros(hidden)),
         )
 

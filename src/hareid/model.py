@@ -9,7 +9,8 @@ Three variants share the surrounding plumbing:
 
 Training runs the whole chain and both heads (``Model.forward``); extraction
 (``Model.extract_feature``) stops after the fine step, without the heads,
-and l2-normalizes o2.
+and l2-normalizes o2. The attention's ``attention.DEFAULT_EPSILON`` and the input
+gain ``gru.DEFAULT_INPUT_GAIN`` are constants, recorded in the config text and checked.
 
 Parameter registration order is fixed (conv stack, recurrent or fc block,
 model head, vehicle head, attention net) so that, for one seed, variants
@@ -31,11 +32,12 @@ from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp
 
 VARIANTS = ("rnn_ha", "fc_ha", "rnn_h_no_attention")
 
-# Checkpoint config text: one key=value line per field in this order, parsed
-# back with the given type, then an optional conv line.
+# Checkpoint config text: one key=value line per key in this order, parsed
+# back with the given type (a constant must hold its value), then an optional conv line.
 _TEXT_FIELDS = {"variant": str, "num_models": int, "num_vehicles": int, "d": int,
                 "hidden": int, "attn_hidden": int, "backbone": str, "epsilon": float,
                 "input_gain": float, "seed": int}
+_TEXT_CONSTANTS = {"epsilon": att.DEFAULT_EPSILON, "input_gain": DEFAULT_INPUT_GAIN}
 
 
 @dataclass
@@ -47,8 +49,6 @@ class ModelConfig:
     hidden: int = 1024
     attn_hidden: int = 0  # 0 means hidden // 2
     backbone: str = "ingested"  # ingested | conv
-    epsilon: float = att.DEFAULT_EPSILON
-    input_gain: float = DEFAULT_INPUT_GAIN
     seed: int = 0
     conv: ConvStackConfig | None = None
 
@@ -61,10 +61,6 @@ class ModelConfig:
             raise ConfigError("class counts and dimensions must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if not np.isfinite(self.input_gain):
-            raise ConfigError(f"input_gain must be finite, got {self.input_gain}")
         if self.attn_hidden < 0:
             raise ConfigError(f"attn_hidden must be >= 0 (0 means hidden // 2), "
                               f"got {self.attn_hidden}")
@@ -80,10 +76,12 @@ class ModelConfig:
         return self.attn_hidden if self.attn_hidden > 0 else max(1, self.hidden // 2)
 
     def to_text(self) -> str:
-        lines = [f"{key}={getattr(self, key)}" for key in _TEXT_FIELDS]
+        values = {**vars(self), **_TEXT_CONSTANTS}
+        lines = [f"{key}={values[key]}" for key in _TEXT_FIELDS]
         if self.conv is not None:
+            # The last two fields record the fixed stride and pooling: 1, 1.
             lines.append(f"conv={self.conv.layers},{self.conv.kernel},{self.conv.channels},"
-                         f"{self.conv.in_channels},{self.conv.stride},{int(self.conv.pool)}")
+                         f"{self.conv.in_channels},1,1")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -108,12 +106,17 @@ class ModelConfig:
         def conv_stack(value):
             layers, kernel, channels, in_channels, stride, pool = (int(v) for v in
                                                                    value.split(","))
+            if (stride, pool) != (1, 1):  # the stack's fixed stride and pooling
+                raise ValueError
             return ConvStackConfig(layers=layers, kernel=kernel, channels=channels,
-                                   in_channels=in_channels, stride=stride, pool=bool(pool))
+                                   in_channels=in_channels)
 
+        values = {key: field(key, parse) for key, parse in _TEXT_FIELDS.items()}
+        for key, value in _TEXT_CONSTANTS.items():
+            if values.pop(key) != value:
+                raise FormatError(f"model config key {key!r} must be {value}, got {kv[key]!r}")
         try:
-            return cls(**{key: field(key, parse) for key, parse in _TEXT_FIELDS.items()},
-                       conv=field("conv", conv_stack) if "conv" in kv else None)
+            return cls(**values, conv=field("conv", conv_stack) if "conv" in kv else None)
         except ConfigError as exc:
             raise FormatError(f"model config is inconsistent: {exc}") from None
 
@@ -178,11 +181,11 @@ class Model:
         if config.backbone == "conv":
             self.conv_params = ConvStackParams.init(config.conv, rng)
         if config.variant == "fc_ha":
-            self.fc1 = Mlp.init(config.d, config.hidden, config.hidden, rng, config.input_gain)
-            self.fc2 = Mlp.init(config.d, config.hidden, config.hidden, rng, config.input_gain)
+            self.fc1 = Mlp.init(config.d, config.hidden, config.hidden, rng, DEFAULT_INPUT_GAIN)
+            self.fc2 = Mlp.init(config.d, config.hidden, config.hidden, rng, DEFAULT_INPUT_GAIN)
             self.gru: GruParams | None = None
         else:
-            self.gru = GruParams.init(config.d, config.hidden, rng, config.input_gain)
+            self.gru = GruParams.init(config.d, config.hidden, rng)
         self.head_model = ClassifierHead.init(config.num_models, config.hidden, rng)
         self.head_vehicle = ClassifierHead.init(config.num_vehicles, config.hidden, rng)
         self.attn: Mlp | None = None
@@ -236,7 +239,7 @@ class Model:
         if self.attn is None:
             x2, attention = x1, None
         else:
-            x2, attention = att.attention_pipeline(o1, amap, self.attn, self.config.epsilon)
+            x2, attention = att.attention_pipeline(o1, amap, self.attn)
         if self.gru is None:
             o2 = self.fc2.apply(x2)
         else:

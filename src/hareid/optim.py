@@ -5,12 +5,12 @@ The optimizer keeps a running average of squared gradients per parameter:
     v <- alpha * v + (1 - alpha) * g^2
     theta <- theta - lr * g / (sqrt(v) + delta)
 
-with alpha = 0.99, delta = 1e-8 and no momentum (the common library
-defaults). The update runs over blocks of rows of about ``_SLICE`` elements
-of each parameter, its gradient and its v, so a block and its temporaries stay
-in cache while the three statements pass over it; the arithmetic is elementwise,
-so the result is the same to the bit as one pass over the whole array. The
-learning rate starts at 1e-3 and drops to 1e-4 from epoch 5.
+with constants ``ALPHA`` = 0.99, ``DELTA`` = 1e-8 and no momentum (the common
+library defaults). The update runs over blocks of rows of about ``_SLICE``
+elements of each parameter, its gradient and its v, so a block and its
+temporaries stay in cache while the three statements pass over it; the
+arithmetic is elementwise, so the result is the same to the bit as one pass
+over the whole array. The learning rate starts at 1e-3 and drops to 1e-4 from epoch 5.
 Each minibatch runs as one graph: the batch gradient is the gradient of the
 batch-mean loss, from one forward and one backward pass. The per-epoch
 shuffle comes from a counter-based generator keyed on (seed, epoch) so a run
@@ -47,8 +47,9 @@ class TrainSchedule:
     epochs: int = 20
 
     def __post_init__(self):
-        if self.initial_lr <= 0 or self.dropped_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        for name, lr in (("initial_lr", self.initial_lr), ("dropped_lr", self.dropped_lr)):
+            if not (np.isfinite(lr) and lr > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {lr}")
         if self.drop_epoch < 0:
             raise ConfigError("drop_epoch must be >= 0")
         if self.batch_size < 1:
@@ -67,8 +68,6 @@ def lr_schedule(epoch: int, schedule: TrainSchedule | None = None) -> float:
 
 @dataclass
 class RmspropState:
-    alpha: float = 0.99
-    delta: float = 1e-8
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
@@ -76,6 +75,8 @@ class RmspropState:
         return cls(v={name: np.zeros_like(t.data) for name, t in params.items()})
 
 
+ALPHA = 0.99
+DELTA = 1e-8
 # Elements per RMSprop slice: 256 KB of float64, so a slice of the gradient,
 # v, the parameter and the update's temporaries fit in L2 together.
 _SLICE = 1 << 15
@@ -96,9 +97,9 @@ def rmsprop_step(params: dict[str, Tensor], state: RmspropState, lr: float) -> N
         rows = max(1, _SLICE * len(g) // max(g.size, 1))
         for lo in range(0, len(g), rows):
             gs, vs = g[lo:lo + rows], v[lo:lo + rows]
-            vs *= state.alpha
-            vs += (1.0 - state.alpha) * gs * gs
-            theta[lo:lo + rows] -= lr * gs / (np.sqrt(vs) + state.delta)
+            vs *= ALPHA
+            vs += (1.0 - ALPHA) * gs * gs
+            theta[lo:lo + rows] -= lr * gs / (np.sqrt(vs) + DELTA)
 
 
 @dataclass

@@ -287,9 +287,8 @@ def op_table(rng, leaf):
         "transpose": lambda: ad.transpose(x),
         "sum": lambda: ad.tsum(maps, keep=1),
         "sum to a scalar": lambda: ad.tsum(x),
-        # Stride 2 leaves the last row and column out; the odd size pools
-        # a partial window.
-        "conv2d": lambda: ad.conv2d(images, kernel, bias, stride=2),
+        "conv2d": lambda: ad.conv2d(images, kernel, bias),
+        # The odd size pools a partial window.
         "max_pool2": lambda: ad.max_pool2(images),
         "cross_entropy": lambda: ad.softmax_cross_entropy(x, [1, 3, 0]),
     }

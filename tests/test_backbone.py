@@ -6,23 +6,22 @@ from hareid import backbone, formats
 from hareid.errors import ConfigError, FormatError, ShapeError
 
 
-def stack_shape_oracle(h, w, layers, kernel, stride, pool, channels):
-    # Independent recurrence: valid conv then ceil-mode 2x2 pool per layer.
+def stack_shape_oracle(h, w, layers, kernel, channels):
+    # Independent recurrence: valid stride-1 conv then ceil-mode 2x2 pool per layer.
     for _ in range(layers):
-        h = (h - kernel) // stride + 1
-        w = (w - kernel) // stride + 1
+        h = h - kernel + 1
+        w = w - kernel + 1
         if h < 1 or w < 1:
             return None
-        if pool:
-            h = -(-h // 2)
-            w = -(-w // 2)
+        h = -(-h // 2)
+        w = -(-w // 2)
     return (h, w, channels)
 
 
 class TestConvStack:
     def test_default_16x16_lands_on_2x2x32(self):
         cfg = backbone.ConvStackConfig()
-        assert stack_shape_oracle(16, 16, 3, 2, 1, True, 32) == (2, 2, 32)
+        assert stack_shape_oracle(16, 16, 3, 2, 32) == (2, 2, 32)
         params = backbone.ConvStackParams.init(cfg, np.random.default_rng(0))
         amap = backbone.conv_forward(np.random.default_rng(1).uniform(size=(16, 16, 1)), params)
         assert amap.shape == (2, 2, 32)
@@ -32,13 +31,10 @@ class TestConvStack:
         for _ in range(20):
             layers = int(rng.integers(1, 4))
             kernel = int(rng.integers(1, 4))
-            stride = int(rng.integers(1, 3))
-            pool = bool(rng.integers(0, 2))
             channels = int(rng.integers(1, 5))
             size = int(rng.integers(6, 20))
-            expected = stack_shape_oracle(size, size, layers, kernel, stride, pool, channels)
-            cfg = backbone.ConvStackConfig(layers=layers, kernel=kernel, channels=channels,
-                                           stride=stride, pool=pool)
+            expected = stack_shape_oracle(size, size, layers, kernel, channels)
+            cfg = backbone.ConvStackConfig(layers=layers, kernel=kernel, channels=channels)
             params = backbone.ConvStackParams.init(cfg, rng)
             image = rng.uniform(size=(size, size, 1))
             if expected is None:
@@ -48,7 +44,7 @@ class TestConvStack:
                 continue
             assert backbone.conv_forward(image, params).shape == expected
 
-    @pytest.mark.parametrize("name", ["layers", "kernel", "channels", "in_channels", "stride"])
+    @pytest.mark.parametrize("name", ["layers", "kernel", "channels", "in_channels"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_settings_below_one_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
@@ -61,13 +57,10 @@ class TestConvStack:
         np.testing.assert_array_equal(amap.tensor.data, 0.0)
 
     def test_identity_one_by_one_kernel_passthrough(self):
-        cfg = backbone.ConvStackConfig(layers=1, kernel=1, channels=1, pool=False)
-        params = backbone.ConvStackParams.init(cfg, np.random.default_rng(4))
-        params.kernels[0].data[:] = 1.0
-        params.biases[0].data[:] = 0.0
         image = np.random.default_rng(5).uniform(size=(5, 4, 1))  # nonnegative, ReLU-safe
-        amap = backbone.conv_forward(image, params)
-        np.testing.assert_allclose(amap.tensor.data, image, atol=1e-15)
+        out = ad.relu(ad.conv2d(ad.constant(image), ad.constant(np.ones((1, 1, 1, 1))),
+                                ad.constant(np.zeros(1))))
+        np.testing.assert_allclose(out.data, image, atol=1e-15)
 
     def test_channel_mismatch(self):
         cfg = backbone.ConvStackConfig(layers=1)
@@ -91,7 +84,7 @@ class TestConvStack:
 class TestDesc1Format:
     def test_small_file(self, tmp_path):
         path = tmp_path / "two.desc"
-        maps = [np.arange(4.0).reshape(1, 1, 4), np.arange(4.0, 8.0).reshape(1, 1, 4)]
+        maps = np.arange(8.0).reshape(2, 1, 1, 4)
         formats.write_tensor_file(path, maps)
         loaded = formats.read_tensor_file(path)
         assert loaded.shape == (2, 1, 1, 4)
@@ -99,21 +92,25 @@ class TestDesc1Format:
 
     def test_round_trip_is_identity_at_f32(self, tmp_path):
         rng = np.random.default_rng(10)
-        maps = [rng.uniform(-2, 2, size=(2, 3, 4)).astype(np.float32).astype(np.float64)
-                for _ in range(5)]
+        maps = rng.uniform(-2, 2, size=(5, 2, 3, 4)).astype(np.float32).astype(np.float64)
         path = tmp_path / "rt.desc"
         formats.write_tensor_file(path, maps)
-        loaded = formats.read_tensor_file(path)
-        for orig, got in zip(maps, loaded):
-            np.testing.assert_array_equal(got, orig)
+        np.testing.assert_array_equal(formats.read_tensor_file(path), maps)
 
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         path = tmp_path / "trunc.desc"
-        formats.write_tensor_file(path, [np.ones((1, 1, 4))])
+        formats.write_tensor_file(path, np.ones((1, 1, 1, 4)))
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(FormatError, match=r"expected 16 payload bytes, got 12"):
             formats.read_tensor_file(path)
+
+    @pytest.mark.parametrize("maps", [np.ones((2, 1, 4)), np.ones((0, 1, 1, 4))],
+                             ids=["one map", "empty stack"])
+    def test_writer_takes_a_non_empty_stack(self, tmp_path, maps):
+        with pytest.raises(FormatError, match="stack|empty"):
+            formats.write_tensor_file(tmp_path / "w.desc", maps)
+        assert not (tmp_path / "w.desc").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.desc"

@@ -26,7 +26,6 @@ class TestCheckpoint:
         for name, tensor in model.params().items():
             np.testing.assert_array_equal(ckpt.params[name], tensor.data)
         np.testing.assert_array_equal(ckpt.opt.v["gru.w_xz"], state.v["gru.w_xz"])
-        assert ckpt.opt.alpha == state.alpha and ckpt.opt.delta == state.delta
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model = small_model(variant="fc_ha")

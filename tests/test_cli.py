@@ -10,10 +10,35 @@ from hareid import cli, formats
 from hareid.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from hareid.data import load_manifest
 from hareid.model import Model, ModelConfig
+from hareid.optim import ALPHA, DELTA
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def with_config(raw: bytes, old: bytes, new: bytes) -> bytes:
+    """Checkpoint bytes with ``old`` replaced by ``new`` in the length-prefixed
+    config block."""
+    at = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<I", raw, at)
+    config = raw[at + 4:at + 4 + length]
+    assert config.count(old) == 1
+    config = config.replace(old, new)
+    return raw[:at] + struct.pack("<I", len(config)) + config + raw[at + 4 + length:]
+
+
+def conv_checkpoint(tmp_path) -> tuple[bytes, list[str]]:
+    """The bytes of an untrained conv-backbone checkpoint (with optimizer
+    state) and the manifest arguments that go with it."""
+    formats.write_pgm(tmp_path / "a.pgm", np.zeros((8, 8), dtype=np.uint8))
+    (tmp_path / "manifest.csv").write_text(
+        "split,source,vehicle_id,model_id\ntrain,a.pgm,v0,m0\ntest,a.pgm,t0,m0\n")
+    common = ["--manifest", str(tmp_path / "manifest.csv"), "--image-root", str(tmp_path)]
+    assert run(["train", *common, "--backbone", "conv", "--conv-layers", "2",
+                "--conv-channels", "4", "--out-dir", str(tmp_path / "run"),
+                "--hidden", "6", "--epochs", "0"]) == 0
+    return (tmp_path / "run" / "checkpoint.ckpt").read_bytes(), common
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +260,7 @@ class TestTrain:
         split = load_manifest(tiny_set / "manifest.csv")
         maps = formats.read_tensor_file(tiny_set / "descriptors.desc")
         maps[int(split.train[3].source)][0, 0, 0] = np.nan
-        formats.write_tensor_file(tmp_path / "nan.desc", list(maps))
+        formats.write_tensor_file(tmp_path / "nan.desc", maps)
         assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
                     "--descriptors", str(tmp_path / "nan.desc"),
                     "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "1",
@@ -279,13 +304,35 @@ class TestTrain:
                     "--image-root", str(tmp_path), "--out", str(feat)]) == 0
         assert formats.load_features(feat).shape == (4, 6)
 
+    def test_conv_backbone_reads_channels_from_colour_images(self, tmp_path):
+        rng = np.random.default_rng(1)
+        lines = ["split,source,vehicle_id,model_id"]
+        for i, split in enumerate(["train", "train", "test", "test"]):
+            pixels = rng.integers(0, 256, size=8 * 8 * 3).astype(np.uint8).tobytes()
+            (tmp_path / f"{i}.ppm").write_bytes(b"P6\n8 8\n255\n" + pixels)
+            lines.append(f"{split},{i}.ppm,{split[:2]}{i},m0")
+        (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
+        common = ["--manifest", str(tmp_path / "manifest.csv"), "--image-root", str(tmp_path)]
+        out = tmp_path / "run"
+        assert run(["train", *common, "--backbone", "conv", "--conv-layers", "2",
+                    "--conv-channels", "4", "--out-dir", str(out), "--hidden", "6",
+                    "--epochs", "1", "--batch-size", "2"]) == 0
+        assert load_checkpoint(out / "checkpoint.ckpt").config.to_text().endswith(
+            "\nconv=2,2,4,3,1,1\n")
+        assert run(["extract", "--checkpoint", str(out / "checkpoint.ckpt"), *common,
+                    "--out", str(tmp_path / "f.feat")]) == 0
+        assert formats.load_features(tmp_path / "f.feat").shape == (2, 6)
 
     @staticmethod
     def train_conv_error(tmp_path, capsys, bad_image: bytes | None = None,
-                         flags=()) -> str:
-        """`train --backbone conv` that fails on one bad training image or on
-        ``flags``; its one error line."""
-        formats.write_pgm(tmp_path / "good.pgm", np.zeros((8, 8), dtype=np.uint8))
+                         flags=(), first_image: bytes | None = None) -> str:
+        """`train --backbone conv` that fails on one bad training image (after
+        ``first_image``, or an 8x8 PGM) or on ``flags``; its one error line.
+        No checkpoint is written."""
+        if first_image is None:
+            formats.write_pgm(tmp_path / "good.pgm", np.zeros((8, 8), dtype=np.uint8))
+        else:
+            (tmp_path / "good.pgm").write_bytes(first_image)
         second = "good.pgm"
         if bad_image is not None:
             (tmp_path / "bad.pgm").write_bytes(bad_image)
@@ -299,6 +346,7 @@ class TestTrain:
                     "--out-dir", str(tmp_path / "run"), "--hidden", "6", "--epochs", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
         return err
 
     def test_non_numeric_image_header_is_format_error(self, tmp_path, capsys):
@@ -311,11 +359,34 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--conv-kernel", "0", "kernel"), ("--conv-kernel", "-1", "kernel"),
-        ("--conv-in-channels", "0", "in_channels"), ("--conv-layers", "0", "layers"),
-        ("--conv-channels", "0", "channels")])
+        ("--conv-layers", "0", "layers"), ("--conv-channels", "0", "channels")])
     def test_conv_setting_below_one_is_config_error(self, tmp_path, capsys, flag, value, name):
         err = self.train_conv_error(tmp_path, capsys, flags=(flag, value))
         assert f"conv stack {name} must be at least 1, got {value}" in err
+
+    @pytest.mark.parametrize("first, second, shapes", [
+        (None, b"P5\n8 6\n255\n" + bytes(48), "(6, 8, 1), sample 0 has (8, 8, 1)"),
+        (b"P6\n8 8\n255\n" + bytes(192), b"P5\n8 8\n255\n" + bytes(64),
+         "(8, 8, 1), sample 0 has (8, 8, 3)"),
+    ], ids=["two sizes", "P5 after P6"])
+    def test_training_images_of_two_shapes_are_shape_error(self, tmp_path, capsys, first,
+                                                           second, shapes):
+        err = self.train_conv_error(tmp_path, capsys, second, first_image=first)
+        assert f"training sample 1 (bad.pgm) has input shape {shapes}" in err
+
+    @pytest.mark.parametrize("flag, value, name", [("--lr", "nan", "initial_lr"),
+                                                   ("--lr", "inf", "initial_lr"),
+                                                   ("--dropped-lr", "inf", "dropped_lr")])
+    def test_non_finite_learning_rate_is_config_error(self, tiny_set, tmp_path, capsys,
+                                                      flag, value, name):
+        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "2",
+                    flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{name} must be finite and positive, got {value}" in err
+        assert not (tmp_path / "checkpoint.ckpt").exists()
 
 
 @pytest.mark.parametrize("case", ["samples", "seeds", "manifest", "config"])
@@ -375,16 +446,9 @@ class TestExtract:
         assert outs[0] == outs[1]
 
     def test_checkpoint_config_missing_key(self, tiny_set, tiny_run, tmp_path, capsys):
-        # Rewrite the length-prefixed config block without its seed line.
-        raw = (tiny_run / "checkpoint.ckpt").read_bytes()
-        at = len(MAGIC) + 4
-        (length,) = struct.unpack_from("<I", raw, at)
-        config = raw[at + 4:at + 4 + length]
-        assert b"\nseed=1\n" in config
-        config = config.replace(b"\nseed=1\n", b"\n")
         ckpt = tmp_path / "no_seed.ckpt"
-        ckpt.write_bytes(raw[:at] + struct.pack("<I", len(config)) + config
-                         + raw[at + 4 + length:])
+        ckpt.write_bytes(with_config((tiny_run / "checkpoint.ckpt").read_bytes(),
+                                     b"\nseed=1\n", b"\n"))
         assert run(["extract", "--checkpoint", str(ckpt),
                     "--manifest", str(tiny_set / "manifest.csv"),
                     "--descriptors", str(tiny_set / "descriptors.desc"),
@@ -395,14 +459,7 @@ class TestExtract:
 
 
     def test_checkpoint_conv_stride_zero_is_format_error(self, tmp_path, capsys):
-        formats.write_pgm(tmp_path / "a.pgm", np.zeros((8, 8), dtype=np.uint8))
-        (tmp_path / "manifest.csv").write_text(
-            "split,source,vehicle_id,model_id\ntrain,a.pgm,v0,m0\ntest,a.pgm,t0,m0\n")
-        common = ["--manifest", str(tmp_path / "manifest.csv"), "--image-root", str(tmp_path)]
-        assert run(["train", *common, "--backbone", "conv", "--conv-layers", "2",
-                    "--conv-channels", "4", "--out-dir", str(tmp_path / "run"),
-                    "--hidden", "6", "--epochs", "0"]) == 0
-        raw = (tmp_path / "run" / "checkpoint.ckpt").read_bytes()
+        raw, common = conv_checkpoint(tmp_path)
         assert raw.count(b"\nconv=2,2,4,1,1,1\n") == 1
         ckpt = tmp_path / "stride0.ckpt"
         ckpt.write_bytes(raw.replace(b"\nconv=2,2,4,1,1,1\n", b"\nconv=2,2,4,1,0,1\n"))
@@ -411,6 +468,35 @@ class TestExtract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'conv'" in err
+
+    @pytest.mark.parametrize("old, new, names", [
+        (b"\nepsilon=0.1\n", b"\nepsilon=0.25\n", "'epsilon' must be 0.1, got '0.25'"),
+        (b"\ninput_gain=8.0\n", b"\ninput_gain=1.0\n", "'input_gain' must be 8.0, got '1.0'"),
+        (b"\nconv=2,2,4,1,1,1\n", b"\nconv=2,2,4,1,2,1\n", "'conv' has bad value '2,2,4,1,2,1'"),
+        (b"\nconv=2,2,4,1,1,1\n", b"\nconv=2,2,4,1,1,0\n", "'conv' has bad value '2,2,4,1,1,0'"),
+        (struct.pack("<dd", ALPHA, DELTA), struct.pack("<dd", 0.9, DELTA),
+         "optimizer alpha, delta are 0.9, 1e-08"),
+        (struct.pack("<dd", ALPHA, DELTA), struct.pack("<dd", ALPHA, 1e-7),
+         "optimizer alpha, delta are 0.99, 1e-07"),
+        (struct.pack("<dd", ALPHA, DELTA), struct.pack("<dd", np.nan, DELTA),
+         "optimizer alpha, delta are nan, 1e-08"),
+    ], ids=["epsilon", "input_gain", "stride", "pool", "alpha", "delta", "alpha nan"])
+    def test_checkpoint_constant_of_another_value_is_refused(self, tmp_path, capsys, old, new,
+                                                             names):
+        raw, common = conv_checkpoint(tmp_path)
+        if old.startswith(b"\n"):
+            raw = with_config(raw, old, new)
+        else:
+            assert raw.count(old) == 1
+            raw = raw.replace(old, new)
+        ckpt = tmp_path / "patched.ckpt"
+        ckpt.write_bytes(raw)
+        assert run(["extract", "--checkpoint", str(ckpt), *common,
+                    "--out", str(tmp_path / "f.feat")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert names in err
+        assert not (tmp_path / "f.feat").exists()
 
     @pytest.mark.parametrize("corrupt", ["config_byte", "tensor_rank"])
     def test_corrupt_checkpoint_is_format_error(self, tiny_set, tiny_run, tmp_path, capsys,
@@ -573,7 +659,7 @@ class TestAttmap:
         lines = ["split,source,vehicle_id,model_id", "test,0,v0,m0", "train,1,v1,m0"]
         (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
         maps = np.stack([np.full((1, 1, 4), 0.5), np.full((1, 1, 4), 1.5)])
-        formats.write_tensor_file(tmp_path / "d.desc", list(maps))
+        formats.write_tensor_file(tmp_path / "d.desc", maps)
         config = ModelConfig(num_models=1, num_vehicles=1, d=4, hidden=4, seed=0)
         model = Model(config)
         save_checkpoint(tmp_path / "c.ckpt", config, model.params(), None, 0, 0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hareid import data as dat
-from hareid.errors import ConfigError, ValidationError
+from hareid.errors import ConfigError, ShapeError, ValidationError
 
 
 def write_lines(path, lines):
@@ -112,8 +112,7 @@ def per_image_synth(config, seed):
     rng = dat.rng_for(seed)
     g, d = config.grid, config.d
     per_model = 2 * config.vehicles_per_model
-    patterns = np.stack([dat._unit(rng.normal(size=d)) * config.pattern_amplitude
-                         for _ in range(config.models)])
+    patterns = np.stack([dat._unit(rng.normal(size=d)) for _ in range(config.models)])
     cone = np.ones(d) / np.sqrt(d)
     bank = np.stack([dat._unit(config.signature_cone * cone + np.eye(d)[k % d])
                      for k in range(per_model)])
@@ -127,7 +126,7 @@ def per_image_synth(config, seed):
             for i in range(config.vehicles_per_model):
                 slot = split_idx * config.vehicles_per_model + i
                 sig = dat._unit(bank[slot] + config.signature_jitter * rng.normal(size=d))
-                sig = sig * config.signature_amplitude
+                sig = sig * dat.SIGNATURE_AMPLITUDE
                 row, col = divmod(int(cells[m, slot]), g)
                 for j in range(config.images_per_vehicle):
                     cam = j % config.cameras
@@ -190,8 +189,8 @@ class TestSynthGenerate:
         with pytest.raises(ConfigError, match="too small"):
             dat.SynthConfig(models=2, vehicles_per_model=8, grid=3)
 
-    @pytest.mark.parametrize("name", ["noise_sigma", "pattern_amplitude", "signature_amplitude",
-                                      "view_amplitude", "signature_jitter", "signature_cone"])
+    @pytest.mark.parametrize("name", ["noise_sigma", "view_amplitude", "signature_jitter",
+                                      "signature_cone"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_setting(self, name, bad):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
@@ -227,7 +226,7 @@ class TestSynthGenerate:
         cell_energy = np.linalg.norm(amap[row, col] - pattern)
         pooled = amap.reshape(-1, cfg.d).mean(axis=0)
         pooled_energy = np.linalg.norm(pooled - pattern)
-        assert cell_energy == pytest.approx(cfg.signature_amplitude, abs=1e-9)
+        assert cell_energy == pytest.approx(dat.SIGNATURE_AMPLITUDE, abs=1e-9)
         assert pooled_energy == pytest.approx(cell_energy / (cfg.grid ** 2), rel=1e-9)
 
     def test_coarse_labels_decidable_from_pooled_embedding(self):
@@ -278,3 +277,15 @@ class TestSampleInput:
         s = dat.LabeledSample(source="x.pgm", vehicle_id="v", model_id="m")
         out = dat.sample_input(s, None, image_root=tmp_path)
         assert out.shape == (1, 2, 1)
+
+    def test_training_input_of_another_shape_is_named(self, tmp_path):
+        from hareid import formats
+        train = []
+        for i, size in enumerate([(2, 2), (2, 2), (3, 2), (2, 3)]):
+            formats.write_pgm(tmp_path / f"{i}.pgm", np.zeros(size, dtype=np.uint8))
+            train.append(dat.LabeledSample(source=f"{i}.pgm", vehicle_id=f"v{i}", model_id="m"))
+        split = dat.DatasetSplit(train=train, test=[])
+        with pytest.raises(ShapeError, match=r"sample 2 \(2.pgm\) has input shape \(3, 2, 1\), "
+                                             r"sample 0 has \(2, 2, 1\)"):
+            dat.training_items(split, image_root=tmp_path)
+        assert dat.training_items(dat.DatasetSplit(train=[], test=[])) == []

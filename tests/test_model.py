@@ -321,10 +321,10 @@ class TestConvBackbone:
 class TestConfigText:
     def test_exact_text_and_round_trip(self):
         # The checkpoint format: key order, number spelling and the conv line.
-        cfg = small_config(backbone="conv", variant="fc_ha", epsilon=0.25)
+        cfg = small_config(backbone="conv", variant="fc_ha", seed=5)
         assert cfg.to_text() == ("variant=fc_ha\nnum_models=3\nnum_vehicles=6\nd=4\n"
-                                 "hidden=8\nattn_hidden=0\nbackbone=conv\nepsilon=0.25\n"
-                                 "input_gain=8.0\nseed=0\nconv=3,2,4,1,1,1\n")
+                                 "hidden=8\nattn_hidden=0\nbackbone=conv\nepsilon=0.1\n"
+                                 "input_gain=8.0\nseed=5\nconv=3,2,4,1,1,1\n")
         assert ModelConfig.from_text(cfg.to_text()) == cfg
 
     @pytest.mark.parametrize("key", ["seed", "variant", "epsilon", "num_models"])
@@ -355,13 +355,28 @@ class TestConfigText:
         with pytest.raises(FormatError, match="'conv'"):
             ModelConfig.from_text(text.replace("conv=3,2,4,1,1,1", "conv=3,2,4,1,0,1"))
 
+    @pytest.mark.parametrize("line", ["conv=3,2,4,1,2,1", "conv=3,2,4,1,1,0"],
+                             ids=["stride 2", "pool 0"])
+    def test_fixed_stride_and_pool_must_read_one(self, line):
+        text = small_config(backbone="conv").to_text().replace("conv=3,2,4,1,1,1", line)
+        with pytest.raises(FormatError, match=f"'conv' has bad value '{line[5:]}'"):
+            ModelConfig.from_text(text)
+
     @pytest.mark.parametrize("key,value", [("epsilon", "nan"), ("epsilon", "inf"),
                                            ("epsilon", "0.0"), ("input_gain", "nan")])
     def test_non_finite_or_non_positive_scale_is_format_error(self, key, value):
         lines = [f"{key}={value}" if l.startswith(f"{key}=") else l
                  for l in small_config().to_text().splitlines()]
-        with pytest.raises(FormatError, match=f"inconsistent: {key}"):
+        with pytest.raises(FormatError, match=f"'{key}' must be"):
             ModelConfig.from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("key,value", [("epsilon", "0.25"), ("input_gain", "1.0")])
+    def test_recorded_constant_must_hold_its_value(self, key, value):
+        text = small_config().to_text()
+        constant = {"epsilon": "0.1", "input_gain": "8.0"}[key]
+        assert f"\n{key}={constant}\n" in text
+        with pytest.raises(FormatError, match=f"'{key}' must be {constant}, got '{value}'"):
+            ModelConfig.from_text(text.replace(f"{key}={constant}", f"{key}={value}"))
 
 
 class TestExtractFeature:

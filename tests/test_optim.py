@@ -5,8 +5,8 @@ from hareid import autodiff as ad
 from hareid.data import SynthConfig, synth_generate, training_items
 from hareid.errors import ConfigError, NumericError
 from hareid.model import Model, ModelConfig
-from hareid.optim import (RmspropState, TrainSchedule, lr_schedule, rmsprop_step, rng_for,
-                          train)
+from hareid.optim import (ALPHA, DELTA, RmspropState, TrainSchedule, lr_schedule, rmsprop_step,
+                          rng_for, train)
 
 
 def tiny_problem(seed, epochs=11):
@@ -94,8 +94,8 @@ class TestSlicedRmsprop:
             for k, t in params.items():
                 t.grad = np.asarray(rng.normal(size=t.shape) * 10.0 ** rng.integers(-6, 2))
                 g = t.grad
-                v[k] = state.alpha * v[k] + (1.0 - state.alpha) * g * g
-                theta[k] = theta[k] - lr * g / (np.sqrt(v[k]) + state.delta)
+                v[k] = ALPHA * v[k] + (1.0 - ALPHA) * g * g
+                theta[k] = theta[k] - lr * g / (np.sqrt(v[k]) + DELTA)
             rmsprop_step(params, state, lr)
             for k, t in params.items():
                 assert t.data is data[k], k
@@ -140,6 +140,12 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             TrainSchedule(epochs=-1)
         assert TrainSchedule(epochs=0).epochs == 0
+
+    @pytest.mark.parametrize("name", ["initial_lr", "dropped_lr"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+    def test_rate_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and positive"):
+            TrainSchedule(**{name: value})
 
 
 class TestTrain:
