@@ -19,7 +19,7 @@ import numpy as np
 from . import backbone, data, formats
 from .autodiff import grad_check_groups
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .errors import ConfigError, HareidError
+from .errors import ConfigError, HareidError, NumericError
 from .model import VARIANTS, Model, ModelConfig
 from .optim import RmspropState, TrainSchedule, rng_for, train
 from .retrieval import EvaluationReport, RetrievalIndex, vehicleid_protocol, veri_protocol
@@ -54,16 +54,24 @@ def _model_from_checkpoint(path) -> tuple[Model, Checkpoint]:
 
 def _features(model: Model, samples, maps: np.ndarray | None, image_root=None) -> np.ndarray:
     """One l2-normalized step-2 feature row per sample."""
-    return np.stack([model.extract_feature(data.sample_input(s, maps, image_root)).values
-                     for s in samples])
+    rows = []
+    for i, s in enumerate(samples):
+        try:
+            rows.append(model.extract_feature(data.sample_input(s, maps, image_root)).values)
+        except NumericError:
+            raise NumericError(f"sample {i} ({s.source}) has a non-finite feature") from None
+    return np.stack(rows)
 
 
 def _int_list(text: str, flag: str) -> list[int]:
-    """The integers of a comma-separated flag value; empty items are skipped."""
+    """The integers, at least one, of a comma-separated flag value; empty items are skipped."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+        values = []
+    if not values:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}")
+    return values
 
 
 def _write_loss_rows(path, rows, append: bool) -> None:
@@ -131,8 +139,7 @@ def cmd_train(args) -> int:
             d = maps.shape[-1]
         config = ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
                              variant=args.variant, d=d, hidden=args.hidden,
-                             attn_hidden=args.attn_hidden, backbone=args.backbone,
-                             seed=args.seed, conv=conv)
+                             backbone=args.backbone, seed=args.seed, conv=conv)
         model = Model(config)
         state = None
         start_epoch = 0
@@ -194,29 +201,31 @@ def cmd_eval(args) -> int:
     return 0
 
 
+GRADCHECK_TOL = 1e-4  # a parameter group passes below this max relative error
+
+
 def cmd_gradcheck(args) -> int:
+    """Check each variant's gradients on one problem: a 2x2x4 map, H=8, 3/6 classes."""
     rng = rng_for(args.seed)
-    amap = rng.uniform(-1.0, 1.0, size=(args.grid, args.grid, args.dim))
-    y_model = int(rng.integers(args.num_models))
-    y_vehicle = int(rng.integers(args.num_vehicles))
+    amap = rng.uniform(-1.0, 1.0, size=(2, 2, 4))
+    y_model = int(rng.integers(3))
+    y_vehicle = int(rng.integers(6))
     failures = 0
     for variant in VARIANTS:
-        model = Model(ModelConfig(num_models=args.num_models,
-                                  num_vehicles=args.num_vehicles, variant=variant,
-                                  d=args.dim, hidden=args.hidden,
-                                  attn_hidden=args.attn_hidden, seed=args.seed))
+        model = Model(ModelConfig(num_models=3, num_vehicles=6, variant=variant, d=4,
+                                  hidden=8, seed=args.seed))
 
         def f():
             total, _, _ = model.loss(amap, y_model, y_vehicle)
             return total
 
-        errors = grad_check_groups(f, model.params(), step=args.step)
+        errors = grad_check_groups(f, model.params())
         for name, err in errors.items():
-            ok = err < args.tol
+            ok = err < GRADCHECK_TOL
             failures += 0 if ok else 1
             print(f"{variant:20s} {name:20s} {err:.3e} {'PASS' if ok else 'FAIL'}")
     print(f"gradcheck: {'all groups passed' if failures == 0 else f'{failures} failures'} "
-          f"(tol {args.tol:g})")
+          f"(tol {GRADCHECK_TOL:g})")
     return 0 if failures == 0 else 1
 
 
@@ -233,6 +242,8 @@ def cmd_attmap(args) -> int:
             raise IndexError(f"sample id {i} out of range for split of {len(samples)}")
         inp = data.sample_input(samples[i], maps, image_root=args.image_root)
         weights = model.forward(inp).attention
+        if not np.isfinite(weights.a).all():
+            raise NumericError(f"sample {i} ({samples[i].source}) has a non-finite attention map")
         formats.write_pgm(out_dir / f"attmap_{i}.pgm",
                           formats.attention_to_pixels(weights.a))
         with open(out_dir / f"attmap_{i}.csv", "w", newline="") as f:
@@ -333,7 +344,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--conv-kernel", type=int, default=2)
     p.add_argument("--conv-channels", type=int, default=32)
     p.add_argument("--hidden", type=int, default=1024)
-    p.add_argument("--attn-hidden", type=int, default=0, help="0 = hidden // 2")
     add_schedule(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resume", help="checkpoint to continue from")
@@ -365,14 +375,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every variant")
     add_common(p)
-    p.add_argument("--grid", type=int, default=2)
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=8)
-    p.add_argument("--attn-hidden", type=int, default=0)
-    p.add_argument("--num-models", type=int, default=3)
-    p.add_argument("--num-vehicles", type=int, default=6)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

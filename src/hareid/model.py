@@ -9,8 +9,9 @@ Three variants share the surrounding plumbing:
 
 Training runs the whole chain and both heads (``Model.forward``); extraction
 (``Model.extract_feature``) stops after the fine step, without the heads,
-and l2-normalizes o2. The attention's ``attention.DEFAULT_EPSILON`` and the input
-gain ``gru.DEFAULT_INPUT_GAIN`` are constants, recorded in the config text and checked.
+and l2-normalizes o2. The attention net's width ``max(1, hidden // 2)`` (``attn_hidden=0``),
+``attention.DEFAULT_EPSILON`` and the input gain ``gru.DEFAULT_INPUT_GAIN`` are constants,
+recorded in the config text and checked.
 
 Parameter registration order is fixed (conv stack, recurrent or fc block,
 model head, vehicle head, attention net) so that, for one seed, variants
@@ -37,7 +38,8 @@ VARIANTS = ("rnn_ha", "fc_ha", "rnn_h_no_attention")
 _TEXT_FIELDS = {"variant": str, "num_models": int, "num_vehicles": int, "d": int,
                 "hidden": int, "attn_hidden": int, "backbone": str, "epsilon": float,
                 "input_gain": float, "seed": int}
-_TEXT_CONSTANTS = {"epsilon": att.DEFAULT_EPSILON, "input_gain": DEFAULT_INPUT_GAIN}
+_TEXT_CONSTANTS = {"attn_hidden": 0, "epsilon": att.DEFAULT_EPSILON,
+                   "input_gain": DEFAULT_INPUT_GAIN}
 
 
 @dataclass
@@ -47,7 +49,6 @@ class ModelConfig:
     variant: str = "rnn_ha"
     d: int = 16
     hidden: int = 1024
-    attn_hidden: int = 0  # 0 means hidden // 2
     backbone: str = "ingested"  # ingested | conv
     seed: int = 0
     conv: ConvStackConfig | None = None
@@ -61,19 +62,12 @@ class ModelConfig:
             raise ConfigError("class counts and dimensions must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.attn_hidden < 0:
-            raise ConfigError(f"attn_hidden must be >= 0 (0 means hidden // 2), "
-                              f"got {self.attn_hidden}")
         if self.backbone == "conv":
             if self.conv is None:
                 self.conv = ConvStackConfig(channels=self.d)
             if self.conv.channels != self.d:
                 raise ConfigError(f"conv stack emits {self.conv.channels} channels "
                                   f"but config.d = {self.d}")
-
-    @property
-    def resolved_attn_hidden(self) -> int:
-        return self.attn_hidden if self.attn_hidden > 0 else max(1, self.hidden // 2)
 
     def to_text(self) -> str:
         values = {**vars(self), **_TEXT_CONSTANTS}
@@ -190,7 +184,7 @@ class Model:
         self.head_vehicle = ClassifierHead.init(config.num_vehicles, config.hidden, rng)
         self.attn: Mlp | None = None
         if config.variant != "rnn_h_no_attention":
-            self.attn = Mlp.init(config.hidden, config.resolved_attn_hidden, config.d, rng)
+            self.attn = Mlp.init(config.hidden, max(1, config.hidden // 2), config.d, rng)
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

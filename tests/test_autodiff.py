@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import scale_sigmoid_backward
 from hareid import autodiff as ad
-from hareid.errors import NumericError, ShapeError
+from hareid.errors import ConfigError, NumericError, ShapeError
 
 
 def rand(rng, *shape):
@@ -367,6 +367,12 @@ class TestGradCheck:
         assert ad.grad_check(f, [x]) < 1e-4
         scale_sigmoid_backward(monkeypatch, 1.5)
         assert ad.grad_check(f, [x]) > 1e-2
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5])
+    def test_non_positive_step_rejected(self, step):
+        x = ad.parameter(3.0)
+        with pytest.raises(ConfigError, match="step"):
+            ad.grad_check_groups(lambda: ad.mul(x, x), {"x": x}, step=step)
 
     def test_non_finite_loss_rejected(self):
         x = ad.parameter(1.0)

@@ -246,16 +246,6 @@ class TestTrain:
         assert "epochs" in err
         assert not (tmp_path / "checkpoint.ckpt").exists()
 
-    def test_negative_attn_hidden_is_config_error(self, tiny_set, tmp_path, capsys):
-        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
-                    "--descriptors", str(tiny_set / "descriptors.desc"),
-                    "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "1",
-                    "--attn-hidden", "-3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "attn_hidden" in err
-        assert not (tmp_path / "checkpoint.ckpt").exists()
-
     def test_non_finite_item_is_named(self, tiny_set, tmp_path, capsys):
         split = load_manifest(tiny_set / "manifest.csv")
         maps = formats.read_tensor_file(tiny_set / "descriptors.desc")
@@ -389,18 +379,32 @@ class TestTrain:
         assert not (tmp_path / "checkpoint.ckpt").exists()
 
 
-@pytest.mark.parametrize("case", ["samples", "seeds", "manifest", "config"])
+@pytest.mark.parametrize("case", ["samples", "no samples", "seeds", "no seeds", "manifest",
+                                  "config", "removed train key", "removed gradcheck key"])
 def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case):
     manifest, desc = str(tiny_set / "manifest.csv"), str(tiny_set / "descriptors.desc")
-    if case == "samples":
+    if case in ("samples", "no samples"):
+        samples = "0,x" if case == "samples" else ","
         argv = ["attmap", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
-                "--manifest", manifest, "--descriptors", desc, "--samples", "0,x",
+                "--manifest", manifest, "--descriptors", desc, "--samples", samples,
                 "--out-dir", str(tmp_path)]
-        names = ("--samples", "'0,x'")
-    elif case == "seeds":
+        names = ("--samples", repr(samples))
+    elif case in ("seeds", "no seeds"):
+        seeds = "0,y" if case == "seeds" else ""
         argv = ["ablate", "--manifest", manifest, "--descriptors", desc,
-                "--out-dir", str(tmp_path), "--seeds", "0,y"]
-        names = ("--seeds", "'0,y'")
+                "--out-dir", str(tmp_path), "--seeds", seeds]
+        names = ("--seeds", repr(seeds))
+    elif case.startswith("removed"):
+        # Keys of flags that are gone: the attention width and the gradient
+        # check's pass bound are constants.
+        command, key, value = (("train", "attn_hidden", 8) if "train" in case
+                               else ("gradcheck", "tol", 1))
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "train":
+            argv += ["--manifest", manifest, "--descriptors", desc, "--out-dir", str(tmp_path)]
+        names = (f"unknown option {key!r} for command {command}",)
     elif case == "manifest":
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes((tiny_set / "manifest.csv").read_bytes().replace(b"m0", b"m\xe9"))
@@ -417,6 +421,34 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in names), err
+    assert not list(tmp_path.glob("attmap_*")) and not (tmp_path / "ablation.json").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "ablate", "attmap"])
+def test_non_finite_test_sample_is_named(tiny_set, tiny_run, tmp_path, capsys, command):
+    # A NaN in one test descriptor makes that sample's feature and attention
+    # map NaN; the error names the sample, not a row of a batch of one.
+    split = load_manifest(tiny_set / "manifest.csv")
+    maps = formats.read_tensor_file(tiny_set / "descriptors.desc")
+    maps[int(split.test[4].source)][0, 0, 0] = np.nan
+    formats.write_tensor_file(tmp_path / "nan.desc", maps)
+    common = ["--manifest", str(tiny_set / "manifest.csv"),
+              "--descriptors", str(tmp_path / "nan.desc")]
+    ckpt = ["--checkpoint", str(tiny_run / "checkpoint.ckpt")]
+    argv = {"extract": ["extract", *ckpt, *common, "--out", str(tmp_path / "f.feat")],
+            "ablate": ["ablate", *common, "--out-dir", str(tmp_path), "--hidden", "8",
+                       "--epochs", "1", "--batch-size", "8", "--seeds", "0",
+                       "--repeats", "2"],
+            "attmap": ["attmap", *ckpt, *common, "--samples", "4",
+                       "--out-dir", str(tmp_path)]}[command]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    what = "attention map" if command == "attmap" else "feature"
+    assert f"sample 4 ({split.test[4].source}) has a non-finite {what}" in captured.err
+    assert "argmax" not in captured.out
+    assert not list(tmp_path.glob("attmap_4.*")) and not (tmp_path / "f.feat").exists()
+    assert not (tmp_path / "ablation.json").exists()
 
 
 class TestExtract:
@@ -470,6 +502,9 @@ class TestExtract:
         assert "'conv'" in err
 
     @pytest.mark.parametrize("old, new, names", [
+        # A checkpoint written with another attention width; the patch keeps
+        # the config block's length.
+        (b"\nattn_hidden=0\n", b"\nattn_hidden=5\n", "'attn_hidden' must be 0, got '5'"),
         (b"\nepsilon=0.1\n", b"\nepsilon=0.25\n", "'epsilon' must be 0.1, got '0.25'"),
         (b"\ninput_gain=8.0\n", b"\ninput_gain=1.0\n", "'input_gain' must be 8.0, got '1.0'"),
         (b"\nconv=2,2,4,1,1,1\n", b"\nconv=2,2,4,1,2,1\n", "'conv' has bad value '2,2,4,1,2,1'"),
@@ -480,7 +515,7 @@ class TestExtract:
          "optimizer alpha, delta are 0.99, 1e-07"),
         (struct.pack("<dd", ALPHA, DELTA), struct.pack("<dd", np.nan, DELTA),
          "optimizer alpha, delta are nan, 1e-08"),
-    ], ids=["epsilon", "input_gain", "stride", "pool", "alpha", "delta", "alpha nan"])
+    ], ids=["attn_hidden", "epsilon", "input_gain", "stride", "pool", "alpha", "delta", "alpha nan"])
     def test_checkpoint_constant_of_another_value_is_refused(self, tmp_path, capsys, old, new,
                                                              names):
         raw, common = conv_checkpoint(tmp_path)
@@ -617,12 +652,6 @@ class TestGradcheck:
         for variant in ("rnn_ha", "fc_ha", "rnn_h_no_attention"):
             names = [l.split()[1] for l in lines if l.startswith(variant + " ")]
             assert len(names) == len(set(names)) > 0
-
-    def test_zero_step_is_config_error(self, capsys):
-        assert run(["gradcheck", "--step", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "step" in err
 
     def test_injected_wrong_backward_fails(self, capsys, monkeypatch):
         scale_sigmoid_backward(monkeypatch, 1.5)
