@@ -111,9 +111,37 @@ def _schedule_from_args(args) -> TrainSchedule:
                          epochs=args.epochs)
 
 
+# The model flags of ``train`` and what a fresh run uses for those not given.
+_MODEL_FLAG_DEFAULTS = {"variant": "rnn_ha", "backbone": "ingested", "hidden": 1024,
+                       "conv_layers": 3, "conv_kernel": 2, "conv_channels": 32}
+
+
+def _given_model_flags(args) -> dict[str, object]:
+    """The model flags given on the command line or in --config (None otherwise)."""
+    flags = {"variant": args.variant, "backbone": args.backbone, "hidden": args.hidden,
+             "conv_layers": args.conv_layers, "conv_kernel": args.conv_kernel,
+             "conv_channels": args.conv_channels}
+    return {key: value for key, value in flags.items() if value is not None}
+
+
+def _check_resume_flags(given: dict[str, object], config: ModelConfig) -> None:
+    """A resume keeps the checkpoint's model: a given model flag that disagrees
+    with it is an error. Conv flags only describe a conv-backbone checkpoint."""
+    saved = {"variant": config.variant, "backbone": config.backbone, "hidden": config.hidden}
+    if config.conv is not None:
+        saved.update(conv_layers=config.conv.layers, conv_kernel=config.conv.kernel,
+                     conv_channels=config.conv.channels)
+    for key, value in given.items():
+        if key in saved and value != saved[key]:
+            raise ConfigError(f"--{key.replace('_', '-')} {value} disagrees with the "
+                              f"checkpoint's {key}={saved[key]}; a resume keeps the "
+                              f"checkpoint's model")
+
+
 def cmd_train(args) -> int:
     split, maps = _load_split_and_maps(args)
     schedule = _schedule_from_args(args)
+    given = _given_model_flags(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     items = data.training_items(split, maps, image_root=args.image_root)
@@ -121,15 +149,17 @@ def cmd_train(args) -> int:
     if args.resume:
         model, ckpt = _model_from_checkpoint(args.resume)
         config = ckpt.config
+        _check_resume_flags(given, config)
         state = ckpt.opt
         start_epoch = ckpt.epoch
         seed = ckpt.seed
     else:
-        if args.backbone == "conv":
+        flags = {**_MODEL_FLAG_DEFAULTS, **given}
+        if flags["backbone"] == "conv":
             # The images set the input channels; train() refuses an empty set.
-            conv = backbone.ConvStackConfig(layers=args.conv_layers,
-                                            kernel=args.conv_kernel,
-                                            channels=args.conv_channels,
+            conv = backbone.ConvStackConfig(layers=flags["conv_layers"],
+                                            kernel=flags["conv_kernel"],
+                                            channels=flags["conv_channels"],
                                             in_channels=items[0][0].shape[-1] if items else 1)
             d = conv.channels
         else:
@@ -138,8 +168,8 @@ def cmd_train(args) -> int:
                 raise ConfigError("ingested backbone needs --descriptors")
             d = maps.shape[-1]
         config = ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
-                             variant=args.variant, d=d, hidden=args.hidden,
-                             backbone=args.backbone, seed=args.seed, conv=conv)
+                             variant=flags["variant"], d=d, hidden=flags["hidden"],
+                             backbone=flags["backbone"], seed=args.seed, conv=conv)
         model = Model(config)
         state = None
         start_epoch = 0
@@ -271,6 +301,10 @@ def cmd_ablate(args) -> int:
     split, maps = _load_split_and_maps(args)
     schedule = _schedule_from_args(args)
     seeds = _int_list(args.seeds, "--seeds")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"--seeds lists seed {repeated} more than once; "
+                          f"each seed trains once")
     gallery_size = args.gallery_size or len({s.vehicle_id for s in split.test})
     results: dict[str, dict] = {}
     for variant in VARIANTS:
@@ -338,12 +372,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--descriptors")
     p.add_argument("--image-root")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="rnn_ha")
-    p.add_argument("--backbone", choices=("ingested", "conv"), default="ingested")
-    p.add_argument("--conv-layers", type=int, default=3)
-    p.add_argument("--conv-kernel", type=int, default=2)
-    p.add_argument("--conv-channels", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=1024)
+    # Model flags default to None, so a resume can tell a given flag from a
+    # default; a fresh run fills in _MODEL_FLAG_DEFAULTS.
+    p.add_argument("--variant", choices=VARIANTS, help="default rnn_ha")
+    p.add_argument("--backbone", choices=("ingested", "conv"), help="default ingested")
+    p.add_argument("--conv-layers", type=int, help="default 3")
+    p.add_argument("--conv-kernel", type=int, help="default 2")
+    p.add_argument("--conv-channels", type=int, help="default 32")
+    p.add_argument("--hidden", type=int, help="default 1024")
     add_schedule(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resume", help="checkpoint to continue from")

@@ -3,8 +3,10 @@
 Features are l2-normalized rows (``model.unit_rows``), so the dot product of
 two rows is their cosine. Every evaluation scores its queries in blocks of at
 most ``_BLOCK`` through one scorer, so no (queries, items) array is larger
-than one block. Each query's similarities are one ``features @ q`` product
-written into its row of the block. No gallery is sorted: a relevant item's
+than one block. A block's similarities are computed one gallery tile of
+``_TILE`` rows at a time, so every query of the block reads the tile while
+it sits in cache; each row keeps the bits of one ``features @ q`` product
+(see ``_similarity_blocks``). No gallery is sorted: a relevant item's
 rank is 1 + the number of items scoring higher, plus those scoring equal with
 a smaller item id, which is the order a stable sort of the negated scores
 gives, so exact ties break toward the smaller id and results are
@@ -43,6 +45,7 @@ from .model import unit_rows
 from .optim import rng_for
 
 _BLOCK = 64  # queries scored per block; bounds every (queries, items) array
+_TILE = 2048  # gallery rows per tile: 1 MiB of H=64 rows, about half an L2 cache
 
 
 def rank_items(similarities) -> np.ndarray:
@@ -184,17 +187,41 @@ class EvaluationReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of the gallery tiles of an n-row gallery.
+
+    Tile edges sit at multiples of ``_TILE`` and a remainder shorter than
+    ``_TILE // 2`` joins the tile before it, so a gallery under
+    ``3 * _TILE // 2`` rows is one tile and no tile is a sliver that BLAS
+    would sum through another kernel path.
+    """
+    edges = list(range(_TILE, n, _TILE))
+    if edges and n - edges[-1] < _TILE // 2:
+        edges.pop()
+    bounds = [0, *edges, n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
     """(query ids, (queries, gallery) similarities) per block of queries.
 
-    Each row is one ``gallery @ q`` product written in place: a block GEMM
-    would add the terms in another order and move similarities by an ulp.
+    Each row segment is one ``tile @ q`` product written in place, with the
+    queries of a block looping inside each gallery tile, so every query reads
+    the tile from cache. A gallery under ``3 * _TILE // 2`` rows is one tile,
+    one product per query. A block GEMM would add the terms in another order
+    and move similarities by an ulp; tiles of whole ``_TILE`` row groups keep
+    each row equal to ``gallery @ q``. (A product large enough for OpenBLAS to
+    split across its threads, about 600k elements, has bits that depend on
+    the BLAS thread count, tiled or not.)
     """
+    tiles = _tiles(len(gallery))
     for lo in range(0, len(queries), _BLOCK):
         block = queries[lo:lo + _BLOCK]
         sims = np.empty((len(block), len(gallery)))
-        for row, qi in zip(sims, block):
-            np.matmul(gallery, features[qi], out=row)
+        for start, stop in tiles:
+            tile = gallery[start:stop]
+            for row, qi in zip(sims[:, start:stop], block):
+                np.matmul(tile, features[qi], out=row)
         yield block, sims
 
 

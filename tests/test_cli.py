@@ -156,6 +156,55 @@ class TestTrain:
         assert "epochs=2" in err and "(4)" in err
         assert ckpt.read_bytes() == before
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--variant", "fc_ha"], "--variant fc_ha"),
+        (["--hidden", "32"], "--hidden 32"),
+        (["--hid", "32"], "--hidden 32"),
+        (["--backbone", "conv"], "--backbone conv"),
+        ("config", "--variant rnn_h_no_attention"),
+    ], ids=["variant", "hidden", "prefix", "backbone", "config"])
+    def test_resume_refuses_a_disagreeing_model_flag(self, tiny_set, tmp_path, capsys,
+                                                     flags, named):
+        base = ["train", "--manifest", str(tiny_set / "manifest.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"), "--out-dir", str(tmp_path),
+                "--batch-size", "8", "--seed", "2", "--epochs", "2"]
+        assert run([*base, "--hidden", "8"]) == 0
+        ckpt, loss = tmp_path / "checkpoint.ckpt", tmp_path / "loss.csv"
+        before = ckpt.read_bytes(), loss.read_bytes()
+        if flags == "config":
+            (tmp_path / "run.cfg").write_text("variant=rnn_h_no_attention\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        assert run([*base, "--epochs", "3", *flags, "--resume", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err and "checkpoint" in err
+        assert (ckpt.read_bytes(), loss.read_bytes()) == before
+
+    def test_resume_keeps_the_checkpoint_model_for_flags_not_given(self, tiny_set, tmp_path):
+        base = ["train", "--manifest", str(tiny_set / "manifest.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"), "--out-dir", str(tmp_path),
+                "--batch-size", "8", "--seed", "2"]
+        assert run([*base, "--variant", "fc_ha", "--hidden", "8", "--epochs", "1"]) == 0
+        ckpt = tmp_path / "checkpoint.ckpt"
+        # Agreeing flags, and conv flags on an ingested checkpoint, are accepted.
+        assert run([*base, "--epochs", "2", "--hidden", "8", "--conv-layers", "5",
+                    "--resume", str(ckpt)]) == 0
+        config = load_checkpoint(ckpt).config
+        assert (config.variant, config.hidden, config.backbone) == ("fc_ha", 8, "ingested")
+
+    def test_resume_refuses_a_disagreeing_conv_flag(self, tmp_path, capsys):
+        raw, common = conv_checkpoint(tmp_path)
+        ckpt = tmp_path / "run" / "checkpoint.ckpt"
+        base = ["train", *common, "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+                "--resume", str(ckpt)]
+        capsys.readouterr()
+        assert run([*base, "--conv-channels", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --conv-channels 8 disagrees") and err.count("\n") == 1
+        assert ckpt.read_bytes() == raw
+        assert run([*base, "--conv-layers", "2", "--conv-channels", "4"]) == 0
+
     def test_interrupted_run_resumes_from_last_epoch(self, tiny_set, tmp_path, monkeypatch):
         base = ["--manifest", str(tiny_set / "manifest.csv"),
                 "--descriptors", str(tiny_set / "descriptors.desc"),
@@ -735,6 +784,16 @@ class TestAblate:
         assert from_env == explicit
         results = json.loads(from_env)
         assert all([r["seed"] for r in results[v]["per_seed"]] == [2] for v in results)
+
+    def test_repeated_seed_is_config_error(self, tiny_set, tmp_path, capsys):
+        assert run(["ablate", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "1",
+                    "--batch-size", "8", "--seeds", "1,0,1", "--repeats", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--seeds" in err and "seed 1" in err
+        assert not (tmp_path / "ablation.json").exists()
 
     def test_tiny_ablation_table(self, tiny_set, tmp_path, capsys):
         out = tmp_path / "ablate"

@@ -7,9 +7,10 @@ import pytest
 from bruteforce import bf_metrics, bf_vehicleid_repeat, bf_veri
 from hareid.data import LabeledSample
 from hareid.errors import ConfigError, ShapeError, ValidationError
-from hareid.retrieval import (_BLOCK, EvaluationReport, RetrievalIndex, average_precision,
-                              cmc_at_k, first_hit_rank, image_retrieval_metrics,
-                              rank_items, vehicleid_protocol, veri_protocol)
+from hareid.retrieval import (_BLOCK, _TILE, EvaluationReport, RetrievalIndex,
+                              _similarity_blocks, average_precision, cmc_at_k,
+                              first_hit_rank, image_retrieval_metrics, rank_items,
+                              vehicleid_protocol, veri_protocol)
 
 
 def sample(vehicle, camera=None, track=None, source="0"):
@@ -394,6 +395,44 @@ class TestProtocolBlocks:
     def test_query_ids_must_be_integers(self):
         with pytest.raises(ValidationError, match="integers"):
             veri_protocol(veri_fixture([0.9, 0.5, 0.8]), queries=[0.0])
+
+
+class TestGalleryTiles:
+    """Similarities scored over gallery tiles, against one product per query."""
+
+    # Products stay at or under 400k elements: OpenBLAS splits larger ones
+    # across its own threads, and then the reference's bits depend on the
+    # BLAS thread count rather than on the tiling.
+    @pytest.mark.parametrize("n", [0, 1, 1023, 2047, 2048, 2049, 3071, 3072, 4097,
+                                   5120, 6147])
+    def test_every_row_equals_one_product(self, n):
+        rng = np.random.default_rng(n)
+        dims = [d for d in (1, 3, 16, 17, 64) if n * d <= 400_000]
+        for d in dims:
+            gallery = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
+            features = rng.normal(size=(7, d)).astype(np.float32).astype(np.float64)
+            queries = np.array([3, 0, 6, 3])
+            blocks = list(_similarity_blocks(gallery, features, queries))
+            assert [b.tolist() for b, _ in blocks] == [queries.tolist()]
+            for qi, row in zip(queries, blocks[0][1]):
+                assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)
+
+    @pytest.mark.parametrize("agg", ["max", "mean"])
+    def test_veri_matches_brute_force_across_tiles(self, agg):
+        rng = np.random.default_rng(15)
+        feats, meta = random_protocol_instance(rng, vehicles=(48, 49), tracks=(3, 4),
+                                               images=(20, 41))
+        assert len(meta) > 2 * _TILE
+        queries = sorted(int(q) for q in rng.choice(len(meta), size=5, replace=False))
+        report = veri_protocol(RetrievalIndex.build(feats, meta), queries=queries,
+                               track_agg=agg)
+        bf_map, bf_cmc, bf_skipped = bf_veri(
+            feats, [s.vehicle_id for s in meta], [s.camera_id for s in meta],
+            [s.track_id for s in meta], queries, agg)
+        assert report.map == bf_map
+        assert report.cmc == bf_cmc
+        assert report.counts["skipped"] == bf_skipped
+        assert report.counts["queries"] + bf_skipped == len(queries)
 
 
 class TestScaleInvariance:
