@@ -5,8 +5,9 @@ two rows is their cosine. Every evaluation scores its queries in blocks of at
 most ``_BLOCK`` through one scorer, so no (queries, items) array is larger
 than one block. A block's similarities are computed one gallery tile of
 ``_TILE`` rows at a time, so every query of the block reads the tile while
-it sits in cache; each row keeps the bits of one ``features @ q`` product
-(see ``_similarity_blocks``). No gallery is sorted: a relevant item's
+it sits in cache; each row keeps the bits of one ``features @ q`` product,
+and a gallery of more than ``_TILED_MAX`` elements is scored untiled (see
+``_similarity_blocks``). No gallery is sorted: a relevant item's
 rank is 1 + the number of items scoring higher, plus those scoring equal with
 a smaller item id, which is the order a stable sort of the negated scores
 gives, so exact ties break toward the smaller id and results are
@@ -46,6 +47,7 @@ from .optim import rng_for
 
 _BLOCK = 64  # queries scored per block; bounds every (queries, items) array
 _TILE = 2048  # gallery rows per tile: 1 MiB of H=64 rows, about half an L2 cache
+_TILED_MAX = 400_000  # largest tiled gallery (rows x dim); bits were checked up to it
 
 
 def rank_items(similarities) -> np.ndarray:
@@ -187,14 +189,17 @@ class EvaluationReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
-def _tiles(n: int) -> list[tuple[int, int]]:
-    """(start, stop) row ranges of the gallery tiles of an n-row gallery.
+def _tiles(n: int, d: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of the gallery tiles of an (n, d) gallery.
 
     Tile edges sit at multiples of ``_TILE`` and a remainder shorter than
     ``_TILE // 2`` joins the tile before it, so a gallery under
     ``3 * _TILE // 2`` rows is one tile and no tile is a sliver that BLAS
-    would sum through another kernel path.
+    would sum through another kernel path. A gallery of more than
+    ``_TILED_MAX`` elements is one tile.
     """
+    if n * d > _TILED_MAX:
+        return [(0, n)]
     edges = list(range(_TILE, n, _TILE))
     if edges and n - edges[-1] < _TILE // 2:
         edges.pop()
@@ -207,14 +212,15 @@ def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
 
     Each row segment is one ``tile @ q`` product written in place, with the
     queries of a block looping inside each gallery tile, so every query reads
-    the tile from cache. A gallery under ``3 * _TILE // 2`` rows is one tile,
-    one product per query. A block GEMM would add the terms in another order
+    the tile from cache. A block GEMM would add the terms in another order
     and move similarities by an ulp; tiles of whole ``_TILE`` row groups keep
-    each row equal to ``gallery @ q``. (A product large enough for OpenBLAS to
-    split across its threads, about 600k elements, has bits that depend on
-    the BLAS thread count, tiled or not.)
+    each row equal to ``gallery @ q``. Only galleries of 3072 rows or more and
+    at most ``_TILED_MAX`` elements are tiled (``eval_gallery``'s 5120x64 is).
+    Others run one product per query: OpenBLAS splits a product of about
+    600k elements across its threads, so tiling a larger gallery changes
+    bits, and a 2048-row tile at a wider dim no longer fits in L2.
     """
-    tiles = _tiles(len(gallery))
+    tiles = _tiles(*gallery.shape)
     for lo in range(0, len(queries), _BLOCK):
         block = queries[lo:lo + _BLOCK]
         sims = np.empty((len(block), len(gallery)))

@@ -193,6 +193,15 @@ class TestTrain:
         config = load_checkpoint(ckpt).config
         assert (config.variant, config.hidden, config.backbone) == ("fc_ha", 8, "ingested")
 
+    def test_model_flags_are_the_defaults_keys(self):
+        _, commands = cli.build_parser()
+        argv = ["--manifest", "m", "--out-dir", "o"]
+        for key, value in cli._MODEL_FLAG_DEFAULTS.items():  # noqa: SLF001
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        args = commands["train"].parse_args(argv)
+        assert cli._given_model_flags(args) == cli._MODEL_FLAG_DEFAULTS  # noqa: SLF001
+        assert cli._given_model_flags(commands["train"].parse_args(argv[:4])) == {}  # noqa: SLF001
+
     def test_resume_refuses_a_disagreeing_conv_flag(self, tmp_path, capsys):
         raw, common = conv_checkpoint(tmp_path)
         ckpt = tmp_path / "run" / "checkpoint.ckpt"

@@ -7,10 +7,11 @@ import pytest
 from bruteforce import bf_metrics, bf_vehicleid_repeat, bf_veri
 from hareid.data import LabeledSample
 from hareid.errors import ConfigError, ShapeError, ValidationError
-from hareid.retrieval import (_BLOCK, _TILE, EvaluationReport, RetrievalIndex,
-                              _similarity_blocks, average_precision, cmc_at_k,
-                              first_hit_rank, image_retrieval_metrics, rank_items,
-                              vehicleid_protocol, veri_protocol)
+from hareid.retrieval import (_BLOCK, _TILE, _TILED_MAX, EvaluationReport,
+                              RetrievalIndex, _similarity_blocks, _tiles,
+                              average_precision, cmc_at_k, first_hit_rank,
+                              image_retrieval_metrics, rank_items, vehicleid_protocol,
+                              veri_protocol)
 
 
 def sample(vehicle, camera=None, track=None, source="0"):
@@ -400,14 +401,14 @@ class TestProtocolBlocks:
 class TestGalleryTiles:
     """Similarities scored over gallery tiles, against one product per query."""
 
-    # Products stay at or under 400k elements: OpenBLAS splits larger ones
-    # across its own threads, and then the reference's bits depend on the
-    # BLAS thread count rather than on the tiling.
+    # Products stay at or under _TILED_MAX elements: OpenBLAS splits larger
+    # ones across its own threads, and then the reference's bits depend on
+    # the BLAS thread count rather than on the tiling.
     @pytest.mark.parametrize("n", [0, 1, 1023, 2047, 2048, 2049, 3071, 3072, 4097,
                                    5120, 6147])
     def test_every_row_equals_one_product(self, n):
         rng = np.random.default_rng(n)
-        dims = [d for d in (1, 3, 16, 17, 64) if n * d <= 400_000]
+        dims = [d for d in (1, 3, 16, 17, 64) if n * d <= _TILED_MAX]
         for d in dims:
             gallery = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
             features = rng.normal(size=(7, d)).astype(np.float32).astype(np.float64)
@@ -416,6 +417,17 @@ class TestGalleryTiles:
             assert [b.tolist() for b, _ in blocks] == [queries.tolist()]
             for qi, row in zip(queries, blocks[0][1]):
                 assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)
+
+    def test_tile_edges(self):
+        assert _tiles(3071, 64) == [(0, 3071)]
+        assert _tiles(5120, 64) == [(0, 2048), (2048, 4096), (4096, 5120)]
+        assert _tiles(6147, 64) == [(0, 2048), (2048, 4096), (4096, 6147)]
+        assert _tiles(3072, _TILED_MAX // 3072) == [(0, 2048), (2048, 3072)]
+
+    @pytest.mark.parametrize("n, d", [(3072, _TILED_MAX // 3072 + 1), (11579, 64),
+                                      (3072, 1024)])
+    def test_galleries_above_the_bound_are_one_product(self, n, d):
+        assert _tiles(n, d) == [(0, n)]
 
     @pytest.mark.parametrize("agg", ["max", "mean"])
     def test_veri_matches_brute_force_across_tiles(self, agg):
