@@ -4,18 +4,19 @@ Features are l2-normalized rows (``model.unit_rows``), so the dot product of
 two rows is their cosine. Every evaluation scores its queries in blocks of at
 most ``_BLOCK`` through one scorer, so no (queries, items) array is larger
 than one block. A block's similarities are computed one gallery tile of
-``_TILE`` rows at a time, so every query of the block reads the tile while
-it sits in cache; each row keeps the bits of one ``features @ q`` product,
-and a gallery of more than ``_TILED_MAX`` elements is scored untiled (see
-``_similarity_blocks``). No gallery is sorted: a relevant item's
-rank is 1 + the number of items scoring higher, plus those scoring equal with
-a smaller item id, which is the order a stable sort of the negated scores
-gives, so exact ties break toward the smaller id and results are
-deterministic even with quantized features. AP adds the precision at each
-relevant rank in rank order (``np.cumsum``) and the first hit is the smallest
-relevant rank. A query with no relevant gallery item is skipped and counted
-in the report. ``rank_items``, ``average_precision`` and ``first_hit_rank``
-state these definitions on one ranking.
+``_TILE`` rows at a time, with one stacked matmul per tile; its inner loop
+makes the per-query BLAS matrix-vector call, not a GEMM, so every query of
+the block reads the tile while it sits in cache and each row keeps the bits
+of one ``features @ q`` product. A gallery of more than ``_TILED_MAX``
+elements is scored untiled (see ``_similarity_blocks``). No gallery is
+sorted: a relevant item's rank is 1 + the number of items scoring higher,
+plus those scoring equal with a smaller item id, which is the order a stable
+sort of the negated scores gives, so exact ties break toward the smaller id
+and results are deterministic even with quantized features. AP adds the
+precision at each relevant rank in rank order (``np.cumsum``) and the first
+hit is the smallest relevant rank. A query with no relevant gallery item is
+skipped and counted in the report. ``rank_items``, ``average_precision`` and
+``first_hit_rank`` state these definitions on one ranking.
 
 * Image-to-track protocol: each query is one image, gallery units are the
   tracks of all vehicles, tracks containing any image from the query's own
@@ -210,11 +211,13 @@ def _tiles(n: int, d: int) -> list[tuple[int, int]]:
 def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
     """(query ids, (queries, gallery) similarities) per block of queries.
 
-    Each row segment is one ``tile @ q`` product written in place, with the
-    queries of a block looping inside each gallery tile, so every query reads
-    the tile from cache. A block GEMM would add the terms in another order
-    and move similarities by an ulp; tiles of whole ``_TILE`` row groups keep
-    each row equal to ``gallery @ q``. Only galleries of 3072 rows or more and
+    One stacked matmul per tile; its inner loop makes the per-query BLAS
+    matrix-vector call, not a GEMM. NumPy sees a stack of (tile, d) @ (d, 1)
+    products and issues the ``tile @ q`` call of each query of the block from
+    C, writing each row segment in place, so every query reads the tile from
+    cache. A block GEMM would add the terms in another order and move
+    similarities by an ulp; tiles of whole ``_TILE`` row groups keep each row
+    equal to ``gallery @ q``. Only galleries of 3072 rows or more and
     at most ``_TILED_MAX`` elements are tiled (``eval_gallery``'s 5120x64 is).
     Others run one product per query: OpenBLAS splits a product of about
     600k elements across its threads, so tiling a larger gallery changes
@@ -225,9 +228,8 @@ def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
         block = queries[lo:lo + _BLOCK]
         sims = np.empty((len(block), len(gallery)))
         for start, stop in tiles:
-            tile = gallery[start:stop]
-            for row, qi in zip(sims[:, start:stop], block):
-                np.matmul(tile, features[qi], out=row)
+            np.matmul(gallery[start:stop], features[block, :, None],
+                      out=sims[:, start:stop, None])
         yield block, sims
 
 

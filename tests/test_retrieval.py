@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,20 +407,35 @@ class TestGalleryTiles:
 
     # Products stay at or under _TILED_MAX elements: OpenBLAS splits larger
     # ones across its own threads, and then the reference's bits depend on
-    # the BLAS thread count rather than on the tiling.
-    @pytest.mark.parametrize("n", [0, 1, 1023, 2047, 2048, 2049, 3071, 3072, 4097,
-                                   5120, 6147])
+    # the BLAS thread count rather than on the tiling. 16, 64 and 256 are
+    # VehicleID gallery sizes; each block is a full one of _BLOCK queries.
+    @pytest.mark.parametrize("n", [0, 1, 16, 64, 256, 1023, 2047, 2048, 2049, 3071,
+                                   3072, 4097, 5120, 6147])
     def test_every_row_equals_one_product(self, n):
         rng = np.random.default_rng(n)
         dims = [d for d in (1, 3, 16, 17, 64) if n * d <= _TILED_MAX]
         for d in dims:
             gallery = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
-            features = rng.normal(size=(7, d)).astype(np.float32).astype(np.float64)
-            queries = np.array([3, 0, 6, 3])
+            features = rng.normal(size=(_BLOCK + 7, d)).astype(np.float32).astype(np.float64)
+            queries = rng.integers(len(features), size=_BLOCK)
             blocks = list(_similarity_blocks(gallery, features, queries))
             assert [b.tolist() for b, _ in blocks] == [queries.tolist()]
             for qi, row in zip(queries, blocks[0][1]):
                 assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+    def test_unsigned_query_ids_score_like_signed(self, dtype):
+        rng = np.random.default_rng(3)
+        feats, meta = random_protocol_instance(rng, vehicles=(20, 21), tracks=(2, 3),
+                                               images=(3, 4))
+        index = RetrievalIndex.build(feats, meta)
+        queries = rng.integers(len(index), size=_BLOCK + 5)
+        for block, sims in _similarity_blocks(index.features, index.features,
+                                              queries.astype(dtype)):
+            for qi, row in zip(block, sims):
+                assert np.array_equal(row, index.features @ index.features[qi])
+        assert (veri_protocol(index, queries=queries.astype(dtype)).as_dict()
+                == veri_protocol(index, queries=queries.tolist()).as_dict())
 
     def test_tile_edges(self):
         assert _tiles(3071, 64) == [(0, 3071)]
@@ -428,6 +447,43 @@ class TestGalleryTiles:
                                       (3072, 1024)])
     def test_galleries_above_the_bound_are_one_product(self, n, d):
         assert _tiles(n, d) == [(0, n)]
+        rng = np.random.default_rng(n + d)
+        gallery = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
+        features = rng.normal(size=(3, d)).astype(np.float32).astype(np.float64)
+        [(block, sims)] = _similarity_blocks(gallery, features, np.arange(3))
+        for qi, row in zip(block, sims):
+            assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)
+
+    def test_tiled_bits_do_not_depend_on_blas_threads(self):
+        """Galleries up to _TILED_MAX elements are tiled because OpenBLAS does
+        not split their one product across its threads: under one and under
+        two threads, each in its own process, every row equals that product
+        and both processes give the same bytes."""
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from hareid.retrieval import _TILED_MAX, _similarity_blocks\n"
+            "digest = hashlib.sha256()\n"
+            "for n in (5120, _TILED_MAX // 64):\n"
+            "    rng = np.random.default_rng(n)\n"
+            "    gallery = rng.normal(size=(n, 64)).astype(np.float32).astype(np.float64)\n"
+            "    features = rng.normal(size=(70, 64)).astype(np.float32).astype(np.float64)\n"
+            "    for block, sims in _similarity_blocks(gallery, features, np.arange(70)):\n"
+            "        for qi, row in zip(block, sims):\n"
+            "            assert np.array_equal(row, gallery @ features[qi]), (n, qi)\n"
+            "        digest.update(sims.tobytes())\n"
+            "print(digest.hexdigest())\n")
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, path))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("agg", ["max", "mean"])
     def test_veri_matches_brute_force_across_tiles(self, agg):
