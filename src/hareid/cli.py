@@ -94,9 +94,7 @@ def cmd_synth(args) -> int:
                               images_per_vehicle=args.images, grid=args.grid,
                               d=args.dim, cameras=args.cameras,
                               noise_sigma=args.noise,
-                              view_amplitude=args.view_amplitude,
-                              signature_jitter=args.signature_jitter,
-                              signature_cone=args.signature_cone)
+                              view_amplitude=args.view_amplitude)
     ds = data.synth_generate(config, seed=args.seed)
     paths = data.write_synth(ds, args.out)
     print(f"wrote {len(ds.split.train)} train / {len(ds.split.test)} test samples")
@@ -106,14 +104,15 @@ def cmd_synth(args) -> int:
 
 
 def _schedule_from_args(args) -> TrainSchedule:
-    return TrainSchedule(initial_lr=args.lr, drop_epoch=args.drop_epoch,
-                         dropped_lr=args.dropped_lr, batch_size=args.batch_size,
-                         epochs=args.epochs)
+    return TrainSchedule(batch_size=args.batch_size, epochs=args.epochs)
 
 
 # The model flags of ``train`` and what a fresh run uses for those not given.
-_MODEL_FLAG_DEFAULTS = {"variant": "rnn_ha", "backbone": "ingested", "hidden": 1024,
-                       "conv_layers": 3, "conv_kernel": 2, "conv_channels": 32}
+_MODEL_FLAG_DEFAULTS = {"variant": ModelConfig.variant, "backbone": ModelConfig.backbone,
+                       "hidden": ModelConfig.hidden,
+                       "conv_layers": backbone.ConvStackConfig.layers,
+                       "conv_kernel": backbone.ConvStackConfig.kernel,
+                       "conv_channels": backbone.ConvStackConfig.channels}
 
 
 def _given_model_flags(args) -> dict[str, object]:
@@ -345,26 +344,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         subcommands.append(p)
 
     def add_schedule(p):
-        p.add_argument("--epochs", type=int, default=20)
-        p.add_argument("--batch-size", type=int, default=64)
-        p.add_argument("--lr", type=float, default=0.001)
-        p.add_argument("--drop-epoch", type=int, default=5)
-        p.add_argument("--dropped-lr", type=float, default=0.0001)
+        p.add_argument("--epochs", type=int, default=TrainSchedule.epochs)
+        p.add_argument("--batch-size", type=int, default=TrainSchedule.batch_size)
 
     p = sub.add_parser("synth", help="generate the synthetic dataset")
     add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--models", type=int, default=8)
-    p.add_argument("--vehicles", type=int, default=8,
+    synth = data.SynthConfig
+    p.add_argument("--models", type=int, default=synth.models)
+    p.add_argument("--vehicles", type=int, default=synth.vehicles_per_model,
                    help="vehicles per model, per split")
-    p.add_argument("--images", type=int, default=20)
-    p.add_argument("--grid", type=int, default=6)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--cameras", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--view-amplitude", type=float, default=0.5)
-    p.add_argument("--signature-jitter", type=float, default=0.1)
-    p.add_argument("--signature-cone", type=float, default=0.6)
+    p.add_argument("--images", type=int, default=synth.images_per_vehicle)
+    p.add_argument("--grid", type=int, default=synth.grid)
+    p.add_argument("--dim", type=int, default=synth.d)
+    p.add_argument("--cameras", type=int, default=synth.cameras)
+    p.add_argument("--noise", type=float, default=synth.noise_sigma)
+    p.add_argument("--view-amplitude", type=float, default=synth.view_amplitude)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
@@ -384,7 +379,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--conv-channels", type=int, help=default["conv_channels"])
     p.add_argument("--hidden", type=int, help=default["hidden"])
     add_schedule(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 

@@ -17,9 +17,11 @@ fine structure. Every image of a model-m vehicle seen by camera c is
 * ``signature_v`` (the "windshield sticker", of norm ``SIGNATURE_AMPLITUDE``)
   is written into one fixed cell per vehicle, so pooling attenuates it by
   1/(h*w): fine identity needs the attended embedding. Sticker contents come from a shared bank of base
-  directions, each a mix of one positive-cone component (common to every
-  sticker, so a detector trained on seen vehicles also fires on unseen ones)
-  and one near-orthogonal residual (so different stickers are far apart).
+  directions, each a mix of one positive-cone component of weight
+  ``SIGNATURE_CONE`` (common to every sticker, so a detector trained on seen
+  vehicles also fires on unseen ones) and one near-orthogonal residual (so
+  different stickers are far apart). Each vehicle's sticker is its base plus
+  Gaussian jitter of scale ``SIGNATURE_JITTER``, renormalized.
   Within one model every vehicle holds a different base and a different
   cell, but the same bases recur across models: telling those near-identical
   stickers apart requires the coarse model context, which is exactly what
@@ -133,6 +135,8 @@ def write_manifest(path, split: DatasetSplit) -> None:
 # Synthetic data
 
 SIGNATURE_AMPLITUDE = 3.0  # the norm of every sticker; model patterns are unit
+SIGNATURE_JITTER = 0.1  # scale of the per-vehicle draw added to a sticker's base
+SIGNATURE_CONE = 0.6  # shared-cone weight of the sticker bank
 
 
 @dataclass
@@ -145,8 +149,6 @@ class SynthConfig:
     cameras: int = 4
     noise_sigma: float = 0.1
     view_amplitude: float = 0.5
-    signature_jitter: float = 0.1
-    signature_cone: float = 0.6  # shared-cone weight of the sticker bank
 
     def __post_init__(self):
         if min(self.models, self.vehicles_per_model, self.images_per_vehicle,
@@ -185,7 +187,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
     # Sticker residuals wrap modulo d, so bases stay distinct within a split
     # as long as vehicles_per_model <= d.
     cone = np.ones(d) / np.sqrt(d)
-    sticker_bank = np.stack([_unit(config.signature_cone * cone + np.eye(d)[k % d])
+    sticker_bank = np.stack([_unit(SIGNATURE_CONE * cone + np.eye(d)[k % d])
                              for k in range(per_model)])
     cells = np.stack([rng.choice(g * g, size=per_model, replace=False)
                       for _ in range(config.models)])
@@ -206,7 +208,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
                 vehicle_id = f"{split_name[:2]}_m{m}_v{i}"
                 model_id = f"mod{m}"
                 sig = _unit(sticker_bank[slot]
-                            + config.signature_jitter * rng.normal(size=d))
+                            + SIGNATURE_JITTER * rng.normal(size=d))
                 sig = sig * SIGNATURE_AMPLITUDE
                 cell = int(cells[m, slot])
                 row, col = cell // g, cell % g
@@ -262,7 +264,11 @@ def sample_input(sample: LabeledSample, maps: np.ndarray | None = None,
         if maps is None:
             raise ConfigError(f"sample {sample.vehicle_id} references descriptor "
                               f"{sample.source} but no descriptor file was given")
-        return maps[int(sample.source)]
+        index = int(sample.source)
+        if index >= len(maps):
+            raise ConfigError(f"sample {sample.vehicle_id} references descriptor "
+                              f"{sample.source} but the descriptor file has {len(maps)} rows")
+        return maps[index]
     return formats.read_image(Path(image_root or ".") / sample.source)
 
 

@@ -10,7 +10,9 @@ library defaults). The update runs over blocks of rows of about ``_SLICE``
 elements of each parameter, its gradient and its v, so a block and its
 temporaries stay in cache while the three statements pass over it; the
 arithmetic is elementwise, so the result is the same to the bit as one pass
-over the whole array. The learning rate starts at 1e-3 and drops to 1e-4 from epoch 5.
+over the whole array. The learning rate is the paper's two-phase step: the
+constant ``INITIAL_LR`` = 1e-3 before ``TrainSchedule.drop_epoch`` (5 by
+default) and ``DROPPED_LR`` = 1e-4 from it on.
 Each minibatch runs as one graph: the batch gradient is the gradient of the
 batch-mean loss, from one forward and one backward pass. The per-epoch
 shuffle comes from a counter-based generator keyed on (seed, epoch) so a run
@@ -40,30 +42,25 @@ def rng_for(*key: int) -> np.random.Generator:
 
 @dataclass
 class TrainSchedule:
-    initial_lr: float = 0.001
     drop_epoch: int = 5
-    dropped_lr: float = 0.0001
     batch_size: int = 64
     epochs: int = 20
 
     def __post_init__(self):
-        for name, lr in (("initial_lr", self.initial_lr), ("dropped_lr", self.dropped_lr)):
-            if not (np.isfinite(lr) and lr > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {lr}")
         if self.drop_epoch < 0:
-            raise ConfigError("drop_epoch must be >= 0")
+            raise ConfigError(f"drop_epoch must be >= 0, got {self.drop_epoch}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def lr_schedule(epoch: int, schedule: TrainSchedule | None = None) -> float:
-    """Step schedule: initial rate before drop_epoch, dropped rate after."""
+    """Step schedule: ``INITIAL_LR`` before drop_epoch, ``DROPPED_LR`` from it on."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     schedule = schedule or TrainSchedule()
-    return schedule.initial_lr if epoch < schedule.drop_epoch else schedule.dropped_lr
+    return INITIAL_LR if epoch < schedule.drop_epoch else DROPPED_LR
 
 
 @dataclass
@@ -77,6 +74,8 @@ class RmspropState:
 
 ALPHA = 0.99
 DELTA = 1e-8
+INITIAL_LR = 1e-3  # the paper's rate before the drop epoch
+DROPPED_LR = 1e-4  # the rate from the drop epoch on
 # Elements per RMSprop slice: 256 KB of float64, so a slice of the gradient,
 # v, the parameter and the update's temporaries fit in L2 together.
 _SLICE = 1 << 15

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -8,9 +9,10 @@ from bruteforce import bf_metrics
 from conftest import scale_sigmoid_backward
 from hareid import cli, formats
 from hareid.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from hareid.data import load_manifest
+from hareid.data import SynthConfig, load_manifest, write_manifest
+from hareid.errors import ConfigError
 from hareid.model import Model, ModelConfig
-from hareid.optim import ALPHA, DELTA
+from hareid.optim import ALPHA, DELTA, TrainSchedule
 
 
 def run(argv):
@@ -201,6 +203,26 @@ class TestTrain:
         args = commands["train"].parse_args(argv)
         assert cli._given_model_flags(args) == cli._MODEL_FLAG_DEFAULTS  # noqa: SLF001
         assert cli._given_model_flags(commands["train"].parse_args(argv[:4])) == {}  # noqa: SLF001
+
+    @pytest.mark.parametrize("command", ["synth", "train", "ablate"])
+    def test_unset_flags_give_the_dataclass_defaults(self, tmp_path, monkeypatch, command):
+        if command == "synth":
+            seen = []
+
+            def capture(config, seed):
+                seen.append(config)
+                raise ConfigError("captured")
+
+            monkeypatch.setattr(cli.data, "synth_generate", capture)
+            assert run(["synth", "--out", str(tmp_path)]) == 1
+            assert seen == [SynthConfig()]
+        else:
+            _, commands = cli.build_parser()
+            args = commands[command].parse_args(["--manifest", "m", "--descriptors", "d",
+                                                 "--out-dir", "o"])
+            assert cli._schedule_from_args(args) == TrainSchedule()  # noqa: SLF001
+            if command == "train":
+                assert args.seed == ModelConfig(num_models=1, num_vehicles=1).seed
 
     def test_resume_refuses_a_disagreeing_conv_flag(self, tmp_path, capsys):
         raw, common = conv_checkpoint(tmp_path)
@@ -422,23 +444,10 @@ class TestTrain:
         err = self.train_conv_error(tmp_path, capsys, second, first_image=first)
         assert f"training sample 1 (bad.pgm) has input shape {shapes}" in err
 
-    @pytest.mark.parametrize("flag, value, name", [("--lr", "nan", "initial_lr"),
-                                                   ("--lr", "inf", "initial_lr"),
-                                                   ("--dropped-lr", "inf", "dropped_lr")])
-    def test_non_finite_learning_rate_is_config_error(self, tiny_set, tmp_path, capsys,
-                                                      flag, value, name):
-        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
-                    "--descriptors", str(tiny_set / "descriptors.desc"),
-                    "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "2",
-                    flag, value]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{name} must be finite and positive, got {value}" in err
-        assert not (tmp_path / "checkpoint.ckpt").exists()
-
 
 @pytest.mark.parametrize("case", ["samples", "no samples", "seeds", "no seeds", "manifest",
-                                  "config", "removed train key", "removed gradcheck key"])
+                                  "config", "removed train key", "removed gradcheck key",
+                                  "removed lr key", "removed synth key"])
 def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case):
     manifest, desc = str(tiny_set / "manifest.csv"), str(tiny_set / "descriptors.desc")
     if case in ("samples", "no samples"):
@@ -453,16 +462,21 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
                 "--out-dir", str(tmp_path), "--seeds", seeds]
         names = ("--seeds", repr(seeds))
     elif case.startswith("removed"):
-        # Keys of flags that are gone: the attention width and the gradient
-        # check's pass bound are constants.
-        command, key, value = (("train", "attn_hidden", 8) if "train" in case
-                               else ("gradcheck", "tol", 1))
+        # Keys of flags that are gone: the attention width, the gradient
+        # check's pass bound, the learning rates and the sticker settings
+        # are constants.
+        command, key, value = {"removed train key": ("train", "attn_hidden", 8),
+                               "removed gradcheck key": ("gradcheck", "tol", 1),
+                               "removed lr key": ("train", "lr", 0.01),
+                               "removed synth key": ("synth", "signature-cone", 0.5)}[case]
         cfg = tmp_path / "removed.cfg"
         cfg.write_text(f"{key}={value}\n")
         argv = [command, "--config", str(cfg)]
         if command == "train":
             argv += ["--manifest", manifest, "--descriptors", desc, "--out-dir", str(tmp_path)]
-        names = (f"unknown option {key!r} for command {command}",)
+        elif command == "synth":
+            argv += ["--out", str(tmp_path)]
+        names = (f"unknown option {key.replace('-', '_')!r} for command {command}",)
     elif case == "manifest":
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes((tiny_set / "manifest.csv").read_bytes().replace(b"m0", b"m\xe9"))
@@ -479,7 +493,8 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in names), err
-    assert not list(tmp_path.glob("attmap_*")) and not (tmp_path / "ablation.json").exists()
+    inputs = {"removed.cfg", "latin1.csv", "latin1.cfg"}
+    assert {p.name for p in tmp_path.iterdir()} <= inputs
 
 
 @pytest.mark.parametrize("command", ["extract", "ablate", "attmap"])
@@ -507,6 +522,30 @@ def test_non_finite_test_sample_is_named(tiny_set, tiny_run, tmp_path, capsys, c
     assert "argmax" not in captured.out
     assert not list(tmp_path.glob("attmap_4.*")) and not (tmp_path / "f.feat").exists()
     assert not (tmp_path / "ablation.json").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "attmap"])
+def test_descriptor_index_past_the_file_is_named(tiny_set, tiny_run, tmp_path, capsys,
+                                                 command):
+    split = load_manifest(tiny_set / "manifest.csv")
+    samples = split.train if command == "train" else split.test
+    samples[1] = dataclasses.replace(samples[1], source="99999")
+    write_manifest(tmp_path / "bad.csv", split)
+    rows = len(formats.read_tensor_file(tiny_set / "descriptors.desc"))
+    common = ["--manifest", str(tmp_path / "bad.csv"),
+              "--descriptors", str(tiny_set / "descriptors.desc")]
+    ckpt = ["--checkpoint", str(tiny_run / "checkpoint.ckpt")]
+    out = tmp_path / "out"
+    argv = {"extract": ["extract", *ckpt, *common, "--out", str(out)],
+            "train": ["train", *common, "--out-dir", str(out), "--hidden", "8",
+                      "--epochs", "1"],
+            "attmap": ["attmap", *ckpt, *common, "--samples", "1", "--out-dir", str(out)]}
+    assert run(argv[command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (f"sample {samples[1].vehicle_id} references descriptor 99999 but the "
+            f"descriptor file has {rows} rows") in err
+    assert not out.exists() or not list(out.iterdir())
 
 
 class TestExtract:

@@ -114,7 +114,7 @@ def per_image_synth(config, seed):
     per_model = 2 * config.vehicles_per_model
     patterns = np.stack([dat._unit(rng.normal(size=d)) for _ in range(config.models)])
     cone = np.ones(d) / np.sqrt(d)
-    bank = np.stack([dat._unit(config.signature_cone * cone + np.eye(d)[k % d])
+    bank = np.stack([dat._unit(dat.SIGNATURE_CONE * cone + np.eye(d)[k % d])
                      for k in range(per_model)])
     cells = np.stack([rng.choice(g * g, size=per_model, replace=False)
                       for _ in range(config.models)])
@@ -125,7 +125,7 @@ def per_image_synth(config, seed):
         for m in range(config.models):
             for i in range(config.vehicles_per_model):
                 slot = split_idx * config.vehicles_per_model + i
-                sig = dat._unit(bank[slot] + config.signature_jitter * rng.normal(size=d))
+                sig = dat._unit(bank[slot] + dat.SIGNATURE_JITTER * rng.normal(size=d))
                 sig = sig * dat.SIGNATURE_AMPLITUDE
                 row, col = divmod(int(cells[m, slot]), g)
                 for j in range(config.images_per_vehicle):
@@ -189,8 +189,7 @@ class TestSynthGenerate:
         with pytest.raises(ConfigError, match="too small"):
             dat.SynthConfig(models=2, vehicles_per_model=8, grid=3)
 
-    @pytest.mark.parametrize("name", ["noise_sigma", "view_amplitude", "signature_jitter",
-                                      "signature_cone"])
+    @pytest.mark.parametrize("name", ["noise_sigma", "view_amplitude"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_setting(self, name, bad):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):

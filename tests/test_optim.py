@@ -5,8 +5,8 @@ from hareid import autodiff as ad
 from hareid.data import SynthConfig, synth_generate, training_items
 from hareid.errors import ConfigError, NumericError
 from hareid.model import Model, ModelConfig
-from hareid.optim import (ALPHA, DELTA, RmspropState, TrainSchedule, lr_schedule, rmsprop_step,
-                          rng_for, train)
+from hareid.optim import (ALPHA, DELTA, DROPPED_LR, INITIAL_LR, RmspropState, TrainSchedule,
+                          lr_schedule, rmsprop_step, rng_for, train)
 
 
 def tiny_problem(seed, epochs=11):
@@ -133,19 +133,19 @@ class TestSchedule:
             lr_schedule(-1)
 
     def test_invalid_schedule_config(self):
-        with pytest.raises(ConfigError):
-            TrainSchedule(initial_lr=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="drop_epoch must be >= 0, got -2"):
+            TrainSchedule(drop_epoch=-2)
+        with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
             TrainSchedule(batch_size=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
             TrainSchedule(epochs=-1)
         assert TrainSchedule(epochs=0).epochs == 0
 
-    @pytest.mark.parametrize("name", ["initial_lr", "dropped_lr"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
-    def test_rate_must_be_finite_and_positive(self, name, value):
-        with pytest.raises(ConfigError, match=f"{name} must be finite and positive"):
-            TrainSchedule(**{name: value})
+    @pytest.mark.parametrize("drop_epoch", [0, 1, 3, 8])
+    def test_rate_drops_at_the_given_epoch(self, drop_epoch):
+        schedule = TrainSchedule(drop_epoch=drop_epoch)
+        rates = [lr_schedule(e, schedule) for e in range(10)]
+        assert rates == [INITIAL_LR] * drop_epoch + [DROPPED_LR] * (10 - drop_epoch)
 
 
 class TestTrain:
