@@ -143,8 +143,6 @@ def cmd_train(args) -> int:
     split, maps = _load_split_and_maps(args)
     schedule = _schedule_from_args(args)
     given = _given_model_flags(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     items = data.training_items(split, maps, image_root=args.image_root)
 
     if args.resume:
@@ -182,6 +180,10 @@ def cmd_train(args) -> int:
 
     if state is None:
         state = RmspropState.init(model.params())
+    # Created only once the run's inputs are read and checked, so a refused
+    # run leaves no directory behind.
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     loss_path, ckpt_path = out_dir / "loss.csv", out_dir / "checkpoint.ckpt"
     if not args.resume:
         _write_loss_rows(loss_path, [], append=False)
@@ -266,8 +268,7 @@ def cmd_attmap(args) -> int:
         raise ConfigError(f"variant {ckpt.config.variant!r} has no attention module")
     split, maps = _load_split_and_maps(args)
     samples = _samples_for(split, args.split)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    weights_of = []  # (sample id, attention weights), in --samples order
     for i in _int_list(args.samples, "--samples"):
         if not 0 <= i < len(samples):
             raise IndexError(f"sample id {i} out of range for split of {len(samples)}")
@@ -275,6 +276,10 @@ def cmd_attmap(args) -> int:
         weights = model.forward(inp).attention
         if not np.isfinite(weights.a).all():
             raise NumericError(f"sample {i} ({samples[i].source}) has a non-finite attention map")
+        weights_of.append((i, weights))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, weights in weights_of:
         formats.write_pgm(out_dir / f"attmap_{i}.pgm",
                           formats.attention_to_pixels(weights.a))
         with open(out_dir / f"attmap_{i}.csv", "w", newline="") as f:

@@ -260,7 +260,8 @@ def load_signature_cells(path) -> dict[str, tuple[int, int]]:
 def sample_input(sample: LabeledSample, maps: np.ndarray | None = None,
                  image_root=None) -> np.ndarray:
     """Resolve a sample's source to its input array."""
-    if sample.source.isdigit():
+    # isdigit() alone also accepts superscripts and other scripts' digits.
+    if sample.source.isascii() and sample.source.isdigit():
         if maps is None:
             raise ConfigError(f"sample {sample.vehicle_id} references descriptor "
                               f"{sample.source} but no descriptor file was given")

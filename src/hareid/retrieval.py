@@ -1,15 +1,19 @@
 """Cosine-similarity retrieval and the two evaluation protocols.
 
 Features are l2-normalized rows (``model.unit_rows``), so the dot product of
-two rows is their cosine. Every evaluation scores its queries in blocks of at
-most ``_BLOCK`` through one scorer, so no (queries, items) array is larger
-than one block. A block's similarities are computed one gallery tile of
-``_TILE`` rows at a time, with one stacked matmul per tile; its inner loop
-makes the per-query BLAS matrix-vector call, not a GEMM, so every query of
-the block reads the tile while it sits in cache and each row keeps the bits
-of one ``features @ q`` product. A gallery of more than ``_TILED_MAX``
-elements is scored untiled (see ``_similarity_blocks``). No gallery is
-sorted: a relevant item's rank is 1 + the number of items scoring higher,
+two rows is their cosine. Every evaluation scores its queries in blocks
+through one scorer, so no (queries, items) array is larger than one block.
+A block holds ``_BLOCK`` queries, or more on a gallery of fewer than 1024
+rows and dims: as many as keep its (queries, items) similarities and its
+(queries, dim) query rows within ``_BLOCK_ELEMENTS`` elements each (see
+``_block_queries``), so a small gallery's queries do not pay per-block NumPy
+calls that cost more than their products. A block's similarities are
+computed one gallery tile of ``_TILE`` rows at a time, with one stacked
+matmul per tile; its inner loop makes the per-query BLAS matrix-vector call,
+not a GEMM, so every query of the block reads the tile while it sits in
+cache and each row keeps the bits of one ``features @ q`` product. A
+gallery of more than ``_TILED_MAX`` elements is scored untiled (see
+``_similarity_blocks``). No gallery is sorted: a relevant item's rank is 1 + the number of items scoring higher,
 plus those scoring equal with a smaller item id, which is the order a stable
 sort of the negated scores gives, so exact ties break toward the smaller id
 and results are deterministic even with quantized features. AP adds the
@@ -46,7 +50,8 @@ from .errors import ConfigError, ValidationError
 from .model import unit_rows
 from .optim import rng_for
 
-_BLOCK = 64  # queries scored per block; bounds every (queries, items) array
+_BLOCK = 64  # fewest queries scored per block
+_BLOCK_ELEMENTS = 65536  # a larger block's per-query arrays: 512 KiB of float64
 _TILE = 2048  # gallery rows per tile: 1 MiB of H=64 rows, about half an L2 cache
 _TILED_MAX = 400_000  # largest tiled gallery (rows x dim); bits were checked up to it
 
@@ -129,12 +134,11 @@ class RetrievalIndex:
         return _codes(s.vehicle_id for s in self.samples)
 
     @cached_property
-    def vehicle_images(self) -> list[np.ndarray]:
-        """Each vehicle's image ids, ascending, indexed by vehicle code."""
-        counts = np.bincount(self.vehicle_codes)
-        order = np.argsort(self.vehicle_codes, kind="stable")
-        ends = np.cumsum(counts)
-        return [order[end - count:end] for count, end in zip(counts, ends)]
+    def vehicle_images(self) -> tuple[np.ndarray, np.ndarray]:
+        """(vehicles, width) table of each vehicle's image ids, ascending, by
+        vehicle code, and the mask of its real entries."""
+        return _padded(np.bincount(self.vehicle_codes),
+                       np.argsort(self.vehicle_codes, kind="stable"))
 
     @cached_property
     def track_tables(self) -> TrackTables:
@@ -208,14 +212,24 @@ def _tiles(n: int, d: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _block_queries(n: int, d: int) -> int:
+    """Queries per block on an (n, d) gallery: ``_BLOCK``, or more while the
+    block's (queries, n) similarities and (queries, d) query rows each stay
+    within ``_BLOCK_ELEMENTS`` elements."""
+    return max(_BLOCK, _BLOCK_ELEMENTS // max(n, d, 1))
+
+
 def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
     """(query ids, (queries, gallery) similarities) per block of queries.
 
-    One stacked matmul per tile; its inner loop makes the per-query BLAS
-    matrix-vector call, not a GEMM. NumPy sees a stack of (tile, d) @ (d, 1)
-    products and issues the ``tile @ q`` call of each query of the block from
-    C, writing each row segment in place, so every query reads the tile from
-    cache. A block GEMM would add the terms in another order and move
+    A block holds ``_block_queries`` queries: 64 on a gallery of 1024 or more
+    rows or dims, 1024 on a 64x64 one. The dims count too: at d=1024 a
+    1024-query block would gather 8 MB of query rows. One stacked matmul per
+    tile; its inner loop makes the per-query BLAS matrix-vector call, not a
+    GEMM, so the block size moves no bit. NumPy sees a stack of
+    (tile, d) @ (d, 1) products and issues the ``tile @ q`` call of each
+    query of the block from C, writing each row segment in place, so every
+    query reads the tile from cache. A block GEMM would add the terms in another order and move
     similarities by an ulp; tiles of whole ``_TILE`` row groups keep each row
     equal to ``gallery @ q``. Only galleries of 3072 rows or more and
     at most ``_TILED_MAX`` elements are tiled (``eval_gallery``'s 5120x64 is).
@@ -224,8 +238,9 @@ def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
     bits, and a 2048-row tile at a wider dim no longer fits in L2.
     """
     tiles = _tiles(*gallery.shape)
-    for lo in range(0, len(queries), _BLOCK):
-        block = queries[lo:lo + _BLOCK]
+    size = _block_queries(*gallery.shape)
+    for lo in range(0, len(queries), size):
+        block = queries[lo:lo + size]
         sims = np.empty((len(block), len(gallery)))
         for start, stop in tiles:
             np.matmul(gallery[start:stop], features[block, :, None],
@@ -246,12 +261,19 @@ def _score(blocks) -> tuple[float, dict[int, float], int, int]:
     for scores, relevant, real in blocks:
         ids = np.arange(scores.shape[1])
         ranks = np.full(relevant.shape, np.inf)
+        whole = real.all(axis=0)  # slots where every row counts need no gather
         for slot in range(relevant.shape[1]):
-            rows = np.flatnonzero(real[:, slot])
+            if whole[slot]:
+                rows, row_scores = slice(None), scores
+            else:
+                rows = np.flatnonzero(real[:, slot])
+                row_scores = scores[rows]
             items = relevant[rows, slot, None]
-            row_scores = scores[rows]
             own = np.take_along_axis(row_scores, items, axis=1)
-            ahead = (row_scores > own) | ((row_scores == own) & (ids < items))
+            ahead = row_scores > own
+            tied = row_scores == own
+            tied &= ids < items
+            ahead |= tied
             ranks[rows, slot] = 1 + np.count_nonzero(ahead, axis=1)
         ranks.sort(axis=1)
         hits = np.count_nonzero(real, axis=1)
@@ -338,32 +360,33 @@ def vehicleid_protocol(index: RetrievalIndex, gallery_size: int,
     """Repeated random-gallery evaluation (one gallery image per vehicle)."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    vehicle, vehicle_images = index.vehicle_codes, index.vehicle_images
-    if gallery_size < 1 or gallery_size > len(vehicle_images):
-        raise ConfigError(f"gallery_size {gallery_size} not in [1, {len(vehicle_images)}]; "
+    vehicle, (images, has) = index.vehicle_codes, index.vehicle_images
+    vehicles = len(images)
+    if gallery_size < 1 or gallery_size > vehicles:
+        raise ConfigError(f"gallery_size {gallery_size} not in [1, {vehicles}]; "
                           f"choose a size up to the number of test vehicles")
 
     per_repeat: list[dict] = []
-    slot = np.zeros(len(vehicle_images), dtype=np.intp)
+    image_counts, slot = np.count_nonzero(has, axis=1), np.zeros(vehicles, dtype=np.intp)
+    gallery_slots = np.arange(gallery_size)
     for r in range(repeats):
         rng = rng_for(seed, r)
-        chosen = rng.choice(len(vehicle_images), size=gallery_size, replace=False)
-        gallery: list[int] = []
-        query_parts: list[np.ndarray] = []
-        for v in chosen:
-            images = vehicle_images[v]
-            pick = int(rng.integers(len(images)))
-            gallery.append(images[pick])
-            query_parts += [images[:pick], images[pick + 1:]]
-        slot[chosen] = np.arange(gallery_size)  # each query's one relevant item
+        chosen = rng.choice(vehicles, size=gallery_size, replace=False)
+        # One bounded draw per vehicle, in gallery order: the same numbers,
+        # and the same generator state after them, as one call per vehicle.
+        picks = rng.integers(image_counts[chosen])
+        rows, queried = images[chosen], has[chosen]
+        gallery = rows[gallery_slots, picks]
+        queried[gallery_slots, picks] = False  # every other image queries
+        slot[chosen] = gallery_slots  # each query's one relevant item
         mean_ap, cmc, answered, skipped = _score(
             (sims, slot[vehicle[block], None], np.ones((len(block), 1), dtype=bool))
             for block, sims in _similarity_blocks(index.features[gallery], index.features,
-                                                  np.concatenate(query_parts)))
+                                                  rows[queried]))
         per_repeat.append({"repeat": r, "seed": [seed, r], "map": mean_ap,
                            "cmc": {str(k): v for k, v in sorted(cmc.items())},
                            "queries": answered, "skipped": skipped,
-                           "gallery": [int(i) for i in gallery]})
+                           "gallery": gallery.tolist()})
 
     mean_map = float(np.mean([p["map"] for p in per_repeat]))
     cmc = {k: float(np.mean([p["cmc"][str(k)] for p in per_repeat])) for k in (1, 5)}

@@ -539,13 +539,34 @@ def test_descriptor_index_past_the_file_is_named(tiny_set, tiny_run, tmp_path, c
     argv = {"extract": ["extract", *ckpt, *common, "--out", str(out)],
             "train": ["train", *common, "--out-dir", str(out), "--hidden", "8",
                       "--epochs", "1"],
-            "attmap": ["attmap", *ckpt, *common, "--samples", "1", "--out-dir", str(out)]}
+            "attmap": ["attmap", *ckpt, *common, "--samples", "0,1", "--out-dir", str(out)]}
     assert run(argv[command]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert (f"sample {samples[1].vehicle_id} references descriptor 99999 but the "
             f"descriptor file has {rows} rows") in err
-    assert not out.exists() or not list(out.iterdir())
+    # Nothing is written, not even the attention map of the good sample 0.
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["\u00b2", "\u0663"])
+def test_non_ascii_digits_are_not_a_descriptor_index(tiny_set, tmp_path, capsys, source):
+    # str.isdigit() holds for a superscript two and for an Arabic-Indic three;
+    # only ASCII digits index the descriptor file, so either is an image path.
+    lines = (tiny_set / "manifest.csv").read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("train,"))
+    fields = lines[row].split(",")
+    fields[1] = source
+    lines[row] = ",".join(fields)
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["train", "--manifest", str(tmp_path / "bad.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"),
+                "--out-dir", str(out), "--hidden", "8", "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert source in err
+    assert not out.exists()
 
 
 class TestExtract:

@@ -11,9 +11,10 @@ import pytest
 from bruteforce import bf_metrics, bf_vehicleid_repeat, bf_veri
 from hareid.data import LabeledSample
 from hareid.errors import ConfigError, ShapeError, ValidationError
+from hareid.optim import rng_for
 from hareid.retrieval import (_BLOCK, _TILE, _TILED_MAX, EvaluationReport,
-                              RetrievalIndex, _similarity_blocks, _tiles,
-                              average_precision, cmc_at_k, first_hit_rank,
+                              RetrievalIndex, _block_queries, _similarity_blocks,
+                              _tiles, average_precision, cmc_at_k, first_hit_rank,
                               image_retrieval_metrics, rank_items, vehicleid_protocol,
                               veri_protocol)
 
@@ -245,6 +246,52 @@ class TestVehicleIdProtocol:
         with pytest.raises(ConfigError, match="gallery_size"):
             vehicleid_protocol(perfect_index(), gallery_size=7)
 
+    def test_one_call_draw_equals_one_call_per_vehicle(self):
+        # The protocol draws a repeat's gallery picks with one call; it must
+        # give the numbers of one call per vehicle and leave the generator
+        # where they leave it. A bound of 1 draws nothing either way.
+        sizes = np.random.default_rng(0)
+        for key in range(200):
+            highs = sizes.integers(1, 40, size=int(sizes.integers(1, 70)))
+            highs[::3] = 1
+            one_call, per_vehicle = rng_for(key, key % 7), rng_for(key, key % 7)
+            assert one_call.integers(highs).tolist() == [int(per_vehicle.integers(h))
+                                                         for h in highs], key
+            assert one_call.integers(1 << 40) == per_vehicle.integers(1 << 40), key
+
+    @pytest.mark.parametrize("gallery_size", [1, 5, "all"])
+    def test_reports_equal_a_per_vehicle_loop(self, gallery_size):
+        """Each repeat's gallery is the one a loop over the drawn vehicles
+        picks with one ``integers`` call each, and its metrics are the
+        brute-force ones of that gallery. On an index with a one-image
+        vehicle, whose pick draws nothing."""
+        rng = np.random.default_rng(16)
+        images = [3, 1, 4, 2, 5, 1, 2, 6, 3]
+        vehicles = [f"v{v}" for v in rng.permutation(np.repeat(np.arange(9), images))]
+        feats = rng.normal(size=(len(vehicles), 3))
+        feats[1::7] = feats[0]  # exact ties, within and across vehicles
+        index = RetrievalIndex.build(feats, [sample(v, source=str(i))
+                                             for i, v in enumerate(vehicles)])
+        size = 9 if gallery_size == "all" else gallery_size
+        report = vehicleid_protocol(index, size, repeats=4, seed=21)
+        of_vehicle = {}
+        for i, v in enumerate(vehicles):
+            of_vehicle.setdefault(v, []).append(i)
+        by_code = list(of_vehicle.values())
+        expected = []
+        for r in range(4):
+            draw = rng_for(21, r)
+            chosen = draw.choice(len(by_code), size=size, replace=False)
+            gallery = [by_code[v][int(draw.integers(len(by_code[v])))] for v in chosen]
+            bf_map, bf_cmc, bf_skipped = bf_vehicleid_repeat(feats, vehicles, gallery)
+            expected.append({"repeat": r, "seed": [21, r], "map": bf_map,
+                             "cmc": {str(k): v for k, v in bf_cmc.items()},
+                             "queries": sum(len(of_vehicle[vehicles[g]]) - 1
+                                            for g in gallery),
+                             "skipped": bf_skipped, "gallery": gallery})
+        assert report.repeats == expected
+        assert report.map == float(np.mean([e["map"] for e in expected]))
+
 
 class TestOracleEquivalence:
     def test_matches_brute_force_on_random_instances(self):
@@ -267,10 +314,12 @@ class TestOracleEquivalence:
             assert report.counts["skipped"] == bf_skipped, f"case {case}"
 
 
-def random_protocol_instance(rng, vehicles=(2, 6), tracks=(1, 4), images=(1, 4)):
+def random_protocol_instance(rng, vehicles=(2, 6), tracks=(1, 4), images=(1, 4),
+                             dims=(2, 5)):
     """Features and track metadata in shuffled order: vehicles with one to
     three tracks of one to three images (or counts drawn from the given
-    half-open ranges), each track under a random camera. One feature row
+    half-open ranges), each track under a random camera, and features two to
+    four wide (or as ``dims`` gives). One feature row
     duplicates another (exact ties) and one is zero; a vehicle seen by one
     camera only leaves its queries nothing to rank."""
     rows = []
@@ -279,7 +328,7 @@ def random_protocol_instance(rng, vehicles=(2, 6), tracks=(1, 4), images=(1, 4))
             camera = f"c{rng.integers(3)}"
             rows += [(f"v{v}", camera, f"v{v}_t{t}")] * int(rng.integers(*images))
     rows = [rows[i] for i in rng.permutation(len(rows))]
-    feats = rng.normal(size=(len(rows), int(rng.integers(2, 5))))
+    feats = rng.normal(size=(len(rows), int(rng.integers(*dims))))
     if len(rows) >= 3:
         feats[-1] = feats[0]
         feats[1] = 0.0
@@ -327,12 +376,15 @@ class TestProtocolOracle:
 
 
 def large_protocol_instance(rng):
-    """A random instance with more than two query blocks and tracks of up to
-    13 images, so a track mean adds with NumPy's pairwise summation."""
-    feats, meta = random_protocol_instance(rng, vehicles=(12, 13), tracks=(2, 4),
+    """A random instance whose veri queries, every image against a gallery of
+    every image, fill more than two query blocks and end in a partial one,
+    with tracks of up to 13 images, so a track mean adds with NumPy's
+    pairwise summation."""
+    feats, meta = random_protocol_instance(rng, vehicles=(17, 18), tracks=(2, 4),
                                            images=(6, 14))
     sizes = Counter(s.track_id for s in meta)
-    assert len(meta) > 2 * _BLOCK and len(meta) % _BLOCK and max(sizes.values()) >= 9
+    block = _block_queries(*feats.shape)
+    assert len(meta) > 2 * block and len(meta) % block and max(sizes.values()) >= 9
     return feats, meta
 
 
@@ -355,15 +407,21 @@ class TestProtocolBlocks:
             assert report.counts["queries"] + bf_skipped == len(queries), f"case {case}"
 
     def test_vehicleid_matches_brute_force_across_blocks(self):
+        # 1024-wide features keep 64-query blocks on a gallery of all 12
+        # vehicles, so each repeat spans several blocks while the pure-Python
+        # oracle ranks only 12 items per query.
         rng = np.random.default_rng(13)
         for case in range(8):
-            feats, meta = large_protocol_instance(rng)
+            feats, meta = random_protocol_instance(rng, vehicles=(12, 13), tracks=(2, 3),
+                                                   images=(6, 8), dims=(1024, 1025))
             vehicles = [s.vehicle_id for s in meta]
             report = vehicleid_protocol(RetrievalIndex.build(feats, meta),
                                         len(set(vehicles)), repeats=2, seed=case)
+            rows = feats.tolist()  # the oracle's loops read Python floats faster
             for rep in report.repeats:
-                assert rep["queries"] > 2 * _BLOCK and rep["queries"] % _BLOCK
-                bf_map, bf_cmc, bf_skipped = bf_vehicleid_repeat(feats, vehicles,
+                block = _block_queries(len(rep["gallery"]), feats.shape[1])
+                assert rep["queries"] > 2 * block and rep["queries"] % block
+                bf_map, bf_cmc, bf_skipped = bf_vehicleid_repeat(rows, vehicles,
                                                                  rep["gallery"])
                 assert rep["map"] == bf_map, f"case {case}"
                 assert rep["cmc"] == {str(k): v for k, v in bf_cmc.items()}, f"case {case}"
@@ -408,7 +466,8 @@ class TestGalleryTiles:
     # Products stay at or under _TILED_MAX elements: OpenBLAS splits larger
     # ones across its own threads, and then the reference's bits depend on
     # the BLAS thread count rather than on the tiling. 16, 64 and 256 are
-    # VehicleID gallery sizes; each block is a full one of _BLOCK queries.
+    # VehicleID gallery sizes; each block is a full one (1024 queries on the
+    # 64x64 gallery), but at most 1024 queries long.
     @pytest.mark.parametrize("n", [0, 1, 16, 64, 256, 1023, 2047, 2048, 2049, 3071,
                                    3072, 4097, 5120, 6147])
     def test_every_row_equals_one_product(self, n):
@@ -417,7 +476,7 @@ class TestGalleryTiles:
         for d in dims:
             gallery = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
             features = rng.normal(size=(_BLOCK + 7, d)).astype(np.float32).astype(np.float64)
-            queries = rng.integers(len(features), size=_BLOCK)
+            queries = rng.integers(len(features), size=min(_block_queries(n, d), 1024))
             blocks = list(_similarity_blocks(gallery, features, queries))
             assert [b.tolist() for b, _ in blocks] == [queries.tolist()]
             for qi, row in zip(queries, blocks[0][1]):
@@ -436,6 +495,14 @@ class TestGalleryTiles:
                 assert np.array_equal(row, index.features @ index.features[qi])
         assert (veri_protocol(index, queries=queries.astype(dtype)).as_dict()
                 == veri_protocol(index, queries=queries.tolist()).as_dict())
+
+    @pytest.mark.parametrize("n, d, size", [(64, 64, 1024), (256, 64, 256), (5120, 64, 64),
+                                            (64, 1024, 64)])
+    def test_block_size_counts_gallery_rows_and_dims(self, n, d, size):
+        assert _block_queries(n, d) == size
+        blocks = _similarity_blocks(np.zeros((n, d)), np.zeros((1, d)),
+                                    np.zeros(2 * size + 5, dtype=np.intp))
+        assert [len(block) for block, _ in blocks] == [size, size, 5]
 
     def test_tile_edges(self):
         assert _tiles(3071, 64) == [(0, 3071)]
@@ -458,17 +525,21 @@ class TestGalleryTiles:
         """Galleries up to _TILED_MAX elements are tiled because OpenBLAS does
         not split their one product across its threads: under one and under
         two threads, each in its own process, every row equals that product
-        and both processes give the same bytes."""
+        and both processes give the same bytes. So do the rows of a full
+        1024-query block on a 64x64 gallery."""
         script = (
             "import hashlib\n"
             "import numpy as np\n"
             "from hareid.retrieval import _TILED_MAX, _similarity_blocks\n"
             "digest = hashlib.sha256()\n"
-            "for n in (5120, _TILED_MAX // 64):\n"
+            "for n, queries, first in ((5120, 70, 64), (_TILED_MAX // 64, 70, 64),\n"
+            "                          (64, 1030, 1024)):\n"
             "    rng = np.random.default_rng(n)\n"
             "    gallery = rng.normal(size=(n, 64)).astype(np.float32).astype(np.float64)\n"
-            "    features = rng.normal(size=(70, 64)).astype(np.float32).astype(np.float64)\n"
-            "    for block, sims in _similarity_blocks(gallery, features, np.arange(70)):\n"
+            "    features = rng.normal(size=(queries, 64)).astype(np.float32).astype(np.float64)\n"
+            "    blocks = list(_similarity_blocks(gallery, features, np.arange(queries)))\n"
+            "    assert len(blocks[0][0]) == first, (n, len(blocks[0][0]))\n"
+            "    for block, sims in blocks:\n"
             "        for qi, row in zip(block, sims):\n"
             "            assert np.array_equal(row, gallery @ features[qi]), (n, qi)\n"
             "        digest.update(sims.tobytes())\n"
