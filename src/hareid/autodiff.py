@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 
 class Tensor:
@@ -552,13 +552,16 @@ def max_pool2(x: Tensor) -> Tensor:
 # Gradient checking
 
 
+_GRAD_CHECK_STEP = 1e-5  # the central difference's base step
+
+
 def zero_grads(params) -> None:
     for p in params:
         p.zero_grad()
 
 
-def grad_check_groups(f: Callable[[], Tensor], named_params: dict[str, Tensor],
-                      step: float = 1e-5) -> dict[str, float]:
+def grad_check_groups(f: Callable[[], Tensor],
+                      named_params: dict[str, Tensor]) -> dict[str, float]:
     """Max relative error between analytic and central-difference gradients,
     reported per parameter group.
 
@@ -569,8 +572,6 @@ def grad_check_groups(f: Callable[[], Tensor], named_params: dict[str, Tensor],
     10x and 100x the step and the best-conditioned estimate is kept; a wrong
     backward rule stays wrong at every step and is still reported.
     """
-    if step <= 0:
-        raise ConfigError(f"gradient check step must be positive, got {step}")
     params = list(named_params.values())
     zero_grads(params)
     loss = f()
@@ -598,9 +599,9 @@ def grad_check_groups(f: Callable[[], Tensor], named_params: dict[str, Tensor],
         worst = 0.0
         for i in range(flat.size):
             a = analytic[name].reshape(-1)[i]
-            err = rel_err(flat, i, a, step, name)
+            err = rel_err(flat, i, a, _GRAD_CHECK_STEP, name)
             if err > 1e-5:
-                for h in (10.0 * step, 100.0 * step):
+                for h in (10.0 * _GRAD_CHECK_STEP, 100.0 * _GRAD_CHECK_STEP):
                     err = min(err, rel_err(flat, i, a, h, name))
                     if err <= 1e-5:
                         break
@@ -609,10 +610,3 @@ def grad_check_groups(f: Callable[[], Tensor], named_params: dict[str, Tensor],
     zero_grads(params)
     return errors
 
-
-def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
-               step: float = 1e-5) -> float:
-    """Max relative error over all coordinates of all parameters."""
-    named = {f"p{i}": p for i, p in enumerate(params)}
-    errors = grad_check_groups(f, named, step=step)
-    return max(errors.values()) if errors else 0.0

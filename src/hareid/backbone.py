@@ -74,18 +74,15 @@ class ConvStackParams:
             cin = config.channels
         return cls(config, kernels, biases)
 
-    def named(self, prefix: str = "conv") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, (k, b) in enumerate(zip(self.kernels, self.biases)):
-            out[f"{prefix}{i}.kernel"] = k
-            out[f"{prefix}{i}.bias"] = b
-        return out
+    def named(self) -> dict[str, Tensor]:
+        return {name: t for i, (k, b) in enumerate(zip(self.kernels, self.biases))
+                for name, t in ((f"conv{i}.kernel", k), (f"conv{i}.bias", b))}
 
 
 def conv_forward(image, params: ConvStackParams) -> ActivationMap:
     """Run the conv stack on an (H, W, C) image or a (B, H, W, C) stack of
     them, the whole stack as one graph; fully differentiable."""
-    x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float64))
+    x = Tensor(image)
     if x.data.ndim not in (3, 4):
         raise ShapeError(f"conv_forward expects an (H,W,C) image or a (B,H,W,C) stack, "
                          f"got shape {x.shape}")

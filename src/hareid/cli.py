@@ -22,7 +22,8 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, HareidError, NumericError
 from .model import VARIANTS, Model, ModelConfig
 from .optim import RmspropState, TrainSchedule, rng_for, train
-from .retrieval import EvaluationReport, RetrievalIndex, vehicleid_protocol, veri_protocol
+from .retrieval import (EvaluationReport, RetrievalIndex, check_repeated_gallery,
+                        vehicleid_protocol, veri_protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +223,7 @@ def cmd_eval(args) -> int:
     if args.protocol == "veri":
         report = veri_protocol(index, track_agg=args.track_agg)
     else:
-        gallery_size = args.gallery_size
-        if gallery_size == 0:
-            gallery_size = len({s.vehicle_id for s in samples})
+        gallery_size = args.gallery_size or len({s.vehicle_id for s in samples})
         report = vehicleid_protocol(index, gallery_size=gallery_size,
                                     repeats=args.repeats, seed=args.seed)
     text = report.to_json()
@@ -311,7 +310,13 @@ def cmd_ablate(args) -> int:
     if repeated is not None:
         raise ConfigError(f"--seeds lists seed {repeated} more than once; "
                           f"each seed trains once")
-    gallery_size = args.gallery_size or len({s.vehicle_id for s in split.test})
+    vehicles = len({s.vehicle_id for s in split.test})
+    gallery_size = args.gallery_size or vehicles
+    # Every run's settings are checked before the first one trains.
+    check_repeated_gallery(vehicles, gallery_size, args.repeats)
+    for seed in seeds:
+        ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
+                    d=maps.shape[-1], hidden=args.hidden, seed=seed)
     results: dict[str, dict] = {}
     for variant in VARIANTS:
         per_seed = []

@@ -58,8 +58,8 @@ class LabeledSample:
 class DatasetSplit:
     train: list[LabeledSample]
     test: list[LabeledSample]
-    vehicle_index: dict[str, int] = field(default_factory=dict)
-    model_index: dict[str, int] = field(default_factory=dict)
+    vehicle_index: dict[str, int] = field(init=False, default_factory=dict)
+    model_index: dict[str, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         vehicle_model: dict[str, str] = {}
@@ -71,10 +71,9 @@ class DatasetSplit:
         overlap = {s.vehicle_id for s in self.train} & {s.vehicle_id for s in self.test}
         if overlap:
             raise ValidationError(f"vehicles present in both splits: {sorted(overlap)}")
-        if not self.vehicle_index:
-            for s in self.train:
-                self.vehicle_index.setdefault(s.vehicle_id, len(self.vehicle_index))
-                self.model_index.setdefault(s.model_id, len(self.model_index))
+        for s in self.train:
+            self.vehicle_index.setdefault(s.vehicle_id, len(self.vehicle_index))
+            self.model_index.setdefault(s.model_id, len(self.model_index))
 
     @property
     def num_vehicles(self) -> int:

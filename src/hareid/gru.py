@@ -86,8 +86,8 @@ class GruParams:
     def input_dim(self) -> int:
         return self.w_xz.shape[1]
 
-    def named(self, prefix: str = "gru") -> dict[str, Tensor]:
-        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
+    def named(self) -> dict[str, Tensor]:
+        return {f"gru.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

@@ -201,9 +201,6 @@ class Model:
             out.update(self.attn.named("attn"))
         return out
 
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params().values())
-
     def _activation_maps(self, inp) -> tuple[ActivationMap, bool]:
         """The (B, h, w, d) map stack of a batch of inputs, and whether the
         input was a single sample (an (h, w, d) map or an (H, W, C) image,

@@ -355,16 +355,22 @@ def veri_protocol(index: RetrievalIndex, queries=None,
                                     "zero_features": index.zero_count})
 
 
-def vehicleid_protocol(index: RetrievalIndex, gallery_size: int,
-                       repeats: int = 10, seed: int = 0) -> EvaluationReport:
-    """Repeated random-gallery evaluation (one gallery image per vehicle)."""
+def check_repeated_gallery(vehicles: int, gallery_size: int, repeats: int) -> None:
+    """Refuse a repeated-gallery protocol of no repeats, or of a gallery of
+    fewer than 1 or more than ``vehicles`` vehicles."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    vehicle, (images, has) = index.vehicle_codes, index.vehicle_images
-    vehicles = len(images)
     if gallery_size < 1 or gallery_size > vehicles:
         raise ConfigError(f"gallery_size {gallery_size} not in [1, {vehicles}]; "
                           f"choose a size up to the number of test vehicles")
+
+
+def vehicleid_protocol(index: RetrievalIndex, gallery_size: int,
+                       repeats: int = 10, seed: int = 0) -> EvaluationReport:
+    """Repeated random-gallery evaluation (one gallery image per vehicle)."""
+    vehicle, (images, has) = index.vehicle_codes, index.vehicle_images
+    vehicles = len(images)
+    check_repeated_gallery(vehicles, gallery_size, repeats)
 
     per_repeat: list[dict] = []
     image_counts, slot = np.count_nonzero(has, axis=1), np.zeros(vehicles, dtype=np.intp)

@@ -202,7 +202,7 @@ class TestPipeline:
             x2, _ = att.attention_pipeline(o1, amap, params)
             return ad.tsum(ad.softmax_cross_entropy(x2, [0, 3, 1]))
 
-        assert ad.grad_check(f, [tensor]) < 1e-4
+        assert ad.grad_check_groups(f, {"map": tensor})["map"] < 1e-4
 
     def test_batch_matches_single_samples(self):
         # Every step works per sample: a batch of three distinct maps gives

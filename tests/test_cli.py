@@ -864,6 +864,25 @@ class TestAblate:
         assert "--seeds" in err and "seed 1" in err
         assert not (tmp_path / "ablation.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--repeats", "0"), "repeats must be >= 1, got 0"),
+        (("--gallery-size", "999"), "gallery_size 999 not in [1, 6]"),
+        (("--seeds", "0,-1"), "seed must be >= 0, got -1"),
+    ], ids=["repeats", "gallery-size", "seeds"])
+    def test_bad_eval_flag_is_refused_before_training(self, tiny_set, tmp_path, capsys,
+                                                      monkeypatch, flags, message):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(args))
+        assert run(["ablate", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "1",
+                    "--batch-size", "8", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert trained == []
+        assert not (tmp_path / "ablation.json").exists()
+
     def test_tiny_ablation_table(self, tiny_set, tmp_path, capsys):
         out = tmp_path / "ablate"
         assert run(["ablate", "--manifest", str(tiny_set / "manifest.csv"),
