@@ -267,15 +267,24 @@ def div(x: Tensor, y: Tensor) -> Tensor:
 # Nonlinearities
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The sigmoid of an array: the forward arithmetic of ``sigmoid``."""
     # 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|): no exp
     # overflow on large |x|.
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def log1p_exp(x: np.ndarray) -> np.ndarray:
+    """The softplus log(1 + exp(x)) of an array: the forward arithmetic of
+    ``softplus``."""
+    # max(x, 0) + log(1 + exp(-|x|)): identical to log(1 + exp(x)) without
+    # overflow, and strictly positive for every representable input.
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    y = _logistic(x.data)
+    y = logistic(x.data)
     out = _node(y, "sigmoid", (x,))
 
     def _bw(g):
@@ -297,13 +306,10 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    # max(x, 0) + log(1 + exp(-|x|)): identical to log(1 + exp(x)) without
-    # overflow, and strictly positive for every representable input.
-    y = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    out = _node(y, "softplus", (x,))
+    out = _node(log1p_exp(x.data), "softplus", (x,))
 
     def _bw(g):
-        _add_grad(x, g * _logistic(x.data))
+        _add_grad(x, g * logistic(x.data))
 
     out._backward = _bw
     return out
@@ -408,6 +414,13 @@ def scale_rows(x: Tensor, a: Tensor) -> Tensor:
     return out
 
 
+def pool_rows(x: np.ndarray) -> np.ndarray:
+    """The grid means of an (h, w, d) map or a (B, h, w, d) stack, one (d,)
+    row per sample: the forward arithmetic of ``global_average_pool``."""
+    h, w, d = x.shape[-3:]
+    return x.reshape(-1, h * w, d).sum(axis=1) / (h * w)
+
+
 def global_average_pool(x: Tensor) -> Tensor:
     """Per-sample mean over the spatial grid of an activation map.
 
@@ -422,8 +435,7 @@ def global_average_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_average_pool on empty tensor of shape {x.shape}")
     *batch, h, w, d = x.shape
     n, m = x.data.size // (h * w * d), h * w
-    pooled = x.data.reshape(n, m, d).sum(axis=1) / m
-    out = _node(pooled.T.reshape(d, *batch), "gap", (x,))
+    out = _node(pool_rows(x.data).T.reshape(d, *batch), "gap", (x,))
 
     def _bw(g):
         per_sample = g.reshape(d, n).T / m

@@ -53,15 +53,43 @@ def _model_from_checkpoint(path) -> tuple[Model, Checkpoint]:
     return model, ckpt
 
 
-def _features(model: Model, samples, maps: np.ndarray | None, image_root=None) -> np.ndarray:
-    """One l2-normalized step-2 feature row per sample."""
-    rows = []
+EXTRACT_STACK = 64  # the most inputs ``_features`` passes to one Model.extract_features call
+
+
+def _input_stacks(samples, maps: np.ndarray | None, image_root=None):
+    """(index of the first sample, stacked inputs) for each run of consecutive
+    samples whose inputs have one shape, at most EXTRACT_STACK long."""
+    stack, first = [], 0
     for i, s in enumerate(samples):
         try:
-            rows.append(model.extract_feature(data.sample_input(s, maps, image_root)).values)
-        except NumericError:
-            raise NumericError(f"sample {i} ({s.source}) has a non-finite feature") from None
-    return np.stack(rows)
+            inp = data.sample_input(s, maps, image_root)
+        except (HareidError, OSError):
+            if stack:  # the earlier samples' stack is extracted, and may fail, first
+                yield first, np.stack(stack)
+            raise
+        if stack and (len(stack) == EXTRACT_STACK or inp.shape != stack[0].shape):
+            yield first, np.stack(stack)
+            stack, first = [], i
+        stack.append(inp)
+    if stack:
+        yield first, np.stack(stack)
+
+
+def _features(model: Model, samples, maps: np.ndarray | None, image_root=None) -> np.ndarray:
+    """One l2-normalized step-2 feature row per sample, extracted in the
+    stacks of ``_input_stacks``; every row has the bits of the sample's own
+    extraction."""
+    rows = []
+    for first, stack in _input_stacks(samples, maps, image_root):
+        try:
+            rows.append(model.extract_features(stack)[0])
+        except NumericError as exc:
+            if exc.row is None:
+                raise
+            bad = first + exc.row
+            raise NumericError(f"sample {bad} ({samples[bad].source}) has a non-finite "
+                               f"feature") from None
+    return np.concatenate(rows)
 
 
 def _int_list(text: str, flag: str) -> list[int]:

@@ -170,7 +170,6 @@ class SynthDataset:
     split: DatasetSplit
     maps: np.ndarray                       # (N, grid, grid, d), manifest order
     signature_cells: dict[str, tuple[int, int]]
-    model_patterns: np.ndarray             # (models, d)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -227,8 +226,7 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
                 start += n
 
     split = DatasetSplit(train=samples["train"], test=samples["test"])
-    return SynthDataset(split=split, maps=maps, signature_cells=signature_cells,
-                        model_patterns=patterns)
+    return SynthDataset(split=split, maps=maps, signature_cells=signature_cells)
 
 
 def write_synth(ds: SynthDataset, out_dir) -> dict[str, Path]:

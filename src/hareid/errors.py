@@ -22,4 +22,9 @@ class ConfigError(HareidError, ValueError):
 
 
 class NumericError(HareidError, ArithmeticError):
-    """A computation produced or received non-finite values."""
+    """A computation produced or received non-finite values; ``row`` is the
+    first bad row of a stack, when the error is about one."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row

@@ -21,9 +21,9 @@ zeros, so the step computes only
 
     z = sigmoid(W_xz x + b_z),  n = tanh(W_xg x + b_g),  h' = (1 - z) * n
 
-and its ``GruState.r`` is ``None``. Because W @ 0 = 0 exactly for finite W
-and a + 0 = a, the values and gradients are those of the full cell run on an
-explicit zero state, up to the sign of an exact zero.
+without the reset gate. Because W @ 0 = 0 exactly for finite W and a + 0 = a,
+the values and gradients are those of the full cell run on an explicit zero
+state, up to the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -90,19 +90,10 @@ class GruParams:
         return {f"gru.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
-class GruState:
-    """Hidden state plus the gate activations, retained for inspection."""
-
-    h: Tensor
-    z: Tensor
-    r: Tensor | None  # None for a step from the zero state
-    n: Tensor
-
-
-def gru_step(x: Tensor, h_prev: Tensor | None, params: GruParams) -> GruState:
+def gru_step(x: Tensor, h_prev: Tensor | None, params: GruParams) -> Tensor:
     """One step over a batch: inputs x (D, B) and states h_prev (H, B), one
-    column per sample; ``None`` for h_prev is the zero state."""
+    column per sample, give the new states h' (H, B); ``None`` for h_prev is
+    the zero state."""
     if x.data.ndim != 2 or x.shape[0] != params.input_dim:
         raise ShapeError(f"gru_step: input shape {x.shape} does not match "
                          f"parameter input dim {params.input_dim}")
@@ -113,15 +104,14 @@ def gru_step(x: Tensor, h_prev: Tensor | None, params: GruParams) -> GruState:
         # before z's, as in the full cell where z * h is walked first, so a
         # leaf both gates read (a conv backbone's pooled x) sums its gradient
         # terms in the same order.
-        return GruState(h=n * (1.0 - z), z=z, r=None, n=n)
+        return n * (1.0 - z)
     if h_prev.shape != (params.hidden, x.shape[1]):
         raise ShapeError(f"gru_step: state shape {h_prev.shape} does not match "
                          f"hidden size {params.hidden} and batch {x.shape[1]}")
     z = sigmoid(params.w_xz @ x + params.w_hz @ h_prev + params.b_z)
     r = sigmoid(params.w_xr @ x + params.w_hr @ h_prev + params.b_r)
     n = tanh(params.w_xg @ x + r * (params.w_hg @ h_prev) + params.b_g)
-    h = (1.0 - z) * n + z * h_prev
-    return GruState(h=h, z=z, r=r, n=n)
+    return (1.0 - z) * n + z * h_prev
 
 
 @dataclass

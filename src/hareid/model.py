@@ -7,9 +7,11 @@ Three variants share the surrounding plumbing:
 * ``fc_ha``              GRU replaced by two independent two-layer
                          MLPs; attention kept.
 
-Training runs the whole chain and both heads (``Model.forward``); extraction
-(``Model.extract_feature``) stops after the fine step, without the heads,
-and l2-normalizes o2. The attention net's width ``max(1, hidden // 2)`` (``attn_hidden=0``),
+Training runs the whole chain and both heads as one autodiff graph
+(``Model.forward``). Extraction (``Model.extract_features``) runs a stack of
+inputs through the same chain on the parameters' arrays, without a graph or
+the heads, and l2-normalizes o2; each row keeps the bits of that input's own
+``forward``. The attention net's width ``max(1, hidden // 2)`` (``attn_hidden=0``),
 ``attention.DEFAULT_EPSILON`` and the input gain ``gru.DEFAULT_INPUT_GAIN`` are constants,
 recorded in the config text and checked.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from .autodiff import Tensor, global_average_pool, reshape
+from .autodiff import Tensor, global_average_pool, log1p_exp, logistic, pool_rows, reshape
 from .backbone import ActivationMap, ConvStackConfig, ConvStackParams, conv_forward
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp, classify,
@@ -134,7 +136,7 @@ def unit_rows(values) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(rows, axis=1)
     if not np.isfinite(norms).all():
         bad = int(np.flatnonzero(~np.isfinite(norms))[0])
-        raise NumericError(f"feature row {bad} has non-finite norm {norms[bad]}")
+        raise NumericError(f"feature row {bad} has non-finite norm {norms[bad]}", row=bad)
     zero = norms == 0.0
     return rows / np.where(zero, 1.0, norms)[:, None], zero
 
@@ -163,6 +165,45 @@ class ForwardResult:
         return ForwardResult(x1=column(self.x1), o1=column(self.o1), o2=column(self.o2),
                              logits_model=column(self.logits_model),
                              logits_vehicle=column(self.logits_vehicle), attention=weights)
+
+
+def _products(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A x for each row x of an (n, k) stack, as (n, m) rows; ``a`` is one
+    (m, k) matrix or an (n, m, k) stack, one per row. The right operand is an
+    (n, k, 1) stack, so NumPy makes one BLAS matrix-vector call per row: the
+    call a one-sample graph makes for A @ x, so each row keeps its bits
+    whatever n is (one GEMM over the stack would not)."""
+    return np.matmul(a, rows[:, :, None])[:, :, 0]
+
+
+def _mlp_rows(p: Mlp, rows: np.ndarray) -> np.ndarray:
+    """``Mlp.apply`` on (n, in_dim) rows."""
+    hidden = np.maximum(_products(p.w1.data, rows) + p.b1.data, 0.0)
+    return _products(p.w2.data, hidden) + p.b2.data
+
+
+def _gru_rows(x: np.ndarray, h: np.ndarray | None, p: GruParams) -> np.ndarray:
+    """``gru_step`` on rows: inputs x (n, D) and states h (n, H), or None for
+    the zero state."""
+    if h is None:
+        z = logistic(_products(p.w_xz.data, x) + p.b_z.data)
+        n = np.tanh(_products(p.w_xg.data, x) + p.b_g.data)
+        return n * (1.0 - z)
+    z = logistic(_products(p.w_xz.data, x) + _products(p.w_hz.data, h) + p.b_z.data)
+    r = logistic(_products(p.w_xr.data, x) + _products(p.w_hr.data, h) + p.b_r.data)
+    n = np.tanh(_products(p.w_xg.data, x) + r * _products(p.w_hg.data, h) + p.b_g.data)
+    return (1.0 - z) * n + z * h
+
+
+def _attention_rows(o1: np.ndarray, maps: np.ndarray, p: Mlp) -> np.ndarray:
+    """``attention.attention_pipeline``'s x2 on rows: guidance from o1 (n, H),
+    scores, normalization, weighting and pooling of the maps (n, h, w, d)."""
+    n, h, w, d = maps.shape
+    guidance = _mlp_rows(p, o1)
+    scores = log1p_exp(_products(maps.reshape(n, h * w, d), guidance))
+    shifted = scores + att.DEFAULT_EPSILON
+    a = shifted / shifted.sum(axis=-1)[:, None]
+    return pool_rows(maps * a.reshape(n, h, w, 1))
 
 
 class Model:
@@ -217,16 +258,15 @@ class Model:
                              f"config.d = {self.config.d}")
         return amap, single
 
-    def _steps(self, amap: ActivationMap) -> tuple[Tensor, Tensor, Tensor,
-                                                   att.AttentionWeights | None]:
-        """GAP, the coarse step, attention and the fine step over a map stack:
-        x1, o1 and o2 as columns, and the attention snapshot (None without
-        attention)."""
+    def forward(self, inp) -> ForwardResult:
+        """Run a batch (a (B, h, w, d) map stack or (B, H, W, C) images) as one
+        graph; a single map or image comes back as the sample's vectors."""
+        amap, single = self._activation_maps(inp)
         x1 = global_average_pool(amap.tensor)
         if self.gru is None:
             o1 = self.fc1.apply(x1)
         else:
-            o1 = gru_step(x1, None, self.gru).h  # coarse step, zero state
+            o1 = gru_step(x1, None, self.gru)  # coarse step, zero state
         if self.attn is None:
             x2, attention = x1, None
         else:
@@ -234,14 +274,7 @@ class Model:
         if self.gru is None:
             o2 = self.fc2.apply(x2)
         else:
-            o2 = gru_step(x2, o1, self.gru).h  # fine step, same weights, state o1
-        return x1, o1, o2, attention
-
-    def forward(self, inp) -> ForwardResult:
-        """Run a batch (a (B, h, w, d) map stack or (B, H, W, C) images) as one
-        graph; a single map or image comes back as the sample's vectors."""
-        amap, single = self._activation_maps(inp)
-        x1, o1, o2, attention = self._steps(amap)
+            o2 = gru_step(x2, o1, self.gru)  # fine step, same weights, state o1
         result = ForwardResult(
             x1=x1, o1=o1, o2=o2,
             logits_model=classify(o1, self.head_model),
@@ -258,14 +291,40 @@ class Model:
                                           result.logits_vehicle, y_vehicle)
         return total, report, result
 
+    def extract_features(self, inputs) -> tuple[np.ndarray, np.ndarray]:
+        """The retrieval features of a stack of n maps (n, h, w, d), or of n
+        images (n, H, W, C) with the conv backbone: ``unit_rows`` of their o2
+        rows, with the zero mask.
+
+        The chain of ``forward`` up to o2 runs on the parameters' arrays
+        without a graph or the heads, and makes the NumPy calls a one-sample
+        graph makes, so every row has the bits of ``forward`` on that input
+        alone, whatever the stack.
+        """
+        inputs = np.asarray(inputs, dtype=np.float64)
+        if inputs.ndim != 4 or len(inputs) == 0:
+            raise ShapeError(f"extract_features takes a stack of maps or images, got shape "
+                             f"{inputs.shape}")
+        if self.conv_params is None:
+            maps = self._activation_maps(inputs)[0].tensor.data
+        else:
+            # Image by image: one conv GEMM over the stack would round some
+            # map values differently from the one-image GEMM.
+            maps = np.concatenate([self._activation_maps(image)[0].tensor.data
+                                   for image in inputs])
+        x1 = pool_rows(maps)
+        o1 = _mlp_rows(self.fc1, x1) if self.gru is None else _gru_rows(x1, None, self.gru)
+        x2 = x1 if self.attn is None else _attention_rows(o1, maps, self.attn)
+        o2 = _mlp_rows(self.fc2, x2) if self.gru is None else _gru_rows(x2, o1, self.gru)
+        return unit_rows(o2)
+
     def extract_feature(self, inp) -> FeatureVector:
-        """The retrieval feature of one map or image: its o2, l2-normalized.
-        The classifier heads are not built."""
-        amap, single = self._activation_maps(inp)
-        if not single:
-            raise ShapeError(f"extract_feature takes one map or image, got a stack of "
-                             f"shape {amap.shape}")
-        values, zero = unit_rows(self._steps(amap)[2].data.T)
+        """The retrieval feature of one map or image: ``extract_features`` of
+        a stack of one."""
+        inp = np.asarray(inp, dtype=np.float64)
+        if inp.ndim != 3:
+            raise ShapeError(f"extract_feature takes one map or image, got shape {inp.shape}")
+        values, zero = self.extract_features(inp[None])
         return FeatureVector(values=values[0], normalized=not zero[0])
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:

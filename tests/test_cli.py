@@ -9,7 +9,7 @@ from bruteforce import bf_metrics
 from conftest import scale_sigmoid_backward
 from hareid import cli, formats
 from hareid.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from hareid.data import SynthConfig, load_manifest, write_manifest
+from hareid.data import SynthConfig, load_manifest, sample_input, write_manifest
 from hareid.errors import ConfigError
 from hareid.model import Model, ModelConfig
 from hareid.optim import ALPHA, DELTA, TrainSchedule
@@ -41,6 +41,15 @@ def conv_checkpoint(tmp_path) -> tuple[bytes, list[str]]:
                 "--conv-channels", "4", "--out-dir", str(tmp_path / "run"),
                 "--hidden", "6", "--epochs", "0"]) == 0
     return (tmp_path / "run" / "checkpoint.ckpt").read_bytes(), common
+
+
+def per_image_features(checkpoint, samples, maps=None, image_root=None) -> np.ndarray:
+    """The features of ``samples`` extracted one at a time, in manifest order."""
+    ckpt = load_checkpoint(checkpoint)
+    model = Model(ckpt.config)
+    model.load_state(ckpt.params)
+    return np.stack([model.extract_feature(sample_input(s, maps, image_root)).values
+                     for s in samples])
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +359,8 @@ class TestTrain:
         assert "'epochs'" in err
 
     def test_conv_backbone_on_images(self, tmp_path):
+        # The test images come in two sizes: extraction stacks each run of one
+        # size and writes the bytes of a one-image-at-a-time loop.
         rng = np.random.default_rng(0)
         lines = ["split,source,vehicle_id,model_id"]
         for v in range(2):
@@ -359,8 +370,9 @@ class TestTrain:
                                   rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
                 lines.append(f"train,{name},v{v},m0")
                 lines.append(f"test,{name.replace('.pgm', '_t.pgm')},tv{v},m0")
+                size = 10 if (v, i) == (1, 0) else 8
                 formats.write_pgm(tmp_path / name.replace(".pgm", "_t.pgm"),
-                                  rng.integers(0, 256, size=(8, 8)).astype(np.uint8))
+                                  rng.integers(0, 256, size=(size, size)).astype(np.uint8))
         (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
         out = tmp_path / "run"
         assert run(["train", "--manifest", str(tmp_path / "manifest.csv"),
@@ -373,6 +385,10 @@ class TestTrain:
                     "--manifest", str(tmp_path / "manifest.csv"),
                     "--image-root", str(tmp_path), "--out", str(feat)]) == 0
         assert formats.load_features(feat).shape == (4, 6)
+        formats.write_features(tmp_path / "loop.feat", per_image_features(
+            out / "checkpoint.ckpt", load_manifest(tmp_path / "manifest.csv").test,
+            image_root=tmp_path))
+        assert feat.read_bytes() == (tmp_path / "loop.feat").read_bytes()
 
     def test_conv_backbone_reads_channels_from_colour_images(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -498,9 +514,12 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
 
 
 @pytest.mark.parametrize("command", ["extract", "ablate", "attmap"])
-def test_non_finite_test_sample_is_named(tiny_set, tiny_run, tmp_path, capsys, command):
+def test_non_finite_test_sample_is_named(tiny_set, tiny_run, tmp_path, capsys, monkeypatch,
+                                         command):
     # A NaN in one test descriptor makes that sample's feature and attention
-    # map NaN; the error names the sample, not a row of a batch of one.
+    # map NaN; the error names the sample, not a row of its stack: sample 4
+    # is row 1 of the second stack of three.
+    monkeypatch.setattr(cli, "EXTRACT_STACK", 3)
     split = load_manifest(tiny_set / "manifest.csv")
     maps = formats.read_tensor_file(tiny_set / "descriptors.desc")
     maps[int(split.test[4].source)][0, 0, 0] = np.nan
@@ -570,6 +589,41 @@ def test_non_ascii_digits_are_not_a_descriptor_index(tiny_set, tmp_path, capsys,
 
 
 class TestExtract:
+    def test_stacks_write_the_per_image_bytes(self, tiny_set, tiny_run, tmp_path,
+                                              monkeypatch):
+        # 24 test samples in stacks of five: four full stacks and a short one.
+        monkeypatch.setattr(cli, "EXTRACT_STACK", 5)
+        out = tmp_path / "stacked.feat"
+        assert run(["extract", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
+                    "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out", str(out)]) == 0
+        split = load_manifest(tiny_set / "manifest.csv")
+        assert len(split.test) == 24
+        maps = formats.read_tensor_file(tiny_set / "descriptors.desc")
+        formats.write_features(tmp_path / "loop.feat", per_image_features(
+            tiny_run / "checkpoint.ckpt", split.test, maps))
+        assert out.read_bytes() == (tmp_path / "loop.feat").read_bytes()
+
+    def test_earlier_non_finite_sample_is_named_before_a_later_bad_index(
+            self, tiny_set, tiny_run, tmp_path, capsys):
+        # Sample 10's index fails to load while sample 4 waits in the stack;
+        # the error is sample 4's, as in manifest order.
+        split = load_manifest(tiny_set / "manifest.csv")
+        maps = formats.read_tensor_file(tiny_set / "descriptors.desc")
+        maps[int(split.test[4].source)][0, 0, 0] = np.nan
+        formats.write_tensor_file(tmp_path / "nan.desc", maps)
+        split.test[10] = dataclasses.replace(split.test[10], source="99999")
+        write_manifest(tmp_path / "bad.csv", split)
+        assert run(["extract", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
+                    "--manifest", str(tmp_path / "bad.csv"),
+                    "--descriptors", str(tmp_path / "nan.desc"),
+                    "--out", str(tmp_path / "f.feat")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: sample 4 ({split.test[4].source}) has a non-finite "
+                       f"feature\n")
+        assert not (tmp_path / "f.feat").exists()
+
     def test_feature_file_header_and_norms(self, tiny_set, tiny_run, tmp_path):
         out = tmp_path / "f.feat"
         assert run(["extract", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),

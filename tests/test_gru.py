@@ -34,7 +34,7 @@ def two_steps(x1, x2, p, h0=None):
     # zero state, by default), step 2 from step 1's state, both with the same
     # weights.
     s1 = gru_step(x1, h0, p)
-    return s1, gru_step(x2, s1.h, p)
+    return s1, gru_step(x2, s1, p)
 
 
 def scalar_step_oracle(x, h_prev):
@@ -45,34 +45,41 @@ def scalar_step_oracle(x, h_prev):
     return (1.0 - z) * n + z * h_prev, z, r, n
 
 
+def numpy_gates(x, h_prev, p):
+    """The update gate, reset gate and candidate of the full cell, in NumPy."""
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    w = {name.removeprefix("gru."): t.data for name, t in p.named().items()}
+    z = sig(w["w_xz"] @ x + w["w_hz"] @ h_prev + w["b_z"][:, None])
+    r = sig(w["w_xr"] @ x + w["w_hr"] @ h_prev + w["b_r"][:, None])
+    n = np.tanh(w["w_xg"] @ x + r * (w["w_hg"] @ h_prev) + w["b_g"][:, None])
+    return z, r, n
+
+
 class TestGruStep:
     def test_zero_parameters(self):
         p = zero_params(3, 4)
         v = np.array([0.3, -1.0, 2.0, 0.5])
-        state = gru_step(col([1.0, 2.0, 3.0]), col(v), p)
-        np.testing.assert_allclose(state.z.data, 0.5, atol=1e-15)
-        np.testing.assert_allclose(state.r.data, 0.5, atol=1e-15)
-        np.testing.assert_allclose(state.n.data, 0.0, atol=1e-15)
-        np.testing.assert_allclose(state.h.data, 0.5 * col(v).data, atol=1e-15)
+        # Both gates sit at 0.5 and the candidate at 0, so h' = h / 2.
+        h = gru_step(col([1.0, 2.0, 3.0]), col(v), p)
+        np.testing.assert_allclose(h.data, 0.5 * col(v).data, atol=1e-15)
 
     def test_scalar_hand_case(self):
         state = gru_step(col([1.0]), col([0.0]), scalar_params())
-        h, z, r, n = scalar_step_oracle(1.0, 0.0)
+        h, z, _, n = scalar_step_oracle(1.0, 0.0)
         assert z == pytest.approx(0.731059, abs=1e-6)
         assert n == pytest.approx(0.761594, abs=1e-6)
         # (1 - 0.731059) * 0.761594
         assert h == pytest.approx(0.204824, abs=1e-6)
-        assert state.z.item() == pytest.approx(z, abs=1e-12)
-        assert state.r.item() == pytest.approx(r, abs=1e-12)
-        assert state.n.item() == pytest.approx(n, abs=1e-12)
-        assert state.h.item() == pytest.approx(h, abs=1e-12)
+        assert state.item() == pytest.approx(h, abs=1e-12)
 
     def test_saturated_update_gate_keeps_state(self):
         p = zero_params(2, 3)
         p.b_z.data[:] = 50.0
         h_prev = col([0.7, -0.2, 1.4])
-        state = gru_step(col([5.0, -3.0]), h_prev, p)
-        np.testing.assert_allclose(state.h.data, h_prev.data, atol=1e-9)
+        h = gru_step(col([5.0, -3.0]), h_prev, p)
+        np.testing.assert_allclose(h.data, h_prev.data, atol=1e-9)
 
     def test_dimension_mismatch(self):
         p = GruParams.init(3, 4, np.random.default_rng(1))
@@ -97,17 +104,14 @@ class TestGruStep:
         def run(h_prev):
             for t in p.named().values():
                 t.zero_grad()
-            state = gru_step(x, h_prev, p)
-            ad.backward(ad.tsum(state.h * weights))
-            return state, {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                           for k, t in p.named().items()}
+            h = gru_step(x, h_prev, p)
+            ad.backward(ad.tsum(h * weights))
+            return h, {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                       for k, t in p.named().items()}
 
         implicit, g_implicit = run(None)
         explicit, g_explicit = run(ad.constant(np.zeros((6, batch))))
-        assert implicit.r is None
-        for gate in ("h", "z", "n"):
-            assert np.array_equal(getattr(implicit, gate).data,
-                                  getattr(explicit, gate).data), gate
+        assert np.array_equal(implicit.data, explicit.data)
         for name in g_explicit:
             assert np.array_equal(g_implicit[name], g_explicit[name]), name
 
@@ -119,14 +123,15 @@ class TestGruStep:
                 t.data[:] = rng.uniform(-2, 2, size=t.shape)
             x = ad.constant(rng.uniform(-2, 2, size=(4, 5)))  # a batch of five
             h_prev = rng.uniform(-2, 2, size=(6, 5))
-            s = gru_step(x, ad.constant(h_prev), p)
-            assert np.all((s.z.data > 0) & (s.z.data < 1))
-            assert np.all((s.r.data > 0) & (s.r.data < 1))
-            assert np.all((s.n.data > -1) & (s.n.data < 1))
-            lo = np.minimum(s.n.data, h_prev)
-            hi = np.maximum(s.n.data, h_prev)
-            assert np.all(s.h.data >= lo - 1e-12) and np.all(s.h.data <= hi + 1e-12)
-            assert np.max(np.abs(s.h.data)) <= max(np.max(np.abs(h_prev)), 1.0)
+            h = gru_step(x, ad.constant(h_prev), p).data
+            z, r, n = numpy_gates(x.data, h_prev, p)
+            assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
+            assert np.all((n > -1) & (n < 1))
+            np.testing.assert_allclose(h, (1.0 - z) * n + z * h_prev, rtol=1e-12, atol=1e-15)
+            lo = np.minimum(n, h_prev)
+            hi = np.maximum(n, h_prev)
+            assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
+            assert np.max(np.abs(h)) <= max(np.max(np.abs(h_prev)), 1.0)
 
 
 class TestClassify:
@@ -208,18 +213,16 @@ class TestUnroll:
     def test_zero_parameters_give_zero_outputs(self):
         p = zero_params(3, 3)
         s1, s2 = two_steps(col([1.0, -2.0, 0.5]), col([4.0, 4.0, 4.0]), p)
-        np.testing.assert_allclose(s1.h.data, 0.0, atol=1e-15)
-        np.testing.assert_allclose(s2.h.data, 0.0, atol=1e-15)
+        np.testing.assert_allclose(s1.data, 0.0, atol=1e-15)
+        np.testing.assert_allclose(s2.data, 0.0, atol=1e-15)
 
     def test_scalar_two_step_hand_case(self):
         x1 = col([1.0])
         s1, s2 = two_steps(x1, x1, scalar_params())
         h1, *_ = scalar_step_oracle(1.0, 0.0)
-        h2, z2, r2, n2 = scalar_step_oracle(1.0, h1)
-        assert s1.h.item() == pytest.approx(h1, abs=1e-12)
-        assert s2.h.item() == pytest.approx(h2, abs=1e-12)
-        assert s2.z.item() == pytest.approx(z2, abs=1e-12)
-        assert s2.n.item() == pytest.approx(n2, abs=1e-12)
+        h2, *_ = scalar_step_oracle(1.0, h1)
+        assert s1.item() == pytest.approx(h1, abs=1e-12)
+        assert s2.item() == pytest.approx(h2, abs=1e-12)
 
     def test_provider_dimension_checked(self):
         p = GruParams.init(3, 4, np.random.default_rng(8))
@@ -237,7 +240,7 @@ class TestUnroll:
             for t in p.named().values():
                 t.zero_grad()
             s1, s2 = two_steps(x1, x2, p, h0=h0)
-            target = classify(s1.h, heads[0]) if branch == "model" else classify(s2.h, heads[1])
+            target = classify(s1, heads[0]) if branch == "model" else classify(s2, heads[1])
             ad.backward(ad.tsum(ad.softmax_cross_entropy(target, [1])))
             return {k: (None if t.grad is None else t.grad.copy())
                     for k, t in p.named().items()}
@@ -270,8 +273,8 @@ class TestUnroll:
 
         def f():
             s1, s2 = two_steps(x1, x2, p)
-            total, _ = hierarchical_loss(classify(s1.h, head_m), np.array([0, 1, 0]),
-                                         classify(s2.h, head_v), np.array([4, 2, 3]))
+            total, _ = hierarchical_loss(classify(s1, head_m), np.array([0, 1, 0]),
+                                         classify(s2, head_v), np.array([4, 2, 3]))
             return total
 
         named = {**p.named(), **head_m.named("hm"), **head_v.named("hv")}

@@ -244,21 +244,23 @@ class TestZeroStateStep:
 
 
 class TestGraphSize:
-    def test_extraction_builds_46_op_nodes(self, monkeypatch):
-        # A single map: its reshape to a batch of one, two poolings, the two
-        # GRU steps and the attention chain, whose weighting is one node.
-        model = Model(small_config(seed=34))
+    def test_extraction_builds_no_graph(self, monkeypatch):
+        # Extraction of ingested maps runs on arrays: no node, for one map or
+        # a stack, in every variant.
         ops = []
         node = ad._node
 
         def counting(data, op, parents):
-            if parents:
-                ops.append(op)
+            ops.append(op)
             return node(data, op, parents)
 
         monkeypatch.setattr(ad, "_node", counting)
-        model.extract_feature(random_map(np.random.default_rng(35), h=2, w=3))
-        assert len(ops) == 46 and ops.count("scale_rows") == 1
+        rng = np.random.default_rng(35)
+        for variant in ("rnn_ha", "fc_ha", "rnn_h_no_attention"):
+            model = Model(small_config(variant=variant, seed=34))
+            model.extract_feature(random_map(rng, h=2, w=3))
+            model.extract_features(rng.uniform(-1.0, 1.0, size=(5, 2, 3, 4)))
+        assert ops == []
 
     def test_rnn_ha_loss_graph_of_64_samples_has_79_nodes(self):
         model = Model(small_config(seed=36))
@@ -434,8 +436,36 @@ class TestExtractFeature:
             fv = model.extract_feature(inp)
             assert np.array_equal(fv.values, expected[0])
             assert fv.normalized == (not zero[0])
+        # A stack's rows are each input's own, at any stack size: every weight
+        # product stays one matrix-vector product per input.
+        for n in (1, 3, 64):
+            scale = 10.0 ** rng.integers(-3, 3, size=(n, 1, 1, 1))
+            inputs = rng.uniform(-1.0, 1.0, size=(n, *shape)) * scale
+            inputs[1:2] = 0.0  # an all-zero input has a zero o2 row
+            rows, zero = model.extract_features(inputs)
+            for inp, row, flag in zip(inputs, rows, zero):
+                expected, expected_zero = unit_rows(model.forward(inp).o2.data[None])
+                assert np.array_equal(row, expected[0])
+                assert flag == expected_zero[0]
+
+    def test_conv_stack_keeps_each_images_bits(self):
+        # One conv GEMM over these 64 images can round map values differently
+        # from the one-image GEMM; extraction runs the conv stack image by image.
+        conv = ConvStackConfig(layers=1, kernel=2, channels=4, in_channels=4)
+        model = Model(small_config(backbone="conv", conv=conv, seed=36))
+        images = np.random.default_rng(37).uniform(size=(64, 40, 40, 4))
+        rows, _ = model.extract_features(images)
+        assert all(np.array_equal(row, model.extract_feature(image).values)
+                   for row, image in zip(rows, images))
 
     def test_stack_is_rejected(self):
         model = Model(small_config(seed=33))
         with pytest.raises(ShapeError, match="one map or image"):
             model.extract_feature(np.ones((2, 2, 2, 4)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 4), (0, 2, 2, 4), (3, 2, 2, 5)])
+    def test_extract_features_takes_a_stack_of_maps(self, shape):
+        # One map, an empty stack and maps of the wrong depth are refused.
+        model = Model(small_config(seed=33))
+        with pytest.raises(ShapeError):
+            model.extract_features(np.ones(shape))

@@ -3,8 +3,8 @@
 * Every name a module imports is used in that module.
 * Every private module-level name a module defines is loaded in that module.
 * Every parameter a function or lambda takes is read in its body.
-* Every public name (module-level function, class or constant, or method) is
-  read by the programs: in hareid outside its own definition, or in
+* Every public name (module-level function, class or constant, method, or
+  dataclass field) is read by the programs: in hareid outside its own definition, or in
   ``perfbench/*.py`` as a name, an attribute or a string (its tracer looks
   functions up by name), unless ``PUBLIC_ALLOWLIST`` says why it stays.
 
@@ -98,19 +98,26 @@ def test_no_unread_parameter(path):
     assert not unread, f"{path.name}: parameters never read: {unread}"
 
 
-def read_names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """The names and attribute names loaded in ``node``, outside ``skip``."""
+def read_names(node: ast.AST, skip: ast.AST | None = None, names: bool = True) -> set[str]:
+    """The names (unless ``names`` is false) and attribute names loaded in
+    ``node``, outside ``skip``."""
     out, todo = set(), [node]
     while todo:
         n = todo.pop()
         if n is skip:
             continue
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+        if names and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.add(n.id)
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             out.add(n.attr)
         todo.extend(ast.iter_child_nodes(n))
     return out
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
 
 
 def public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
@@ -122,17 +129,25 @@ def public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
     return [(name, node) for name, node in defs if not name.startswith("_")]
 
 
+def public_fields(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, defining statement) of each public field of a module-level dataclass."""
+    return [(m.target.id, m) for node in tree.body
+            if isinstance(node, ast.ClassDef) and is_dataclass(node) for m in node.body
+            if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)
+            and not m.target.id.startswith("_")]
+
+
 @cache
 def package_trees() -> dict[str, ast.Module]:
     return {p.name: parse(p) for p in PACKAGE}
 
 
 @cache
-def perfbench_reads() -> set[str]:
+def perfbench_reads(names: bool = True) -> set[str]:
     out = set()
     for path in (ROOT / "perfbench").glob("*.py"):
         tree = parse(path)
-        out |= read_names(tree)
+        out |= read_names(tree, names=names)
         out |= {n.value for n in ast.walk(tree)
                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     return out
@@ -144,8 +159,15 @@ def unread_public_names(path: Path) -> dict[str, int]:
     elsewhere = perfbench_reads().union(*(read_names(t) for name, t in trees.items()
                                           if name != path.name))
     own = trees[path.name]
-    return {name: node.lineno for name, node in public_definitions(own)
-            if name not in elsewhere and name not in read_names(own, skip=node)}
+    unread = {name: node.lineno for name, node in public_definitions(own)
+              if name not in elsewhere and name not in read_names(own, skip=node)}
+    # A field is read as an attribute; a local variable of its name is no read.
+    attributes = perfbench_reads(names=False).union(
+        *(read_names(t, names=False) for name, t in trees.items() if name != path.name))
+    unread.update({name: node.lineno for name, node in public_fields(own)
+                   if name not in attributes
+                   and name not in read_names(own, skip=node, names=False)})
+    return unread
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
