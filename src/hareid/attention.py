@@ -12,7 +12,8 @@ fine-level input embedding x2.
 
 Every step works per sample. A batch holds o1 and w as columns, (H, B) and
 (d, B), and the maps as a stack (B, h, w, d), so scores and weights are
-(B, h, w); a single (h, w, d) map with a (d,) guidance vector gives (h, w).
+(B, h, w) and x2 is (d, B). Scores, weights and ``attend`` also take a
+single (h, w, d) map with a (d,) guidance vector, giving (h, w).
 """
 
 from __future__ import annotations
@@ -32,15 +33,17 @@ DEFAULT_EPSILON = 0.1
 
 @dataclass
 class AttentionWeights:
-    """The normalized weights a over the spatial grid, (h, w) for one sample
-    or (B, h, w) for a batch: the data of the weight tensor, for reporting and
+    """The normalized weights a over the spatial grid, (B, h, w) for a batch
+    or (h, w) for one map: the data of the weight tensor, for reporting and
     export (the differentiable path lives in the tensor itself)."""
 
     a: np.ndarray
 
     def argmax_cell(self) -> tuple[int, int]:
-        flat = int(np.argmax(self.a))
-        return flat // self.a.shape[1], flat % self.a.shape[1]
+        """The (row, column) of the largest weight; the grid is the last two
+        axes, so a batch of one gives its sample's cell."""
+        row, col = np.unravel_index(np.argmax(self.a), self.a.shape)[-2:]
+        return int(row), int(col)
 
 
 def guidance_signal(o1: Tensor, params: Mlp) -> Tensor:
@@ -86,7 +89,8 @@ def attend(a: Tensor, amap: ActivationMap) -> Tensor:
 
 
 def attention_embedding(attended: Tensor) -> Tensor:
-    """x2 = (1/(h*w)) sum_ij f_hat_ij, per sample."""
+    """x2 = (1/(h*w)) sum_ij f_hat_ij for each map of a (B, h, w, d) stack,
+    as columns (d, B)."""
     return global_average_pool(attended)
 
 

@@ -415,31 +415,27 @@ def scale_rows(x: Tensor, a: Tensor) -> Tensor:
 
 
 def pool_rows(x: np.ndarray) -> np.ndarray:
-    """The grid means of an (h, w, d) map or a (B, h, w, d) stack, one (d,)
-    row per sample: the forward arithmetic of ``global_average_pool``."""
-    h, w, d = x.shape[-3:]
-    return x.reshape(-1, h * w, d).sum(axis=1) / (h * w)
+    """The grid means of a (B, h, w, d) stack, one (d,) row per sample: the
+    forward arithmetic of ``global_average_pool``."""
+    n, h, w, d = x.shape
+    return x.reshape(n, h * w, d).sum(axis=1) / (h * w)
 
 
 def global_average_pool(x: Tensor) -> Tensor:
-    """Per-sample mean over the spatial grid of an activation map.
-
-    An (h, w, d) map pools to its image embedding, the (d,) vector
-    out[c] = (1/(h*w)) * sum_ij x[i,j,c]; a stack (B, h, w, d) pools to one
-    such column per sample, (d, B), the layout the recurrent steps consume.
+    """Per-sample mean over the spatial grid of a (B, h, w, d) map stack: one
+    image-embedding column per sample, (d, B), the layout the recurrent steps
+    consume, with out[c, b] = (1/(h*w)) * sum_ij x[b,i,j,c].
     """
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"global_average_pool needs an (h,w,d) map or a (B,h,w,d) stack, "
-                         f"got shape {x.shape}")
+    if x.data.ndim != 4:
+        raise ShapeError(f"global_average_pool needs a (B,h,w,d) stack, got shape {x.shape}")
     if x.data.size == 0:
         raise ShapeError(f"global_average_pool on empty tensor of shape {x.shape}")
-    *batch, h, w, d = x.shape
-    n, m = x.data.size // (h * w * d), h * w
-    out = _node(pool_rows(x.data).T.reshape(d, *batch), "gap", (x,))
+    n, h, w, d = x.shape
+    m = h * w
+    out = _node(pool_rows(x.data).T, "gap", (x,))
 
     def _bw(g):
-        per_sample = g.reshape(d, n).T / m
-        _add_grad(x, np.broadcast_to(per_sample[:, None, :], (n, m, d)).reshape(x.shape))
+        _add_grad(x, np.broadcast_to((g.T / m)[:, None, :], (n, m, d)).reshape(x.shape))
 
     out._backward = _bw
     return out

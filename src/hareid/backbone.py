@@ -1,10 +1,10 @@
 """Representation backbone: a small trainable conv stack or ingested descriptors.
 
-The backbone's only job is to produce an activation map, an (h, w, d) tensor
-that downstream modules read as h*w deep descriptors of dimension d. Real
-datasets enter through descriptor files produced by any external feature
-extractor; the conv stack exists so the whole pipeline stays trainable from
-raw pixels at desk scale.
+The backbone's only job is to produce activation maps, (h, w, d) tensors
+that downstream modules read as h*w deep descriptors of dimension d; the
+model stacks a batch's maps as (B, h, w, d). Real datasets enter through
+descriptor files produced by any external feature extractor; the conv stack
+exists so the whole pipeline stays trainable from raw pixels at desk scale.
 """
 
 from __future__ import annotations
@@ -79,13 +79,12 @@ class ConvStackParams:
                 for name, t in ((f"conv{i}.kernel", k), (f"conv{i}.bias", b))}
 
 
-def conv_forward(image, params: ConvStackParams) -> ActivationMap:
-    """Run the conv stack on an (H, W, C) image or a (B, H, W, C) stack of
-    them, the whole stack as one graph; fully differentiable."""
-    x = Tensor(image)
-    if x.data.ndim not in (3, 4):
-        raise ShapeError(f"conv_forward expects an (H,W,C) image or a (B,H,W,C) stack, "
-                         f"got shape {x.shape}")
+def conv_forward(images, params: ConvStackParams) -> ActivationMap:
+    """Run the conv stack on a (B, H, W, C) stack of images as one graph;
+    fully differentiable."""
+    x = Tensor(images)
+    if x.data.ndim != 4:
+        raise ShapeError(f"conv_forward expects a (B,H,W,C) stack, got shape {x.shape}")
     if x.shape[-1] != params.config.in_channels:
         raise ShapeError(f"image has {x.shape[-1]} channels, stack expects "
                          f"{params.config.in_channels}")

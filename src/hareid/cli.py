@@ -20,7 +20,7 @@ from . import backbone, data, formats
 from .autodiff import grad_check_groups
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, HareidError, NumericError
-from .model import VARIANTS, Model, ModelConfig
+from .model import VARIANTS, Model, ModelConfig, check_seed
 from .optim import RmspropState, TrainSchedule, rng_for, train
 from .retrieval import (EvaluationReport, RetrievalIndex, check_repeated_gallery,
                         vehicleid_protocol, veri_protocol)
@@ -308,10 +308,10 @@ def cmd_attmap(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, weights in weights_of:
         formats.write_pgm(out_dir / f"attmap_{i}.pgm",
-                          formats.attention_to_pixels(weights.a))
+                          formats.attention_to_pixels(weights.a[0]))
         with open(out_dir / f"attmap_{i}.csv", "w", newline="") as f:
             writer = csv.writer(f)
-            for row in weights.a:
+            for row in weights.a[0]:
                 writer.writerow([repr(float(v)) for v in row])
         print(f"sample {i}: argmax cell {weights.argmax_cell()}")
     return 0
@@ -342,9 +342,8 @@ def cmd_ablate(args) -> int:
     gallery_size = args.gallery_size or vehicles
     # Every run's settings are checked before the first one trains.
     check_repeated_gallery(vehicles, gallery_size, args.repeats)
-    for seed in seeds:
-        ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
-                    d=maps.shape[-1], hidden=args.hidden, seed=seed)
+    ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
+                d=maps.shape[-1], hidden=args.hidden)
     results: dict[str, dict] = {}
     for variant in VARIANTS:
         per_seed = []
@@ -521,6 +520,10 @@ def main(argv=None) -> int:
                 args.seeds, args.eval_seed = str(seed), seed
             else:
                 args.seed = seed
+        # Every seed is checked before the command reads or writes anything.
+        seeds = [getattr(args, key) for key in ("seed", "eval_seed") if hasattr(args, key)]
+        for seed in seeds + (_int_list(args.seeds, "--seeds") if hasattr(args, "seeds") else []):
+            check_seed(seed)
         return args.func(args)
     except (HareidError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,12 +8,14 @@ Three variants share the surrounding plumbing:
                          MLPs; attention kept.
 
 Training runs the whole chain and both heads as one autodiff graph
-(``Model.forward``). Extraction (``Model.extract_features``) runs a stack of
-inputs through the same chain on the parameters' arrays, without a graph or
-the heads, and l2-normalizes o2; each row keeps the bits of that input's own
-``forward``. The attention net's width ``max(1, hidden // 2)`` (``attn_hidden=0``),
-``attention.DEFAULT_EPSILON`` and the input gain ``gru.DEFAULT_INPUT_GAIN`` are constants,
-recorded in the config text and checked.
+(``Model.forward``) over a batch; a single map or image enters as a batch of
+one, so every layer below ``Model`` sees one (B, ...) layout. Extraction
+(``Model.extract_features``) runs a stack of inputs through the same chain on
+the parameters' arrays, without a graph or the heads, and l2-normalizes o2;
+each row keeps the bits of that input's own ``forward``. The attention net's
+width ``max(1, hidden // 2)`` (``attn_hidden=0``), ``attention.DEFAULT_EPSILON``
+and the input gain ``gru.DEFAULT_INPUT_GAIN`` are constants, recorded in the
+config text and checked.
 
 Parameter registration order is fixed (conv stack, recurrent or fc block,
 model head, vehicle head, attention net) so that, for one seed, variants
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from .autodiff import Tensor, global_average_pool, log1p_exp, logistic, pool_rows, reshape
+from .autodiff import Tensor, global_average_pool, log1p_exp, logistic, pool_rows
 from .backbone import ActivationMap, ConvStackConfig, ConvStackParams, conv_forward
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp, classify,
@@ -42,6 +44,14 @@ _TEXT_FIELDS = {"variant": str, "num_models": int, "num_vehicles": int, "d": int
                 "input_gain": float, "seed": int}
 _TEXT_CONSTANTS = {"attn_hidden": 0, "epsilon": att.DEFAULT_EPSILON,
                    "input_gain": DEFAULT_INPUT_GAIN}
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` if it is an unsigned 64-bit integer, 0 <= seed < 2**64, as a
+    Philox key word and the checkpoint's seed field hold it."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be {'>= 0' if seed < 0 else '< 2**64'}, got {seed}")
+    return seed
 
 
 @dataclass
@@ -62,8 +72,7 @@ class ModelConfig:
             raise ConfigError(f"unknown backbone {self.backbone!r}")
         if min(self.num_models, self.num_vehicles, self.d, self.hidden) < 1:
             raise ConfigError("class counts and dimensions must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if self.backbone == "conv":
             if self.conv is None:
                 self.conv = ConvStackConfig(channels=self.d)
@@ -143,28 +152,13 @@ def unit_rows(values) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ForwardResult:
-    """A batch's embeddings, outputs and logits, one column per sample (x1
-    (d, B), o1 and o2 (H, B), logits (C, B)); for a single input, the
-    sample's vectors."""
+    """A batch's outputs, one column per sample: o2 (H, B), logits (C, B),
+    attention weights (B, h, w)."""
 
-    x1: Tensor
-    o1: Tensor
     o2: Tensor
     logits_model: Tensor
     logits_vehicle: Tensor
     attention: att.AttentionWeights | None
-
-    def only_sample(self) -> "ForwardResult":
-        """The vectors of a batch of one."""
-        def column(t: Tensor) -> Tensor:
-            return reshape(t, t.shape[:1])
-
-        weights = self.attention
-        if weights is not None:
-            weights = att.AttentionWeights(a=weights.a[0])
-        return ForwardResult(x1=column(self.x1), o1=column(self.o1), o2=column(self.o2),
-                             logits_model=column(self.logits_model),
-                             logits_vehicle=column(self.logits_vehicle), attention=weights)
 
 
 def _products(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -242,26 +236,25 @@ class Model:
             out.update(self.attn.named("attn"))
         return out
 
-    def _activation_maps(self, inp) -> tuple[ActivationMap, bool]:
-        """The (B, h, w, d) map stack of a batch of inputs, and whether the
-        input was a single sample (an (h, w, d) map or an (H, W, C) image,
-        run as a batch of one)."""
+    def _activation_maps(self, inp) -> ActivationMap:
+        """The (B, h, w, d) map stack of a batch of inputs; a single (h, w, d)
+        map or (H, W, C) image is a batch of one."""
+        inp = np.asarray(inp, dtype=np.float64)
+        if inp.ndim == 3:
+            inp = inp[None]
         if self.conv_params is not None:
             amap = conv_forward(inp, self.conv_params)
         else:
-            amap = ActivationMap(Tensor(np.asarray(inp, dtype=np.float64)))
-        single = amap.tensor.data.ndim == 3
-        if single:
-            amap = ActivationMap(reshape(amap.tensor, (1, *amap.shape)))
+            amap = ActivationMap(Tensor(inp))
         if amap.shape[-1] != self.config.d:
             raise ShapeError(f"activation map depth {amap.shape[-1]} does not match "
                              f"config.d = {self.config.d}")
-        return amap, single
+        return amap
 
     def forward(self, inp) -> ForwardResult:
         """Run a batch (a (B, h, w, d) map stack or (B, H, W, C) images) as one
-        graph; a single map or image comes back as the sample's vectors."""
-        amap, single = self._activation_maps(inp)
+        graph; a single map or image runs as a batch of one."""
+        amap = self._activation_maps(inp)
         x1 = global_average_pool(amap.tensor)
         if self.gru is None:
             o1 = self.fc1.apply(x1)
@@ -275,20 +268,16 @@ class Model:
             o2 = self.fc2.apply(x2)
         else:
             o2 = gru_step(x2, o1, self.gru)  # fine step, same weights, state o1
-        result = ForwardResult(
-            x1=x1, o1=o1, o2=o2,
-            logits_model=classify(o1, self.head_model),
-            logits_vehicle=classify(o2, self.head_vehicle),
-            attention=attention,
-        )
-        return result.only_sample() if single else result
+        return ForwardResult(o2=o2, logits_model=classify(o1, self.head_model),
+                             logits_vehicle=classify(o2, self.head_vehicle),
+                             attention=attention)
 
     def loss(self, inp, y_model, y_vehicle) -> tuple[Tensor, LossReport, ForwardResult]:
-        """Mean joint loss of a batch with label vectors (B,), or of a single
-        input with integer labels."""
+        """Mean joint loss of a batch with label vectors (B,); a single input
+        takes integer labels and runs as a batch of one."""
         result = self.forward(inp)
-        total, report = hierarchical_loss(result.logits_model, y_model,
-                                          result.logits_vehicle, y_vehicle)
+        total, report = hierarchical_loss(result.logits_model, np.atleast_1d(y_model),
+                                          result.logits_vehicle, np.atleast_1d(y_vehicle))
         return total, report, result
 
     def extract_features(self, inputs) -> tuple[np.ndarray, np.ndarray]:
@@ -306,11 +295,11 @@ class Model:
             raise ShapeError(f"extract_features takes a stack of maps or images, got shape "
                              f"{inputs.shape}")
         if self.conv_params is None:
-            maps = self._activation_maps(inputs)[0].tensor.data
+            maps = self._activation_maps(inputs).tensor.data
         else:
             # Image by image: one conv GEMM over the stack would round some
             # map values differently from the one-image GEMM.
-            maps = np.concatenate([self._activation_maps(image)[0].tensor.data
+            maps = np.concatenate([self._activation_maps(image).tensor.data
                                    for image in inputs])
         x1 = pool_rows(maps)
         o1 = _mlp_rows(self.fc1, x1) if self.gru is None else _gru_rows(x1, None, self.gru)

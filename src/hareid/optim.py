@@ -29,14 +29,15 @@ import numpy as np
 from .autodiff import Tensor, backward
 from .errors import ConfigError, NumericError
 from .gru import LossReport
-from .model import Model
+from .model import Model, check_seed
 
 
 def rng_for(*key: int) -> np.random.Generator:
-    """Deterministic counter-based generator for a small integer key."""
+    """Deterministic counter-based generator for a key of up to two seeds
+    (``check_seed`` refuses any other value, so no two keys share a stream)."""
     k = np.zeros(2, dtype=np.uint64)
     for i, v in enumerate(key[:2]):
-        k[i] = np.uint64(int(v) & 0xFFFFFFFFFFFFFFFF)
+        k[i] = np.uint64(check_seed(int(v)))
     return np.random.Generator(np.random.Philox(key=k))
 
 

@@ -145,25 +145,25 @@ class TestAttend:
 
 class TestAttentionEmbedding:
     def test_single_cell(self):
-        arr = np.arange(4.0).reshape(1, 1, 4)
+        arr = np.arange(4.0).reshape(1, 1, 1, 4)
         x2 = att.attention_embedding(ad.constant(arr))
-        np.testing.assert_array_equal(x2.data, np.arange(4.0))
+        np.testing.assert_array_equal(x2.data, np.arange(4.0)[:, None])
 
     def test_uniform_attention_reproduces_quarter_gap(self):
         rng = np.random.default_rng(13)
-        arr = rng.uniform(-1, 1, size=(2, 2, 6))
+        arr = rng.uniform(-1, 1, size=(1, 2, 2, 6))
         amap = make_map(arr)
         x1 = ad.global_average_pool(amap.tensor).data
-        attended = att.attend(ad.constant(np.full((2, 2), 0.25)), amap)
+        attended = att.attend(ad.constant(np.full((1, 2, 2), 0.25)), amap)
         x2 = att.attention_embedding(attended).data
         np.testing.assert_allclose(x2, x1 / 4.0, atol=1e-15)
 
     def test_one_hot_attention_on_1x2_grid(self):
         u, v = np.array([1.0, 2.0]), np.array([-3.0, 5.0])
-        amap = make_map(np.stack([u, v])[None, :, :])  # 1x2 grid
-        attended = att.attend(ad.constant([[1.0, 0.0]]), amap)
+        amap = make_map(np.stack([u, v])[None, None])  # a batch of one 1x2 grid
+        attended = att.attend(ad.constant([[[1.0, 0.0]]]), amap)
         x2 = att.attention_embedding(attended).data
-        np.testing.assert_allclose(x2, u / 2.0, atol=1e-15)
+        np.testing.assert_allclose(x2, u[:, None] / 2.0, atol=1e-15)
 
 
 class TestPipeline:
@@ -175,6 +175,8 @@ class TestPipeline:
         a = att.normalize_scores(s)
         weights = att.AttentionWeights(a=a.data)
         assert weights.argmax_cell() == (1, 2)
+        # The grid is the last two axes: a batch of one gives its sample's cell.
+        assert att.AttentionWeights(a=a.data[None]).argmax_cell() == (1, 2)
         others = np.delete(a.data.reshape(-1), 1 * 3 + 2)
         assert np.all(a.data[1, 2] > others)
 
@@ -222,6 +224,7 @@ class TestPipeline:
             s = att.attention_scores(ad.constant(w), make_map(maps[i]))
             a = att.normalize_scores(s)
             np.testing.assert_allclose(weights.a[i], a.data, rtol=1e-14)
+            attended = att.attend(a, make_map(maps[i]))
             np.testing.assert_allclose(
-                x2.data[:, i], att.attention_embedding(att.attend(a, make_map(maps[i]))).data,
+                x2.data[:, i], att.attention_embedding(ad.reshape(attended, (1, 2, 3, 5))).data[:, 0],
                 rtol=1e-14)

@@ -133,26 +133,33 @@ class TestScaleRows:
 
 class TestGlobalAveragePool:
     def test_constant_map(self):
-        out = ad.global_average_pool(ad.constant(np.full((3, 2, 4), 7.5)))
-        np.testing.assert_array_equal(out.data, np.full(4, 7.5))
+        out = ad.global_average_pool(ad.constant(np.full((1, 3, 2, 4), 7.5)))
+        np.testing.assert_array_equal(out.data, np.full((4, 1), 7.5))
 
     def test_single_location_identity(self):
-        m = ad.constant(np.arange(5.0).reshape(1, 1, 5))
-        np.testing.assert_array_equal(ad.global_average_pool(m).data, np.arange(5.0))
+        m = ad.constant(np.arange(5.0).reshape(1, 1, 1, 5))
+        np.testing.assert_array_equal(ad.global_average_pool(m).data, np.arange(5.0)[:, None])
 
     def test_two_values(self):
-        m = ad.constant(np.array([1.0, 3.0]).reshape(2, 1, 1))
-        np.testing.assert_array_equal(ad.global_average_pool(m).data, [2.0])
+        m = ad.constant(np.array([1.0, 3.0]).reshape(1, 2, 1, 1))
+        np.testing.assert_array_equal(ad.global_average_pool(m).data, [[2.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             ad.global_average_pool(ad.constant(np.zeros((0, 2))))
         with pytest.raises(ShapeError):
             ad.global_average_pool(ad.constant(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            ad.global_average_pool(ad.constant(np.zeros((0, 2, 2, 3))))
+
+    def test_single_map_is_refused(self):
+        # Only a (B, h, w, d) stack pools; one map is a stack of one.
+        with pytest.raises(ShapeError, match=r"\(B,h,w,d\) stack"):
+            ad.global_average_pool(ad.constant(np.ones((2, 2, 3))))
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
-        x, y = rand(rng, 2, 3, 4), rand(rng, 2, 3, 4)
+        x, y = rand(rng, 1, 2, 3, 4), rand(rng, 1, 2, 3, 4)
         a, b = 1.7, -0.3
         lhs = ad.global_average_pool(ad.constant(a * x + b * y)).data
         rhs = (a * ad.global_average_pool(ad.constant(x)).data
@@ -160,9 +167,9 @@ class TestGlobalAveragePool:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_backward_distributes_uniformly(self):
-        x = ad.parameter(rand(np.random.default_rng(2), 2, 3, 4))
+        x = ad.parameter(rand(np.random.default_rng(2), 1, 2, 3, 4))
         ad.backward(ad.tsum(ad.global_average_pool(x)))
-        np.testing.assert_allclose(x.grad, np.full((2, 3, 4), 1.0 / 6.0), atol=1e-15)
+        np.testing.assert_allclose(x.grad, np.full((1, 2, 3, 4), 1.0 / 6.0), atol=1e-15)
 
     def test_stack_pools_each_sample_into_a_column(self):
         maps = rand(np.random.default_rng(3), 3, 2, 3, 4)
@@ -170,7 +177,7 @@ class TestGlobalAveragePool:
         assert out.shape == (4, 3)
         for i in range(3):
             np.testing.assert_array_equal(
-                out[:, i], ad.global_average_pool(ad.constant(maps[i])).data)
+                out[:, i], ad.global_average_pool(ad.constant(maps[i:i + 1])).data[:, 0])
 
 
 class TestSoftmaxCrossEntropy:

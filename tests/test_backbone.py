@@ -23,8 +23,9 @@ class TestConvStack:
         cfg = backbone.ConvStackConfig()
         assert stack_shape_oracle(16, 16, 3, 2, 32) == (2, 2, 32)
         params = backbone.ConvStackParams.init(cfg, np.random.default_rng(0))
-        amap = backbone.conv_forward(np.random.default_rng(1).uniform(size=(16, 16, 1)), params)
-        assert amap.shape == (2, 2, 32)
+        amap = backbone.conv_forward(np.random.default_rng(1).uniform(size=(1, 16, 16, 1)),
+                                     params)
+        assert amap.shape == (1, 2, 2, 32)
 
     def test_shape_matches_oracle_across_configs(self):
         rng = np.random.default_rng(2)
@@ -36,13 +37,13 @@ class TestConvStack:
             expected = stack_shape_oracle(size, size, layers, kernel, channels)
             cfg = backbone.ConvStackConfig(layers=layers, kernel=kernel, channels=channels)
             params = backbone.ConvStackParams.init(cfg, rng)
-            image = rng.uniform(size=(size, size, 1))
+            image = rng.uniform(size=(1, size, size, 1))
             if expected is None:
                 # A valid conv leaves h < 1 exactly when its input has h < kernel.
                 with pytest.raises(ShapeError):
                     backbone.conv_forward(image, params)
                 continue
-            assert backbone.conv_forward(image, params).shape == expected
+            assert backbone.conv_forward(image, params).shape == (1, *expected)
 
     @pytest.mark.parametrize("name", ["layers", "kernel", "channels", "in_channels"])
     @pytest.mark.parametrize("value", [0, -1])
@@ -53,7 +54,7 @@ class TestConvStack:
     def test_zero_image_zero_bias_gives_zero_map(self):
         cfg = backbone.ConvStackConfig(layers=2, channels=3)
         params = backbone.ConvStackParams.init(cfg, np.random.default_rng(3))
-        amap = backbone.conv_forward(np.zeros((10, 10, 1)), params)
+        amap = backbone.conv_forward(np.zeros((1, 10, 10, 1)), params)
         np.testing.assert_array_equal(amap.tensor.data, 0.0)
 
     def test_identity_one_by_one_kernel_passthrough(self):
@@ -65,17 +66,24 @@ class TestConvStack:
     def test_channel_mismatch(self):
         cfg = backbone.ConvStackConfig(layers=1)
         params = backbone.ConvStackParams.init(cfg, np.random.default_rng(6))
-        with pytest.raises(ShapeError):
-            backbone.conv_forward(np.zeros((8, 8, 3)), params)
+        with pytest.raises(ShapeError, match="3 channels"):
+            backbone.conv_forward(np.zeros((1, 8, 8, 3)), params)
+
+    def test_single_image_is_refused(self):
+        # Only a (B, H, W, C) stack runs; one image is a stack of one.
+        cfg = backbone.ConvStackConfig(layers=1)
+        params = backbone.ConvStackParams.init(cfg, np.random.default_rng(6))
+        with pytest.raises(ShapeError, match=r"\(B,H,W,C\) stack"):
+            backbone.conv_forward(np.zeros((8, 8, 1)), params)
 
     def test_gradients_match_finite_differences_on_8x8(self):
         cfg = backbone.ConvStackConfig(layers=2, kernel=2, channels=2)
         params = backbone.ConvStackParams.init(cfg, np.random.default_rng(7))
-        image = np.random.default_rng(8).uniform(-1, 1, size=(8, 8, 1))
+        image = np.random.default_rng(8).uniform(-1, 1, size=(1, 8, 8, 1))
 
         def f():
             amap = backbone.conv_forward(image, params)
-            return ad.softmax_cross_entropy(ad.global_average_pool(amap.tensor), 1)
+            return ad.tsum(ad.softmax_cross_entropy(ad.global_average_pool(amap.tensor), [1]))
 
         errors = ad.grad_check_groups(f, params.named())
         assert max(errors.values()) < 1e-4, errors

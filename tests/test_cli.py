@@ -311,20 +311,51 @@ class TestTrain:
 
     @pytest.mark.parametrize("how", ["flag", "env", "config"])
     def test_negative_seed_is_config_error(self, tiny_set, tmp_path, monkeypatch, capsys, how):
-        argv = ["train", "--manifest", str(tiny_set / "manifest.csv"),
-                "--descriptors", str(tiny_set / "descriptors.desc"),
-                "--out-dir", str(tmp_path), "--hidden", "8", "--epochs", "1"]
-        if how == "flag":
-            argv += ["--seed", "-1"]
-        elif how == "env":
-            monkeypatch.setenv("HAR_SEED", "-1")
-        else:
-            (tmp_path / "run.cfg").write_text("seed=-1\n")
-            argv += ["--config", str(tmp_path / "run.cfg")]
+        # A seed is an unsigned 64-bit key: one below 0 or from 2**64 up is
+        # refused before training and before --out-dir exists.
+        out = tmp_path / "out"
+        for seed in ("-1", str(2**64)):
+            argv = ["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(out), "--hidden", "8", "--epochs", "1"]
+            if how == "flag":
+                argv += ["--seed", seed]
+            elif how == "env":
+                monkeypatch.setenv("HAR_SEED", seed)
+            else:
+                (tmp_path / "run.cfg").write_text(f"seed={seed}\n")
+                argv += ["--config", str(tmp_path / "run.cfg")]
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "seed" in err and seed in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "eval", "gradcheck", "ablate-eval-seed"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused(self, tiny_set, tmp_path, capsys, monkeypatch,
+                                             command, seed):
+        # No seed wraps onto another: each command refuses it before it
+        # trains, draws or writes anything.
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "out"
+        data = ["--manifest", str(tiny_set / "manifest.csv")]
+        argv = {
+            "synth": ["synth", "--out", str(out), "--seed", str(seed)],
+            "eval": ["eval", "--features", str(tmp_path / "none.feat"), *data,
+                     "--protocol", "vehicleid", "--out", str(out), "--seed", str(seed)],
+            "gradcheck": ["gradcheck", "--seed", str(seed)],
+            "ablate-eval-seed": ["ablate", *data, "--descriptors",
+                                 str(tiny_set / "descriptors.desc"), "--out-dir", str(out),
+                                 "--hidden", "8", "--epochs", "1", "--seeds", "0",
+                                 "--eval-seed", str(seed)],
+        }[command]
         assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "seed" in err
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be {'>= 0' if seed < 0 else '< 2**64'}, " \
+                               f"got {seed}\n"
+        assert captured.out == "" and trained == [] and not out.exists()
 
     def test_negative_epochs_is_config_error(self, tiny_set, tmp_path, capsys):
         assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),

@@ -59,18 +59,20 @@ class TestForward:
                 t.data[:] = 0.0
             amap = random_map(np.random.default_rng(1))
             total, report, result = model.loss(amap, 0, 0)
-            np.testing.assert_array_equal(result.logits_model.data, np.zeros(3))
-            np.testing.assert_array_equal(result.logits_vehicle.data, np.zeros(6))
+            np.testing.assert_array_equal(result.logits_model.data, np.zeros((3, 1)))
+            np.testing.assert_array_equal(result.logits_vehicle.data, np.zeros((6, 1)))
             expected = math.log(3.0) + math.log(6.0)
             assert total.item() == pytest.approx(expected, abs=1e-12)
 
     def test_logit_shapes(self):
         model = Model(small_config())
+        # One map runs as a batch of one and comes back batch-shaped.
         result = model.forward(random_map(np.random.default_rng(2)))
-        assert result.logits_model.shape == (3,)
-        assert result.logits_vehicle.shape == (6,)
+        assert result.o2.shape == (8, 1)
+        assert result.logits_model.shape == (3, 1)
+        assert result.logits_vehicle.shape == (6, 1)
         assert result.attention is not None
-        assert result.attention.a.shape == (2, 2)
+        assert result.attention.a.shape == (1, 2, 2)
 
     def test_single_cell_map_degenerates_to_no_attention(self):
         # On a 1x1 grid the attention weight is forced to 1, so the full
@@ -83,7 +85,7 @@ class TestForward:
         np.testing.assert_allclose(r_full.o2.data, r_plain.o2.data, atol=1e-12)
         np.testing.assert_allclose(r_full.logits_vehicle.data, r_plain.logits_vehicle.data,
                                    atol=1e-12)
-        assert r_full.attention.a[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert r_full.attention.a[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_depth_mismatch_rejected(self):
         model = Model(small_config())
@@ -197,6 +199,58 @@ class TestBatch:
             assert np.max(np.abs(grads[name] - expected)) <= 1e-12 * scale, name
 
 
+class TestBatchOfOne:
+    CASES = ["rnn_ha", "fc_ha", "rnn_h_no_attention", "rnn_ha_conv", "fc_ha_conv",
+             "rnn_h_no_attention_conv"]
+
+    @staticmethod
+    def model_and_input(case, seed):
+        conv = dict(backbone="conv", conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        model = Model(small_config(variant=case.removesuffix("_conv"), seed=seed,
+                                   **(conv if case.endswith("_conv") else {})))
+        shape = (10, 9, 1) if case.endswith("_conv") else (2, 3, 4)
+        return model, np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=shape)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_forward_of_one_input_is_a_batch_of_one(self, case):
+        model, x = self.model_and_input(case, 40)
+        one, stack = model.forward(x), model.forward(x[None])
+        for name in ("o2", "logits_model", "logits_vehicle"):
+            assert np.array_equal(getattr(one, name).data, getattr(stack, name).data), name
+        if one.attention is None:
+            assert stack.attention is None
+        else:
+            assert np.array_equal(one.attention.a, stack.attention.a)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_loss_of_one_input_is_a_batch_of_one(self, case):
+        model, x = self.model_and_input(case, 42)
+        params = model.params()
+
+        def loss_and_grads(inp, ym, yv):
+            for t in params.values():
+                t.zero_grad()
+            total, report, _ = model.loss(inp, ym, yv)
+            ad.backward(total)
+            return total.item(), report, {k: t.grad.copy() for k, t in params.items()
+                                          if t.grad is not None}
+
+        total, report, grads = loss_and_grads(x, 2, 5)
+        stack_total, stack_report, stack_grads = loss_and_grads(x[None], [2], [5])
+        assert total == stack_total and report == stack_report
+        assert grads.keys() == stack_grads.keys() and grads
+        for name in grads:
+            assert np.array_equal(grads[name], stack_grads[name]), name
+
+    @pytest.mark.parametrize("case", ["rnn_ha", "fc_ha", "rnn_ha_conv", "fc_ha_conv"])
+    def test_argmax_cell_of_a_batch_of_one(self, case):
+        model, x = self.model_and_input(case, 44)
+        a = model.forward(x).attention.a
+        assert a.shape[0] == 1
+        row, col = np.unravel_index(np.argmax(a[0]), a.shape[1:])
+        assert model.forward(x).attention.argmax_cell() == (row, col)
+
+
 class TestZeroStateStep:
     @pytest.mark.parametrize("batch", [1, 5])
     @pytest.mark.parametrize("variant", ["rnn_ha", "rnn_h_no_attention"])
@@ -280,7 +334,7 @@ class TestGradientSeparation:
                 t.zero_grad()
             result = model.forward(amap)
             logits = result.logits_model if branch == "model" else result.logits_vehicle
-            ad.backward(ad.softmax_cross_entropy(logits, 1))
+            ad.backward(ad.tsum(ad.softmax_cross_entropy(logits, [1])))
             return {name: (None if t.grad is None else t.grad.copy())
                     for name, t in model.params().items() if name.startswith("attn")}
 
@@ -312,11 +366,11 @@ class TestConvBackbone:
         batch = model.forward(images)
         for i, image in enumerate(images):
             single = model.forward(image)
-            for name in ("x1", "o1", "o2", "logits_model", "logits_vehicle"):
+            for name in ("o2", "logits_model", "logits_vehicle"):
                 np.testing.assert_allclose(getattr(batch, name).data[:, i],
-                                           getattr(single, name).data, rtol=1e-12, atol=0,
-                                           err_msg=name)
-            np.testing.assert_allclose(batch.attention.a[i], single.attention.a,
+                                           getattr(single, name).data[:, 0], rtol=1e-12,
+                                           atol=0, err_msg=name)
+            np.testing.assert_allclose(batch.attention.a[i], single.attention.a[0],
                                        rtol=1e-12, atol=0)
 
     def test_conv_channel_config_mismatch(self):
@@ -432,7 +486,7 @@ class TestExtractFeature:
         shape = (10, 10, 1) if case.endswith("_conv") else (2, 3, 4)
         for _ in range(3):
             inp = rng.uniform(-1.0, 1.0, size=shape)
-            expected, zero = unit_rows(model.forward(inp).o2.data[None])
+            expected, zero = unit_rows(model.forward(inp).o2.data.T)
             fv = model.extract_feature(inp)
             assert np.array_equal(fv.values, expected[0])
             assert fv.normalized == (not zero[0])
@@ -444,7 +498,7 @@ class TestExtractFeature:
             inputs[1:2] = 0.0  # an all-zero input has a zero o2 row
             rows, zero = model.extract_features(inputs)
             for inp, row, flag in zip(inputs, rows, zero):
-                expected, expected_zero = unit_rows(model.forward(inp).o2.data[None])
+                expected, expected_zero = unit_rows(model.forward(inp).o2.data.T)
                 assert np.array_equal(row, expected[0])
                 assert flag == expected_zero[0]
 

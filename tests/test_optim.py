@@ -213,3 +213,17 @@ class TestTrain:
             final.append({k: t.data.copy() for k, t in model.params().items()})
         for k in final[0]:
             np.testing.assert_array_equal(final[0][k], final[1][k])
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_seed_outside_64_bits_is_refused(bad):
+    # A seed is one unsigned 64-bit key word: none outside [0, 2**64) wraps
+    # onto another's stream, and none reaches a checkpoint's uint64 field.
+    for key in ((bad,), (0, bad)):
+        with pytest.raises(ConfigError, match="seed must be"):
+            rng_for(*key)
+    with pytest.raises(ConfigError, match="seed must be"):
+        ModelConfig(num_models=1, num_vehicles=1, seed=bad)
+    top = 2**64 - 1  # the largest seed is accepted
+    rng_for(top, top)
+    assert ModelConfig(num_models=1, num_vehicles=1, seed=top).seed == top

@@ -27,6 +27,8 @@ PUBLIC_ALLOWLIST = {
     ("autodiff.py", "constant"): "the documented leaf constructor of the autodiff core",
     ("retrieval.py", "image_retrieval_metrics"): "the acceptance gate's metric oracle imports it",
     ("data.py", "load_signature_cells"): "reads the signature sidecar that write_synth writes",
+    ("model.py", "o2"): "extraction's bit-parity tests compare features with the graph's "
+                        "fine output",
 }
 
 
