@@ -81,10 +81,8 @@ def normalize_scores(s: Tensor, epsilon: float = DEFAULT_EPSILON) -> Tensor:
 
 def attend(a: Tensor, amap: ActivationMap) -> Tensor:
     """Scale every descriptor by its scalar weight, f_hat_ij = a_ij * f_ij, in
-    one node: weights (B, h, w) over maps (B, h, w, d), or (h, w) over one map."""
-    if a.shape != amap.shape[:-1]:
-        raise ShapeError(f"attend: weight grid {a.shape} does not match "
-                         f"map grid {amap.shape[:-1]}")
+    one node: weights (B, h, w) over maps (B, h, w, d), or (h, w) over one map.
+    ``scale_rows`` refuses a weight grid unlike the map's."""
     return scale_rows(amap.tensor, a)
 
 

@@ -399,19 +399,11 @@ def transpose(x: Tensor) -> Tensor:
 def scale_rows(x: Tensor, a: Tensor) -> Tensor:
     """Scale each row of x (..., d), a vector along the last axis, by its own
     scalar in a, of shape x.shape[:-1]: the attention weighting step, where
-    a (B, h, w) weights the descriptors of a (B, h, w, d) map stack."""
+    a (B, h, w) weights the descriptors of a (B, h, w, d) map stack. It is
+    one ``mul`` node, a being the prefix operand, with the shapes checked."""
     if x.data.ndim < 1 or a.shape != x.shape[:-1]:
         raise ShapeError(f"scale_rows: shapes {x.shape} and {a.shape} do not align")
-    out = _node(x.data * a.data[..., None], "scale_rows", (x, a))
-
-    def _bw(g):
-        if x.requires_grad:
-            _add_grad(x, g * a.data[..., None])
-        if a.requires_grad:
-            _add_grad(a, np.sum(g * x.data, axis=-1))
-
-    out._backward = _bw
-    return out
+    return mul(x, a)
 
 
 def pool_rows(x: np.ndarray) -> np.ndarray:

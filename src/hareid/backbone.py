@@ -9,7 +9,7 @@ exists so the whole pipeline stays trainable from raw pixels at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,10 @@ class ConvStackConfig:
 
 @dataclass
 class ConvStackParams:
-    config: ConvStackConfig
-    kernels: list[Tensor] = field(default_factory=list)
-    biases: list[Tensor] = field(default_factory=list)
+    """Per layer, a (k, k, c_in, c_out) kernel and a (c_out,) bias."""
+
+    kernels: list[Tensor]
+    biases: list[Tensor]
 
     @classmethod
     def init(cls, config: ConvStackConfig, rng: np.random.Generator) -> "ConvStackParams":
@@ -72,7 +73,7 @@ class ConvStackParams:
                 -bound, bound, size=(config.kernel, config.kernel, cin, config.channels))))
             biases.append(parameter(np.zeros(config.channels)))
             cin = config.channels
-        return cls(config, kernels, biases)
+        return cls(kernels, biases)
 
     def named(self) -> dict[str, Tensor]:
         return {name: t for i, (k, b) in enumerate(zip(self.kernels, self.biases))
@@ -81,13 +82,13 @@ class ConvStackParams:
 
 def conv_forward(images, params: ConvStackParams) -> ActivationMap:
     """Run the conv stack on a (B, H, W, C) stack of images as one graph;
-    fully differentiable."""
+    fully differentiable. C must be the input width of the first kernel."""
     x = Tensor(images)
     if x.data.ndim != 4:
         raise ShapeError(f"conv_forward expects a (B,H,W,C) stack, got shape {x.shape}")
-    if x.shape[-1] != params.config.in_channels:
-        raise ShapeError(f"image has {x.shape[-1]} channels, stack expects "
-                         f"{params.config.in_channels}")
+    in_channels = params.kernels[0].shape[2]
+    if x.shape[-1] != in_channels:
+        raise ShapeError(f"image has {x.shape[-1]} channels, stack expects {in_channels}")
     for k, b in zip(params.kernels, params.biases):
         x = max_pool2(relu(conv2d(x, k, b)))
     return ActivationMap(x)

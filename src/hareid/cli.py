@@ -38,14 +38,6 @@ def _load_split_and_maps(args) -> tuple[data.DatasetSplit, np.ndarray | None]:
     return split, maps
 
 
-def _samples_for(split: data.DatasetSplit, name: str) -> list[data.LabeledSample]:
-    if name == "train":
-        return split.train
-    if name == "test":
-        return split.test
-    raise ConfigError(f"unknown split {name!r}")
-
-
 def _model_from_checkpoint(path) -> tuple[Model, Checkpoint]:
     ckpt = load_checkpoint(path)
     model = Model(ckpt.config)
@@ -137,7 +129,7 @@ def _schedule_from_args(args) -> TrainSchedule:
 
 
 # The model flags of ``train`` and what a fresh run uses for those not given.
-_MODEL_FLAG_DEFAULTS = {"variant": ModelConfig.variant, "backbone": ModelConfig.backbone,
+_MODEL_FLAG_DEFAULTS = {"variant": ModelConfig.variant, "backbone": "ingested",
                        "hidden": ModelConfig.hidden,
                        "conv_layers": backbone.ConvStackConfig.layers,
                        "conv_kernel": backbone.ConvStackConfig.kernel,
@@ -197,7 +189,7 @@ def cmd_train(args) -> int:
             d = maps.shape[-1]
         config = ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
                              variant=flags["variant"], d=d, hidden=flags["hidden"],
-                             backbone=flags["backbone"], seed=args.seed, conv=conv)
+                             seed=args.seed, conv=conv)
         model = Model(config)
         state = None
         start_epoch = 0
@@ -228,7 +220,7 @@ def cmd_train(args) -> int:
     result = train(model, items, schedule, seed, start_epoch=start_epoch, state=state,
                    on_epoch=on_epoch)
     if not result.trace:
-        save_checkpoint(ckpt_path, config, model.params(), state, result.next_epoch, seed)
+        save_checkpoint(ckpt_path, config, model.params(), state, schedule.epochs, seed)
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -236,7 +228,7 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     model, ckpt = _model_from_checkpoint(args.checkpoint)
     split, maps = _load_split_and_maps(args)
-    samples = _samples_for(split, args.split)
+    samples = getattr(split, args.split)
     if not samples:
         raise ConfigError(f"split {args.split!r} is empty")
     formats.write_features(args.out, _features(model, samples, maps, args.image_root))
@@ -246,7 +238,7 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     split, _ = _load_split_and_maps(args)
-    samples = _samples_for(split, args.split)
+    samples = getattr(split, args.split)
     index = RetrievalIndex.build(formats.load_features(args.features), samples)
     if args.protocol == "veri":
         report = veri_protocol(index, track_agg=args.track_agg)
@@ -294,7 +286,7 @@ def cmd_attmap(args) -> int:
     if model.attn is None:
         raise ConfigError(f"variant {ckpt.config.variant!r} has no attention module")
     split, maps = _load_split_and_maps(args)
-    samples = _samples_for(split, args.split)
+    samples = getattr(split, args.split)
     weights_of = []  # (sample id, attention weights), in --samples order
     for i in _int_list(args.samples, "--samples"):
         if not 0 <= i < len(samples):
@@ -496,6 +488,10 @@ def _config_defaults(path, command: argparse.ArgumentParser) -> dict[str, object
             defaults[key] = action.type(value) if action.type else value
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+        # argparse checks choices only on the command line.
+        if action.choices is not None and defaults[key] not in action.choices:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r} is not one "
+                              f"of {', '.join(map(repr, action.choices))}")
     return defaults
 
 
@@ -525,7 +521,7 @@ def main(argv=None) -> int:
         for seed in seeds + (_int_list(args.seeds, "--seeds") if hasattr(args, "seeds") else []):
             check_seed(seed)
         return args.func(args)
-    except (HareidError, IndexError, OSError) as exc:
+    except (HareidError, IndexError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

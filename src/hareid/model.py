@@ -56,32 +56,36 @@ def check_seed(seed: int) -> int:
 
 @dataclass
 class ModelConfig:
+    """A model's shape and seed. The backbone is the conv stack when ``conv``
+    is set and ingested (h, w, d) maps otherwise, as ``backbone`` names it."""
+
     num_models: int
     num_vehicles: int
     variant: str = "rnn_ha"
     d: int = 16
     hidden: int = 1024
-    backbone: str = "ingested"  # ingested | conv
     seed: int = 0
     conv: ConvStackConfig | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.backbone not in ("ingested", "conv"):
-            raise ConfigError(f"unknown backbone {self.backbone!r}")
         if min(self.num_models, self.num_vehicles, self.d, self.hidden) < 1:
             raise ConfigError("class counts and dimensions must be positive")
+        if 8 * self.hidden * max(self.hidden, self.d) >= 2**63:  # past NumPy's largest array
+            raise ConfigError(f"hidden={self.hidden} with d={self.d} needs a float64 weight of "
+                              f"2**63 bytes or more")
         check_seed(self.seed)
-        if self.backbone == "conv":
-            if self.conv is None:
-                self.conv = ConvStackConfig(channels=self.d)
-            if self.conv.channels != self.d:
-                raise ConfigError(f"conv stack emits {self.conv.channels} channels "
-                                  f"but config.d = {self.d}")
+        if self.conv is not None and self.conv.channels != self.d:
+            raise ConfigError(f"conv stack emits {self.conv.channels} channels "
+                              f"but config.d = {self.d}")
+
+    @property
+    def backbone(self) -> str:
+        return "ingested" if self.conv is None else "conv"
 
     def to_text(self) -> str:
-        values = {**vars(self), **_TEXT_CONSTANTS}
+        values = {**vars(self), "backbone": self.backbone, **_TEXT_CONSTANTS}
         lines = [f"{key}={values[key]}" for key in _TEXT_FIELDS]
         if self.conv is not None:
             # The last two fields record the fixed stride and pooling: 1, 1.
@@ -120,8 +124,12 @@ class ModelConfig:
         for key, value in _TEXT_CONSTANTS.items():
             if values.pop(key) != value:
                 raise FormatError(f"model config key {key!r} must be {value}, got {kv[key]!r}")
+        conv = field("conv", conv_stack) if "conv" in kv else None
+        if values.pop("backbone") != ("ingested" if conv is None else "conv"):
+            raise FormatError(f"model config key 'backbone' is {kv['backbone']!r} but the text "
+                              f"{'lacks' if conv is None else 'has'} a conv line")
         try:
-            return cls(**values, conv=field("conv", conv_stack) if "conv" in kv else None)
+            return cls(**values, conv=conv)
         except ConfigError as exc:
             raise FormatError(f"model config is inconsistent: {exc}") from None
 
@@ -207,7 +215,7 @@ class Model:
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.conv_params: ConvStackParams | None = None
-        if config.backbone == "conv":
+        if config.conv is not None:
             self.conv_params = ConvStackParams.init(config.conv, rng)
         if config.variant == "fc_ha":
             self.fc1 = Mlp.init(config.d, config.hidden, config.hidden, rng, DEFAULT_INPUT_GAIN)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, zero_grads
 from .errors import ConfigError, NumericError
 from .gru import LossReport
 from .model import Model, check_seed
@@ -104,9 +104,11 @@ def rmsprop_step(params: dict[str, Tensor], state: RmspropState, lr: float) -> N
 
 @dataclass
 class TrainResult:
+    """The (epoch, mean loss) of each epoch run and the optimizer state; the
+    epoch to resume from is ``schedule.epochs``."""
+
     trace: list[tuple[int, LossReport]]
     state: RmspropState
-    next_epoch: int
 
 
 TrainItem = tuple[np.ndarray, int, int]  # input, model label, vehicle label
@@ -143,8 +145,7 @@ def train(model: Model, items: Sequence[TrainItem], schedule: TrainSchedule,
         for number, lo in enumerate(range(0, n, schedule.batch_size)):
             batch = order[lo:lo + schedule.batch_size]
             inputs, y_model, y_vehicle = zip(*(items[i] for i in batch))
-            for t in params.values():
-                t.zero_grad()
+            zero_grads(params.values())
             total, report, _ = model.loss(np.stack(inputs), np.array(y_model),
                                           np.array(y_vehicle))
             bad = np.flatnonzero(~np.isfinite(report.per_sample))
@@ -160,4 +161,4 @@ def train(model: Model, items: Sequence[TrainItem], schedule: TrainSchedule,
         trace.append((epoch, report))
         if on_epoch is not None:
             on_epoch(epoch, report)
-    return TrainResult(trace=trace, state=state, next_epoch=schedule.epochs)
+    return TrainResult(trace=trace, state=state)

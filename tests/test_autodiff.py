@@ -123,6 +123,21 @@ class TestScaleRows:
         for idx in np.ndindex(a.shape):
             np.testing.assert_array_equal(out[idx], x[idx] * a[idx])
 
+    @pytest.mark.parametrize("shape", [(3, 2, 2, 4), (1, 3, 2, 4), (3, 2, 2, 1), (1, 1, 1, 1)],
+                             ids=["B=3", "B=1", "d=1", "B=1 d=1"])
+    def test_bits_of_the_row_scaling_formulas(self, shape):
+        # scale_rows is one mul node; its forward and both gradients keep the
+        # bits of the row-scaling formulas below, the op's former hand-written rule.
+        rng = np.random.default_rng(5)
+        x, a, g = rand(rng, *shape), rand(rng, *shape[:-1]), rand(rng, *shape)
+        xt, at = ad.parameter(x.copy()), ad.parameter(a.copy())
+        out = ad.scale_rows(xt, at)
+        assert out.op == "mul"
+        ad.backward(ad.tsum(out * ad.constant(g)))  # out receives the gradient g
+        assert np.array_equal(out.data, x * a[..., None])
+        assert np.array_equal(xt.grad, g * a[..., None])
+        assert np.array_equal(at.grad, np.sum(g * x, axis=-1))
+
     def test_misaligned_weights(self):
         # The weights must have exactly the leading shape of x.
         x = ad.constant(np.ones((3, 2, 2, 4)))

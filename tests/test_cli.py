@@ -544,6 +544,59 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     assert {p.name for p in tmp_path.iterdir()} <= inputs
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "variant", "rnn"), ("train", "backbone", "convv"), ("extract", "split", "bogus"),
+    ("eval", "split", "bogus"), ("attmap", "split", "bogus"), ("eval", "track_agg", "median"),
+])
+def test_config_value_outside_the_flags_choices_is_refused(tiny_set, tiny_run, tmp_path,
+                                                           capsys, monkeypatch, command, key,
+                                                           value):
+    # argparse checks choices only on the command line; a config file's value
+    # meets the same choices, and the error names the file and line.
+    manifest, desc = str(tiny_set / "manifest.csv"), str(tiny_set / "descriptors.desc")
+    ckpt = str(tiny_run / "checkpoint.ckpt")
+    features = tmp_path / "test.feat"
+    assert run(["extract", "--checkpoint", ckpt, "--manifest", manifest,
+                "--descriptors", desc, "--out", str(features)]) == 0
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(a))
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text(f"# {key} from a file\n{key}={value}\n")
+    out = tmp_path / "out"
+    argv = {"train": ["--descriptors", desc, "--out-dir", str(out)],
+            "extract": ["--checkpoint", ckpt, "--descriptors", desc, "--out", str(out)],
+            "eval": ["--features", str(features), "--protocol", "veri", "--out", str(out)],
+            "attmap": ["--checkpoint", ckpt, "--descriptors", desc, "--samples", "0",
+                       "--out-dir", str(out)]}[command]
+    capsys.readouterr()
+    assert run([command, "--manifest", manifest, "--config", str(cfg), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}:2: bad value for {key!r}: {value!r} "
+                                   f"is not one of ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists() and trained == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--images", str(2**45)],
+    ["train", "--hidden", str(2**50)],
+    ["train", "--hidden", str(2**62)],
+], ids=["synth images 2**45", "train hidden 2**50", "train hidden 2**62"])
+def test_setting_too_large_to_allocate_is_one_error_line(tiny_set, tmp_path, capsys, argv):
+    # Each setting's first array needs at least 2**48 bytes, past a 47-bit
+    # address space, so no allocator can grant it.
+    out = tmp_path / "out"
+    if argv[0] == "synth":
+        argv = [*argv, "--out", str(out)]
+    else:
+        argv = [*argv, "--manifest", str(tiny_set / "manifest.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"), "--out-dir", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["extract", "ablate", "attmap"])
 def test_non_finite_test_sample_is_named(tiny_set, tiny_run, tmp_path, capsys, monkeypatch,
                                          command):

@@ -12,6 +12,7 @@ from hareid.errors import ConfigError, FormatError, NumericError, ShapeError
 from hareid.model import Model, ModelConfig, unit_rows
 
 BASE = dict(num_models=3, num_vehicles=6, d=4, hidden=8, seed=0)
+CONV = ConvStackConfig(channels=4)  # the default stack, emitting BASE's d channels
 
 
 # Parameter names in registration order and the SHA-256 of their concatenated
@@ -32,7 +33,7 @@ GOLDEN_INIT = {
               "c2b2952df70286407e4a8ce6d81fddfa44342a91fd96b44a2d6422962b9d705b"),
     "rnn_h_no_attention": ({}, GRU_NAMES + HEAD_NAMES,
                            "42fa47f343b7dff6bde2594235c39d7ec7bf68b26739c00713b999fa0569b957"),
-    "rnn_ha_conv": ({"backbone": "conv"}, CONV_NAMES + GRU_NAMES + HEAD_NAMES + ATTN_NAMES,
+    "rnn_ha_conv": ({"conv": CONV}, CONV_NAMES + GRU_NAMES + HEAD_NAMES + ATTN_NAMES,
                     "f14763bd9cabaecbb8739c0bb42e1f725a3e820a70a73f1b866e19b0cc6dfb11"),
 }
 
@@ -170,7 +171,7 @@ class TestBatch:
     def test_batch_of_five_is_mean_of_five_singles(self, case):
         # One graph over a batch gives the mean loss and the mean gradient of
         # the samples' own graphs, up to summation order.
-        conv = dict(backbone="conv", conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        conv = dict(conv=ConvStackConfig(layers=2, kernel=2, channels=4))
         model = Model(small_config(variant=case.removesuffix("_conv"), seed=23,
                                    **(conv if case.endswith("_conv") else {})))
         rng = np.random.default_rng(24)
@@ -205,7 +206,7 @@ class TestBatchOfOne:
 
     @staticmethod
     def model_and_input(case, seed):
-        conv = dict(backbone="conv", conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        conv = dict(conv=ConvStackConfig(layers=2, kernel=2, channels=4))
         model = Model(small_config(variant=case.removesuffix("_conv"), seed=seed,
                                    **(conv if case.endswith("_conv") else {})))
         shape = (10, 9, 1) if case.endswith("_conv") else (2, 3, 4)
@@ -272,7 +273,7 @@ class TestZeroStateStep:
         # Bit for bit, including the order in which a leaf read by both
         # steps (the conv backbone's pooled x in the no-attention variant)
         # sums its gradient terms.
-        conv = dict(backbone="conv", conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        conv = dict(conv=ConvStackConfig(layers=2, kernel=2, channels=4))
         model = Model(small_config(variant=case.removesuffix("_conv"), seed=29,
                                    **(conv if case.endswith("_conv") else {})))
         rng = np.random.default_rng(30)
@@ -347,7 +348,6 @@ class TestGradientSeparation:
 class TestConvBackbone:
     def test_conv_model_trains_end_to_end(self):
         cfg = ModelConfig(num_models=2, num_vehicles=3, d=4, hidden=6, seed=15,
-                          backbone="conv",
                           conv=ConvStackConfig(layers=2, kernel=2, channels=4))
         model = Model(cfg)
         image = np.random.default_rng(16).uniform(size=(10, 10, 1))
@@ -360,7 +360,7 @@ class TestConvBackbone:
     def test_stack_forward_matches_per_image_forwards(self):
         # The stack runs as one graph, its convolutions as one GEMM over every
         # image's windows; only summation order may differ from one image alone.
-        model = Model(small_config(backbone="conv", seed=25,
+        model = Model(small_config(seed=25,
                                    conv=ConvStackConfig(layers=2, kernel=2, channels=4)))
         images = np.random.default_rng(26).uniform(size=(3, 9, 10, 1))
         batch = model.forward(images)
@@ -375,18 +375,38 @@ class TestConvBackbone:
 
     def test_conv_channel_config_mismatch(self):
         with pytest.raises(ConfigError):
-            ModelConfig(num_models=2, num_vehicles=2, d=8, backbone="conv",
-                        conv=ConvStackConfig(channels=4))
+            ModelConfig(num_models=2, num_vehicles=2, d=8, conv=CONV)
 
 
 class TestConfigText:
     def test_exact_text_and_round_trip(self):
         # The checkpoint format: key order, number spelling and the conv line.
-        cfg = small_config(backbone="conv", variant="fc_ha", seed=5)
+        cfg = small_config(conv=CONV, variant="fc_ha", seed=5)
         assert cfg.to_text() == ("variant=fc_ha\nnum_models=3\nnum_vehicles=6\nd=4\n"
                                  "hidden=8\nattn_hidden=0\nbackbone=conv\nepsilon=0.1\n"
                                  "input_gain=8.0\nseed=5\nconv=3,2,4,1,1,1\n")
         assert ModelConfig.from_text(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("conv", [None, CONV],
+                             ids=["ingested", "conv"])
+    def test_backbone_is_conv_exactly_when_a_stack_is_set(self, conv):
+        cfg = small_config(conv=conv)
+        assert cfg.backbone == ("ingested" if conv is None else "conv")
+        assert f"\nbackbone={cfg.backbone}\n" in cfg.to_text()
+        assert ModelConfig.from_text(cfg.to_text()).conv == conv
+
+    @pytest.mark.parametrize("case", ["ingested with a conv line", "conv without a conv line",
+                                      "unknown backbone"])
+    def test_backbone_line_disagreeing_with_the_conv_line_is_format_error(self, case):
+        if case == "ingested with a conv line":
+            text = small_config().to_text() + "conv=3,2,4,1,1,1\n"
+        elif case == "conv without a conv line":
+            text = small_config(conv=CONV).to_text()
+            text = text.replace("conv=3,2,4,1,1,1\n", "")
+        else:
+            text = small_config().to_text().replace("backbone=ingested", "backbone=convv")
+        with pytest.raises(FormatError, match="'backbone'"):
+            ModelConfig.from_text(text)
 
     @pytest.mark.parametrize("key", ["seed", "variant", "epsilon", "num_models"])
     def test_missing_key_names_it(self, key):
@@ -403,7 +423,7 @@ class TestConfigText:
     @pytest.mark.parametrize("key,value", [("hidden", "abc"), ("epsilon", "x"),
                                            ("conv", "3,2")])
     def test_bad_value_names_key(self, key, value):
-        text = small_config(backbone="conv").to_text()
+        text = small_config(conv=CONV).to_text()
         lines = [f"{key}={value}" if l.startswith(f"{key}=") else l
                  for l in text.splitlines()]
         with pytest.raises(FormatError, match=f"'{key}'"):
@@ -411,7 +431,7 @@ class TestConfigText:
 
 
     def test_zero_conv_stride_is_format_error(self):
-        text = small_config(backbone="conv").to_text()
+        text = small_config(conv=CONV).to_text()
         assert "conv=3,2,4,1,1,1" in text
         with pytest.raises(FormatError, match="'conv'"):
             ModelConfig.from_text(text.replace("conv=3,2,4,1,1,1", "conv=3,2,4,1,0,1"))
@@ -419,7 +439,7 @@ class TestConfigText:
     @pytest.mark.parametrize("line", ["conv=3,2,4,1,2,1", "conv=3,2,4,1,1,0"],
                              ids=["stride 2", "pool 0"])
     def test_fixed_stride_and_pool_must_read_one(self, line):
-        text = small_config(backbone="conv").to_text().replace("conv=3,2,4,1,1,1", line)
+        text = small_config(conv=CONV).to_text().replace("conv=3,2,4,1,1,1", line)
         with pytest.raises(FormatError, match=f"'conv' has bad value '{line[5:]}'"):
             ModelConfig.from_text(text)
 
@@ -479,7 +499,7 @@ class TestExtractFeature:
     def test_feature_is_normalized_forward_o2(self, case):
         # Extraction runs the recurrent steps without the heads; its feature
         # is bit for bit the one a full forward pass gives.
-        conv = dict(backbone="conv", conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        conv = dict(conv=ConvStackConfig(layers=2, kernel=2, channels=4))
         model = Model(small_config(variant=case.removesuffix("_conv"), seed=31,
                                    **(conv if case.endswith("_conv") else {})))
         rng = np.random.default_rng(32)
@@ -506,7 +526,7 @@ class TestExtractFeature:
         # One conv GEMM over these 64 images can round map values differently
         # from the one-image GEMM; extraction runs the conv stack image by image.
         conv = ConvStackConfig(layers=1, kernel=2, channels=4, in_channels=4)
-        model = Model(small_config(backbone="conv", conv=conv, seed=36))
+        model = Model(small_config(conv=conv, seed=36))
         images = np.random.default_rng(37).uniform(size=(64, 40, 40, 4))
         rows, _ = model.extract_features(images)
         assert all(np.array_equal(row, model.extract_feature(image).values)

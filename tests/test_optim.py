@@ -196,9 +196,10 @@ class TestTrain:
         full = train(model_a, items, schedule, seed=4)
 
         model_b, _, _ = tiny_problem(seed=4, epochs=6)
-        head = train(model_b, items, TrainSchedule(batch_size=16, epochs=3), seed=4)
+        first = TrainSchedule(batch_size=16, epochs=3)
+        head = train(model_b, items, first, seed=4)
         tail = train(model_b, items, schedule, seed=4,
-                     start_epoch=head.next_epoch, state=head.state)
+                     start_epoch=first.epochs, state=head.state)
 
         stitched = head.trace + tail.trace
         assert [(e, r.total) for e, r in stitched] == [(e, r.total) for e, r in full.trace]
