@@ -8,7 +8,9 @@ and the HAR_SEED environment variable overrides every seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -495,17 +497,36 @@ def _config_defaults(path, command: argparse.ArgumentParser) -> dict[str, object
     return defaults
 
 
+def _probe_args(argv) -> argparse.Namespace | None:
+    """argv parsed with no flag required, to find the command and its
+    --config before the file can supply required flags; None where argparse
+    would print help or an error, which the real parse then prints."""
+    parser, commands = build_parser()
+    for command in commands.values():
+        for action in command._actions:  # noqa: SLF001
+            action.required = False
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    args = _probe_args(argv)
     try:
-        if args.config:
+        if args is not None and args.config:
             # The file's values become the command's defaults, so any flag
-            # argparse recognises on the command line, a prefix included, wins.
+            # argparse recognises on the command line, a prefix included, wins,
+            # and a required flag the file gives may be left off the command line.
             command = commands[args.command]
-            command.set_defaults(**_config_defaults(args.config, command))
-            args = parser.parse_args(argv)
+            defaults = _config_defaults(args.config, command)
+            command.set_defaults(**defaults)
+            for action in command._actions:  # noqa: SLF001
+                action.required = action.required and action.dest not in defaults
+        args = parser.parse_args(argv)
         if "HAR_SEED" in os.environ and (hasattr(args, "seed") or hasattr(args, "seeds")):
             try:
                 seed = int(os.environ["HAR_SEED"])

@@ -8,19 +8,22 @@ rows and dims: as many as keep its (queries, items) similarities and its
 (queries, dim) query rows within ``_BLOCK_ELEMENTS`` elements each (see
 ``_block_queries``), so a small gallery's queries do not pay per-block NumPy
 calls that cost more than their products. A block's similarities are
-computed one gallery tile of ``_TILE`` rows at a time, with one stacked
-matmul per tile; its inner loop makes the per-query BLAS matrix-vector call,
-not a GEMM, so every query of the block reads the tile while it sits in
-cache and each row keeps the bits of one ``features @ q`` product. A
-gallery of more than ``_TILED_MAX`` elements is scored untiled (see
-``_similarity_blocks``). No gallery is sorted: a relevant item's rank is 1 + the number of items scoring higher,
-plus those scoring equal with a smaller item id, which is the order a stable
-sort of the negated scores gives, so exact ties break toward the smaller id
-and results are deterministic even with quantized features. AP adds the
-precision at each relevant rank in rank order (``np.cumsum``) and the first
-hit is the smallest relevant rank. A query with no relevant gallery item is
-skipped and counted in the report. ``rank_items``, ``average_precision`` and
-``first_hit_rank`` state these definitions on one ranking.
+computed one gallery tile at a time, with one stacked matmul per tile; its
+inner loop makes the per-query BLAS matrix-vector call, not a GEMM, so every
+query of the block reads the tile while it sits in cache and each row keeps
+the bits of one ``features @ q`` product. Every gallery is tiled under one
+bound, ``_TILE_ELEMENTS`` (1 MiB of float64): each call is then too small
+for OpenBLAS to split across its threads, so up to feature widths of 10,000
+(see ``_tiles``) the similarities, and every report, are the one-thread bits
+on any machine. No gallery is sorted: a relevant item's rank is 1 + the
+number of items scoring higher, plus those scoring equal with a smaller item
+id, which is the order a stable sort of the negated scores gives, so exact
+ties break toward the smaller id and results are deterministic even with
+quantized features. AP adds the precision at each relevant rank in rank
+order (``np.cumsum``) and the first hit is the smallest relevant rank. A
+query with no relevant gallery item is skipped and counted in the report.
+``rank_items``, ``average_precision`` and ``first_hit_rank`` state these
+definitions on one ranking.
 
 * Image-to-track protocol: each query is one image, gallery units are the
   tracks of all vehicles, tracks containing any image from the query's own
@@ -52,8 +55,7 @@ from .optim import rng_for
 
 _BLOCK = 64  # fewest queries scored per block
 _BLOCK_ELEMENTS = 65536  # a larger block's per-query arrays: 512 KiB of float64
-_TILE = 2048  # gallery rows per tile: 1 MiB of H=64 rows, about half an L2 cache
-_TILED_MAX = 400_000  # largest tiled gallery (rows x dim); bits were checked up to it
+_TILE_ELEMENTS = 131_072  # a gallery tile's bound (rows x dim): 1 MiB of float64, half an L2
 
 
 def rank_items(similarities) -> np.ndarray:
@@ -197,16 +199,23 @@ class EvaluationReport:
 def _tiles(n: int, d: int) -> list[tuple[int, int]]:
     """(start, stop) row ranges of the gallery tiles of an (n, d) gallery.
 
-    Tile edges sit at multiples of ``_TILE`` and a remainder shorter than
-    ``_TILE // 2`` joins the tile before it, so a gallery under
-    ``3 * _TILE // 2`` rows is one tile and no tile is a sliver that BLAS
-    would sum through another kernel path. A gallery of more than
-    ``_TILED_MAX`` elements is one tile.
+    A tile's row count is the largest power of two whose rows x ``d`` fit
+    ``_TILE_ELEMENTS`` (2048 rows at d=64, 128 at d=1024, one row when d
+    alone exceeds the bound). Tile edges sit at multiples of it, and a
+    remainder shorter than half a tile joins the tile before it, so no tile
+    is a sliver that BLAS would sum through another kernel path and none
+    holds 1.5 times the bound. A gallery of no rows is one empty tile.
+
+    Every tile, the merged last one included, is a product OpenBLAS runs on
+    one thread. With tiles of 4 rows or more (d up to 32,768) each row
+    equals the one-thread ``gallery @ q``; 40x20000, in 4-row tiles, is
+    checked. Beyond that, 2-row tiles can differ from it by an ulp, and a
+    1-row tile of more than 10,000 elements is a dot product, which OpenBLAS
+    splits across threads (as it does a one-image gallery's product).
     """
-    if n * d > _TILED_MAX:
-        return [(0, n)]
-    edges = list(range(_TILE, n, _TILE))
-    if edges and n - edges[-1] < _TILE // 2:
+    rows = 1 << max((_TILE_ELEMENTS // max(d, 1)).bit_length() - 1, 0)
+    edges = list(range(rows, n, rows))
+    if edges and n - edges[-1] < rows // 2:
         edges.pop()
     bounds = [0, *edges, n]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -225,17 +234,14 @@ def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
     A block holds ``_block_queries`` queries: 64 on a gallery of 1024 or more
     rows or dims, 1024 on a 64x64 one. The dims count too: at d=1024 a
     1024-query block would gather 8 MB of query rows. One stacked matmul per
-    tile; its inner loop makes the per-query BLAS matrix-vector call, not a
-    GEMM, so the block size moves no bit. NumPy sees a stack of
+    ``_tiles`` tile; its inner loop makes the per-query BLAS matrix-vector
+    call, not a GEMM, so the block size moves no bit. NumPy sees a stack of
     (tile, d) @ (d, 1) products and issues the ``tile @ q`` call of each
     query of the block from C, writing each row segment in place, so every
-    query reads the tile from cache. A block GEMM would add the terms in another order and move
-    similarities by an ulp; tiles of whole ``_TILE`` row groups keep each row
-    equal to ``gallery @ q``. Only galleries of 3072 rows or more and
-    at most ``_TILED_MAX`` elements are tiled (``eval_gallery``'s 5120x64 is).
-    Others run one product per query: OpenBLAS splits a product of about
-    600k elements across its threads, so tiling a larger gallery changes
-    bits, and a 2048-row tile at a wider dim no longer fits in L2.
+    query reads the tile from L2, next to the block's query rows. A block
+    GEMM would add the terms in another order and move similarities by an
+    ulp. No tile call is large enough for OpenBLAS to split across threads,
+    so each row is the one-thread ``gallery @ q`` whatever the thread count.
     """
     tiles = _tiles(*gallery.shape)
     size = _block_queries(*gallery.shape)

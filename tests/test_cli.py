@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from bruteforce import bf_metrics
 from conftest import scale_sigmoid_backward
 from hareid import cli, formats
 from hareid.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from hareid.data import SynthConfig, load_manifest, sample_input, write_manifest
+from hareid.data import (DatasetSplit, LabeledSample, SynthConfig, load_manifest,
+                         sample_input, write_manifest)
 from hareid.errors import ConfigError
 from hareid.model import Model, ModelConfig
 from hareid.optim import ALPHA, DELTA, TrainSchedule
@@ -544,6 +549,69 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     assert {p.name for p in tmp_path.iterdir()} <= inputs
 
 
+def required_flags_file(command, tiny_set, tiny_run, tmp_path):
+    """A config file giving every required flag of ``command`` (and the
+    descriptors it reads), and the file its run writes."""
+    manifest, desc = tiny_set / "manifest.csv", tiny_set / "descriptors.desc"
+    features = tmp_path / "test.feat"
+    if command == "eval":
+        assert run(["extract", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
+                    "--manifest", str(manifest), "--descriptors", str(desc),
+                    "--out", str(features)]) == 0
+    lines, written = {
+        "train": ([f"manifest={manifest}", f"descriptors={desc}",
+                   f"out_dir={tmp_path / 'run'}", "epochs=1", "hidden=8"],
+                  tmp_path / "run" / "checkpoint.ckpt"),
+        "extract": ([f"checkpoint={tiny_run / 'checkpoint.ckpt'}", f"manifest={manifest}",
+                     f"descriptors={desc}", f"out={tmp_path / 'out.feat'}"],
+                    tmp_path / "out.feat"),
+        "eval": ([f"features={features}", f"manifest={manifest}", "protocol=veri",
+                  f"out={tmp_path / 'report.json'}"], tmp_path / "report.json"),
+    }[command]
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return cfg, written
+
+
+@pytest.mark.parametrize("command", ["train", "extract", "eval"])
+def test_config_file_supplies_required_flags(tiny_set, tiny_run, tmp_path, command):
+    cfg, written = required_flags_file(command, tiny_set, tiny_run, tmp_path)
+    assert run([command, "--config", str(cfg)]) == 0
+    # The same run with every flag on the command line writes the same bytes.
+    argv, out = [command], tmp_path / "flags"
+    for line in cfg.read_text().splitlines():
+        key, value = line.split("=", 1)
+        argv += [f"--{key.replace('_', '-')}", str(out) if key in ("out", "out_dir") else value]
+    assert run(argv) == 0
+    assert written.read_bytes() == (out / written.name if command == "train" else out).read_bytes()
+
+
+@pytest.mark.parametrize("command, flag", [("train", "out_dir"), ("extract", "checkpoint"),
+                                           ("eval", "protocol")])
+def test_required_flag_missing_from_file_and_command_line(tiny_set, tiny_run, tmp_path, capsys,
+                                                          command, flag):
+    cfg, written = required_flags_file(command, tiny_set, tiny_run, tmp_path)
+    lines = cfg.read_text().splitlines()
+    cfg.write_text("".join(f"{line}\n" for line in lines if not line.startswith(f"{flag}=")))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hareid {command} ")
+    assert err.endswith(f"error: the following arguments are required: "
+                        f"--{flag.replace('_', '-')}\n")
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "extract", "eval"])
+def test_command_line_required_flag_wins_over_the_file(tiny_set, tiny_run, tmp_path, command):
+    cfg, written = required_flags_file(command, tiny_set, tiny_run, tmp_path)
+    flag = "--out-dir" if command == "train" else "--out"
+    assert run([command, "--config", str(cfg), flag, str(tmp_path / "cli")]) == 0
+    assert (tmp_path / "cli").exists() and not written.exists()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("train", "variant", "rnn"), ("train", "backbone", "convv"), ("extract", "split", "bogus"),
     ("eval", "split", "bogus"), ("attmap", "split", "bogus"), ("eval", "track_agg", "median"),
@@ -894,6 +962,38 @@ class TestEval:
                     "--manifest", str(tiny_set / "manifest.csv"),
                     "--protocol", "vehicleid"]) == 1
         assert "features" in capsys.readouterr().err
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """A VeRi-sized gallery, 11,579 images at dim 64, whose one product per
+        query OpenBLAS would split across its threads. Its 48 distinct feature
+        rows, shared across vehicles, tie exactly, so a similarity that moved
+        by an ulp with the thread count would reorder the ranking."""
+        rng = np.random.default_rng(0)
+        vehicles = rng.integers(200, size=11579)
+        tracks = vehicles * 4 + rng.integers(4, size=len(vehicles))
+        looks = (vehicles + 7 * rng.integers(3, size=len(vehicles))) % 48
+        rows = rng.normal(size=(48, 64))[looks]
+        formats.write_features(tmp_path / "test.feat", rows)
+        write_manifest(tmp_path / "manifest.csv", DatasetSplit(train=[], test=[
+            LabeledSample(source=str(i), vehicle_id=f"v{v}", model_id=f"m{v % 10}",
+                          camera_id=f"c{t % 5}", track_id=f"t{t}")
+            for i, (v, t) in enumerate(zip(vehicles, tracks))]))
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        for protocol, extra in (("veri", []), ("vehicleid", ["--repeats", "2"])):
+            reports = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{protocol}_{threads}.json"
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                       "PYTHONPATH": os.pathsep.join(filter(None, path))}
+                proc = subprocess.run(
+                    [sys.executable, "-m", "hareid.cli", "eval",
+                     "--features", str(tmp_path / "test.feat"),
+                     "--manifest", str(tmp_path / "manifest.csv"),
+                     "--protocol", protocol, "--out", str(out), *extra],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], protocol
 
 
 class TestGradcheck:

@@ -12,11 +12,16 @@ from bruteforce import bf_metrics, bf_vehicleid_repeat, bf_veri
 from hareid.data import LabeledSample
 from hareid.errors import ConfigError, ShapeError, ValidationError
 from hareid.optim import rng_for
-from hareid.retrieval import (_BLOCK, _TILE, _TILED_MAX, EvaluationReport,
-                              RetrievalIndex, _block_queries, _similarity_blocks,
-                              _tiles, average_precision, cmc_at_k, first_hit_rank,
+from hareid.retrieval import (_BLOCK, _TILE_ELEMENTS, EvaluationReport, RetrievalIndex,
+                              _block_queries, _similarity_blocks, _tiles,
+                              average_precision, cmc_at_k, first_hit_rank,
                               image_retrieval_metrics, rank_items, vehicleid_protocol,
                               veri_protocol)
+
+# OpenBLAS runs a matrix-vector product of up to this many elements on one
+# thread; the bits of a larger one depend on the BLAS thread count, so no
+# in-process oracle compares against it.
+ONE_THREAD_PRODUCT = 400_000
 
 
 def sample(vehicle, camera=None, track=None, source="0"):
@@ -463,16 +468,16 @@ class TestProtocolBlocks:
 class TestGalleryTiles:
     """Similarities scored over gallery tiles, against one product per query."""
 
-    # Products stay at or under _TILED_MAX elements: OpenBLAS splits larger
-    # ones across its own threads, and then the reference's bits depend on
-    # the BLAS thread count rather than on the tiling. 16, 64 and 256 are
-    # VehicleID gallery sizes; each block is a full one (1024 queries on the
-    # 64x64 gallery), but at most 1024 queries long.
+    # Each gallery's one product stays at or under ONE_THREAD_PRODUCT, so the
+    # reference's bits do not depend on the BLAS thread count. 16, 64 and 256
+    # are VehicleID gallery sizes; each block is a full one (1024 queries on
+    # the 64x64 gallery), but at most 1024 queries long. At d=64 tiles have
+    # 2048 rows, at d=100 1024, at d=256 512 and at d=1024 128.
     @pytest.mark.parametrize("n", [0, 1, 16, 64, 256, 1023, 2047, 2048, 2049, 3071,
                                    3072, 4097, 5120, 6147])
     def test_every_row_equals_one_product(self, n):
         rng = np.random.default_rng(n)
-        dims = [d for d in (1, 3, 16, 17, 64) if n * d <= _TILED_MAX]
+        dims = [d for d in (1, 3, 16, 17, 64, 100, 256, 1024) if n * d <= ONE_THREAD_PRODUCT]
         for d in dims:
             gallery = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
             features = rng.normal(size=(_BLOCK + 7, d)).astype(np.float32).astype(np.float64)
@@ -505,73 +510,114 @@ class TestGalleryTiles:
         assert [len(block) for block, _ in blocks] == [size, size, 5]
 
     def test_tile_edges(self):
+        # d=64: 2048-row tiles, as the 5120x64 benchmark gallery has always had.
         assert _tiles(3071, 64) == [(0, 3071)]
         assert _tiles(5120, 64) == [(0, 2048), (2048, 4096), (4096, 5120)]
         assert _tiles(6147, 64) == [(0, 2048), (2048, 4096), (4096, 6147)]
-        assert _tiles(3072, _TILED_MAX // 3072) == [(0, 2048), (2048, 3072)]
-
-    @pytest.mark.parametrize("n, d", [(3072, _TILED_MAX // 3072 + 1), (11579, 64),
-                                      (3072, 1024)])
-    def test_galleries_above_the_bound_are_one_product(self, n, d):
-        assert _tiles(n, d) == [(0, n)]
-        rng = np.random.default_rng(n + d)
-        gallery = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
-        features = rng.normal(size=(3, d)).astype(np.float32).astype(np.float64)
-        [(block, sims)] = _similarity_blocks(gallery, features, np.arange(3))
-        for qi, row in zip(block, sims):
-            assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)
+        # d=16: 8192 rows; a remainder of half a tile or more is its own tile.
+        assert _tiles(12287, 16) == [(0, 12287)]
+        assert _tiles(12288, 16) == [(0, 8192), (8192, 12288)]
+        # d=1024: 128 rows; a 59-row remainder joins the tile before it.
+        assert _tiles(1280, 1024) == [(lo, lo + 128) for lo in range(0, 1280, 128)]
+        assert _tiles(191, 1024) == [(0, 191)]
+        assert _tiles(192, 1024) == [(0, 128), (128, 192)]
+        big = _tiles(11579, 1024)
+        assert len(big) == 90 and big[-2:] == [(11264, 11392), (11392, 11579)]
+        # Not a power of two, no rows, no dims, wider than the bound.
+        assert _tiles(3000, 100) == [(0, 1024), (1024, 2048), (2048, 3000)]
+        assert _tiles(0, 64) == [(0, 0)]
+        assert _tiles(5, 0) == [(0, 5)]
+        assert _tiles(40, 20000) == [(lo, lo + 4) for lo in range(0, 40, 4)]
+        assert _tiles(3, _TILE_ELEMENTS + 1) == [(0, 1), (1, 2), (2, 3)]
+        # Tiles cover the gallery in order, start at multiples of a
+        # power-of-two row count that fits the bound, and none holds more
+        # than 1.5 times the bound.
+        for d in (1, 16, 17, 64, 100, 256, 1000, 1024, 20000):
+            for n in (0, 1, 2, 3, 7, 100, 1279, 1280, 3071, 3072, 11579):
+                tiles = _tiles(n, d)
+                assert [lo for lo, _ in tiles] == [0, *(hi for _, hi in tiles[:-1])]
+                assert tiles[-1][1] == n
+                rows = tiles[0][1] if len(tiles) > 1 else None
+                for lo, hi in tiles:
+                    assert (hi - lo) * d <= 1.5 * _TILE_ELEMENTS, (n, d, lo, hi)
+                    if rows is not None:
+                        assert lo % rows == 0 and rows * d <= _TILE_ELEMENTS < 2 * rows * d
+                        assert rows & (rows - 1) == 0
 
     def test_tiled_bits_do_not_depend_on_blas_threads(self):
-        """Galleries up to _TILED_MAX elements are tiled because OpenBLAS does
-        not split their one product across its threads: under one and under
-        two threads, each in its own process, every row equals that product
-        and both processes give the same bytes. So do the rows of a full
-        1024-query block on a 64x64 gallery."""
+        """Every tile is a product OpenBLAS runs on one thread, so under one,
+        two and four BLAS threads, each in its own process, the similarities
+        have the same bytes. In the one-thread process every row equals the
+        one product ``gallery @ q``. The one products of 11579x64, 1280x1024,
+        11579x1024 and 40x20000 (4-row tiles) are larger than OpenBLAS runs on
+        one thread; scored as one product, the first and third give other bytes
+        under two threads. The rows of a full 1024-query block on a
+        64x64 gallery are covered too."""
         script = (
-            "import hashlib\n"
+            "import hashlib, sys\n"
             "import numpy as np\n"
-            "from hareid.retrieval import _TILED_MAX, _similarity_blocks\n"
+            "from hareid.retrieval import _similarity_blocks\n"
+            "one_thread = sys.argv[1] == '1'\n"
             "digest = hashlib.sha256()\n"
-            "for n, queries, first in ((5120, 70, 64), (_TILED_MAX // 64, 70, 64),\n"
-            "                          (64, 1030, 1024)):\n"
-            "    rng = np.random.default_rng(n)\n"
-            "    gallery = rng.normal(size=(n, 64)).astype(np.float32).astype(np.float64)\n"
-            "    features = rng.normal(size=(queries, 64)).astype(np.float32).astype(np.float64)\n"
+            "for n, d, queries, first in ((5120, 64, 70, 64), (64, 64, 1030, 1024),\n"
+            "                             (11579, 64, 65, 64), (1280, 1024, 65, 64),\n"
+            "                             (11579, 1024, 65, 64), (40, 20000, 65, 64)):\n"
+            "    rng = np.random.default_rng(n + d)\n"
+            "    gallery, features = (rng.standard_normal((rows, d), dtype=np.float32)\n"
+            "                         .astype(np.float64) for rows in (n, queries))\n"
             "    blocks = list(_similarity_blocks(gallery, features, np.arange(queries)))\n"
-            "    assert len(blocks[0][0]) == first, (n, len(blocks[0][0]))\n"
+            "    assert len(blocks[0][0]) == first, (n, d, len(blocks[0][0]))\n"
             "    for block, sims in blocks:\n"
-            "        for qi, row in zip(block, sims):\n"
-            "            assert np.array_equal(row, gallery @ features[qi]), (n, qi)\n"
+            "        if one_thread:\n"
+            "            for qi, row in zip(block, sims):\n"
+            "                assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)\n"
             "        digest.update(sims.tobytes())\n"
             "print(digest.hexdigest())\n")
         path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         digests = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "4"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, path))}
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
+            proc = subprocess.run([sys.executable, "-c", script, threads], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.strip())
         assert len(digests[0]) == 64
-        assert digests[0] == digests[1]
+        assert digests[1:] == digests[:1] * 2
 
     @pytest.mark.parametrize("agg", ["max", "mean"])
     def test_veri_matches_brute_force_across_tiles(self, agg):
+        # d=64 gives 2048-row tiles, d=1024 128-row ones.
         rng = np.random.default_rng(15)
-        feats, meta = random_protocol_instance(rng, vehicles=(48, 49), tracks=(3, 4),
-                                               images=(20, 41))
-        assert len(meta) > 2 * _TILE
-        queries = sorted(int(q) for q in rng.choice(len(meta), size=5, replace=False))
-        report = veri_protocol(RetrievalIndex.build(feats, meta), queries=queries,
-                               track_agg=agg)
-        bf_map, bf_cmc, bf_skipped = bf_veri(
-            feats, [s.vehicle_id for s in meta], [s.camera_id for s in meta],
-            [s.track_id for s in meta], queries, agg)
-        assert report.map == bf_map
-        assert report.cmc == bf_cmc
-        assert report.counts["skipped"] == bf_skipped
-        assert report.counts["queries"] + bf_skipped == len(queries)
+        for dims, images in (((64, 65), (20, 41)), ((1024, 1025), (2, 4))):
+            feats, meta = random_protocol_instance(rng, vehicles=(48, 49), tracks=(3, 4),
+                                                   images=images, dims=dims)
+            assert len(_tiles(*feats.shape)) >= 2 and len(meta) >= 300
+            queries = sorted(int(q) for q in rng.choice(len(meta), size=5, replace=False))
+            report = veri_protocol(RetrievalIndex.build(feats, meta), queries=queries,
+                                   track_agg=agg)
+            bf_map, bf_cmc, bf_skipped = bf_veri(
+                feats, [s.vehicle_id for s in meta], [s.camera_id for s in meta],
+                [s.track_id for s in meta], queries, agg)
+            assert report.map == bf_map, dims
+            assert report.cmc == bf_cmc, dims
+            assert report.counts["skipped"] == bf_skipped, dims
+            assert report.counts["queries"] + bf_skipped == len(queries), dims
+
+    def test_vehicleid_matches_brute_force_across_tiles(self):
+        # A gallery of 200 vehicles at d=1024 is two tiles of 128 and 72 rows.
+        rng = np.random.default_rng(18)
+        feats, meta = random_protocol_instance(rng, vehicles=(200, 201), tracks=(1, 2),
+                                               images=(1, 3), dims=(1024, 1025))
+        vehicles = [s.vehicle_id for s in meta]
+        assert len(meta) >= 300 and len(_tiles(200, feats.shape[1])) == 2
+        report = vehicleid_protocol(RetrievalIndex.build(feats, meta), 200, repeats=1, seed=3)
+        rows = feats.tolist()  # the oracle's loops read Python floats faster
+        for rep in report.repeats:
+            bf_map, bf_cmc, bf_skipped = bf_vehicleid_repeat(rows, vehicles, rep["gallery"])
+            assert rep["map"] == bf_map
+            assert rep["cmc"] == {str(k): v for k, v in bf_cmc.items()}
+            assert rep["skipped"] == bf_skipped
 
 
 class TestScaleInvariance:
