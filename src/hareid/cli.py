@@ -97,15 +97,29 @@ def _int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _write_loss_rows(path, rows, append: bool) -> None:
-    mode = "a" if append and Path(path).exists() else "w"
-    with open(path, mode, newline="") as f:
-        writer = csv.writer(f)
-        if mode == "w":
-            writer.writerow(["epoch", "mean_total", "mean_model", "mean_vehicle"])
-        for epoch, report in rows:
-            writer.writerow([epoch, repr(report.total), repr(report.model),
-                             repr(report.vehicle)])
+def _start_loss_file(path: Path, start_epoch: int, resume: bool) -> None:
+    """A fresh run writes loss.csv's header. A resume keeps the whole rows of
+    the epochs below ``start_epoch`` and cuts the file at the first other
+    line (rows run in epoch order), so a row written, whole or in part, just
+    before a stop is not repeated when its epoch runs again."""
+    if not resume or not path.exists():
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerow(["epoch", "mean_total", "mean_model", "mean_vehicle"])
+        return
+    with open(path, "rb+") as f:
+        end = len(f.readline())  # the header
+        for line in f:
+            epoch = line.partition(b",")[0]
+            if not (line.endswith(b"\n") and epoch.isdigit() and int(epoch) < start_epoch):
+                break
+            end += len(line)
+        f.truncate(end)
+
+
+def _append_loss_row(path: Path, epoch: int, report) -> None:
+    with open(path, "a", newline="") as f:
+        csv.writer(f).writerow([epoch, repr(report.total), repr(report.model),
+                                repr(report.vehicle)])
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +222,14 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     loss_path, ckpt_path = out_dir / "loss.csv", out_dir / "checkpoint.ckpt"
-    if not args.resume:
-        _write_loss_rows(loss_path, [], append=False)
+    _start_loss_file(loss_path, start_epoch, bool(args.resume))
 
     def on_epoch(epoch, report) -> None:
         # Every finished epoch is on disk before the next starts, so an
-        # interrupted run resumes from its last epoch.
+        # interrupted run resumes from its last epoch. The row goes first: a
+        # checkpoint never runs ahead of loss.csv.
+        _append_loss_row(loss_path, epoch, report)
         save_checkpoint(ckpt_path, config, model.params(), state, epoch + 1, seed)
-        _write_loss_rows(loss_path, [(epoch, report)], append=True)
         print(f"epoch {epoch}: total={report.total:.6f} model={report.model:.6f} "
               f"vehicle={report.vehicle:.6f}", flush=True)
 
@@ -292,7 +306,7 @@ def cmd_attmap(args) -> int:
     weights_of = []  # (sample id, attention weights), in --samples order
     for i in _int_list(args.samples, "--samples"):
         if not 0 <= i < len(samples):
-            raise IndexError(f"sample id {i} out of range for split of {len(samples)}")
+            raise ConfigError(f"sample id {i} out of range for split of {len(samples)}")
         inp = data.sample_input(samples[i], maps, image_root=args.image_root)
         weights = model.forward(inp).attention
         if not np.isfinite(weights.a).all():
@@ -542,7 +556,7 @@ def main(argv=None) -> int:
         for seed in seeds + (_int_list(args.seeds, "--seeds") if hasattr(args, "seeds") else []):
             check_seed(seed)
         return args.func(args)
-    except (HareidError, IndexError, OSError, MemoryError) as exc:
+    except (HareidError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

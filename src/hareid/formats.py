@@ -6,13 +6,16 @@ Descriptor and feature files share one layout, differing only in magic:
     n, h, w, d, then n*h*w*d little-endian IEEE-754 float32 values in
     row-major order with the channel axis fastest.
 
-Feature files (FEAT1) store one vector per item as h = w = 1, d = dim.
+Feature files (FEAT1) store one vector per item as h = w = 1, d = dim. Both
+readers return the stored float32 values, and check the size a header claims
+against the file's before they allocate it, so they need a seekable file.
 Images are 8-bit PGM (P2/P5) or PPM (P3/P6), scaled to [0, 1] on read; a
 sample above the header's maxval is a FormatError.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from collections.abc import Iterator
 from pathlib import Path
@@ -31,27 +34,24 @@ def _write_block(path, arr: np.ndarray, magic: bytes) -> None:
     with open(path, "wb") as f:
         f.write(magic)
         f.write(_HEADER.pack(n, h, w, d))
-        f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def _read_block(path, magic: bytes) -> np.ndarray:
     with open(path, "rb") as f:
-        got = f.read(len(magic))
-        if got != magic:
-            raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
+        head = f.read(len(magic) + _HEADER.size)
+        if head[:len(magic)] != magic:
+            raise FormatError(f"{path}: bad magic {head[:len(magic)]!r}, expected {magic!r}")
+        if len(head) != len(magic) + _HEADER.size:
             raise FormatError(f"{path}: truncated header, expected {_HEADER.size} bytes, "
-                              f"got {len(header)}")
-        n, h, w, d = _HEADER.unpack(header)
+                              f"got {len(head) - len(magic)}")
+        n, h, w, d = _HEADER.unpack_from(head, len(magic))
         if min(h, w, d) < 1:
             raise FormatError(f"{path}: non-positive dimensions h={h} w={w} d={d}")
-        payload = f.read()
-    expected = n * h * w * d * 4
-    if len(payload) != expected:
-        raise FormatError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return data.reshape(n, h, w, d)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != 4 * n * h * w * d:
+            raise FormatError(f"{path}: expected {4 * n * h * w * d} payload bytes, got {size}")
+        return np.fromfile(f, dtype="<f4", count=n * h * w * d).reshape(n, h, w, d)
 
 
 def write_tensor_file(path, maps: np.ndarray) -> None:
@@ -80,7 +80,7 @@ def text_lines(path) -> Iterator[str]:
 
 def write_features(path, features: np.ndarray) -> None:
     """Store (n, dim) feature vectors as a FEAT1 file."""
-    feats = np.asarray(features, dtype=np.float64)
+    feats = np.asarray(features)
     if feats.ndim != 2:
         raise FormatError(f"features must be (n, dim), got shape {feats.shape}")
     _write_block(path, feats[:, None, None, :], FEAT_MAGIC)

@@ -160,19 +160,17 @@ def classify(o_t: Tensor, head: ClassifierHead) -> Tensor:
 
 @dataclass
 class LossReport:
-    """Joint loss and its two branches, in nats, averaged over a batch.
-    total == model + vehicle. ``per_sample`` holds each sample's joint loss
+    """The two branches of the joint loss, in nats, averaged over a batch;
+    the total is their sum. ``per_sample`` holds each sample's joint loss
     when the report comes from a batch's graph."""
 
-    total: float
     model: float
     vehicle: float
     per_sample: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    @classmethod
-    def from_branches(cls, model: float, vehicle: float,
-                      per_sample: np.ndarray | None = None) -> "LossReport":
-        return cls(total=model + vehicle, model=model, vehicle=vehicle, per_sample=per_sample)
+    @property
+    def total(self) -> float:
+        return self.model + self.vehicle
 
     @classmethod
     def mean(cls, reports: list["LossReport"]) -> "LossReport":
@@ -180,7 +178,7 @@ class LossReport:
             raise ValueError("cannot average an empty list of loss reports")
         model = float(np.mean([r.model for r in reports]))
         vehicle = float(np.mean([r.vehicle for r in reports]))
-        return cls.from_branches(model, vehicle)
+        return cls(model, vehicle)
 
 
 def hierarchical_loss(logits_model: Tensor, y_model,
@@ -197,6 +195,6 @@ def hierarchical_loss(logits_model: Tensor, y_model,
     n = l_model.data.size
     model = tsum(l_model) / n
     vehicle = tsum(l_vehicle) / n
-    return model + vehicle, LossReport.from_branches(model.item(), vehicle.item(),
-                                                     l_model.data + l_vehicle.data)
+    return model + vehicle, LossReport(model.item(), vehicle.item(),
+                                       l_model.data + l_vehicle.data)
 

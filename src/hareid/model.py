@@ -318,7 +318,7 @@ class Model:
     def extract_feature(self, inp) -> FeatureVector:
         """The retrieval feature of one map or image: ``extract_features`` of
         a stack of one."""
-        inp = np.asarray(inp, dtype=np.float64)
+        inp = np.asarray(inp)
         if inp.ndim != 3:
             raise ShapeError(f"extract_feature takes one map or image, got shape {inp.shape}")
         values, zero = self.extract_features(inp[None])

@@ -157,7 +157,7 @@ def train(model: Model, items: Sequence[TrainItem], schedule: TrainSchedule,
             model_sum += report.model * len(batch)
             vehicle_sum += report.vehicle * len(batch)
             rmsprop_step(params, state, lr)
-        report = LossReport.from_branches(model_sum / n, vehicle_sum / n)
+        report = LossReport(model_sum / n, vehicle_sum / n)
         trace.append((epoch, report))
         if on_epoch is not None:
             on_epoch(epoch, report)

@@ -279,6 +279,49 @@ class TestTrain:
         assert ((full_dir / "checkpoint.ckpt").read_bytes()
                 == (part_dir / "checkpoint.ckpt").read_bytes())
 
+    @pytest.mark.parametrize("stop_at", ["row", "checkpoint"])
+    def test_stop_while_an_epoch_is_written_resumes_to_the_same_files(self, tiny_set, tmp_path,
+                                                                      monkeypatch, stop_at):
+        # Stop once while epoch 10 is written: after the first byte of its
+        # loss.csv row, which reads as epoch 1, or after the whole row and
+        # before the checkpoint for epoch 11.
+        base = ["--manifest", str(tiny_set / "manifest.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"),
+                "--hidden", "8", "--batch-size", "8", "--seed", "2", "--epochs", "12"]
+        full_dir = tmp_path / "full"
+        assert run(["train", *base, "--out-dir", str(full_dir)]) == 0
+        real_row, real_save = cli._append_loss_row, cli.save_checkpoint
+
+        def cut_row(path, epoch, report):
+            if epoch != 10:
+                return real_row(path, epoch, report)
+            with open(path, "a", newline="") as f:
+                f.write(str(epoch)[0])
+            raise KeyboardInterrupt
+
+        def stopped_save(path, config, params, state, epoch, seed):
+            if epoch == 11:
+                raise KeyboardInterrupt
+            return real_save(path, config, params, state, epoch, seed)
+
+        if stop_at == "row":
+            monkeypatch.setattr(cli, "_append_loss_row", cut_row)
+        else:
+            monkeypatch.setattr(cli, "save_checkpoint", stopped_save)
+        part_dir = tmp_path / "part"
+        with pytest.raises(KeyboardInterrupt):
+            run(["train", *base, "--out-dir", str(part_dir)])
+        monkeypatch.undo()
+        assert load_checkpoint(part_dir / "checkpoint.ckpt").epoch == 10
+        rows = (part_dir / "loss.csv").read_bytes().split(b"\r\n")
+        assert (rows[11] == b"1") if stop_at == "row" else rows[11].startswith(b"10,")
+        assert run(["train", *base, "--out-dir", str(part_dir),
+                    "--resume", str(part_dir / "checkpoint.ckpt")]) == 0
+        assert ((full_dir / "loss.csv").read_bytes()
+                == (part_dir / "loss.csv").read_bytes())
+        assert ((full_dir / "checkpoint.ckpt").read_bytes()
+                == (part_dir / "checkpoint.ckpt").read_bytes())
+
     def test_config_file_with_cli_precedence(self, tiny_set, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("hidden=8\nepochs=0\nbatch-size=8\n")
@@ -547,6 +590,37 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     assert all(name in err for name in names), err
     inputs = {"removed.cfg", "latin1.csv", "latin1.cfg"}
     assert {p.name for p in tmp_path.iterdir()} <= inputs
+
+
+def test_index_error_inside_a_command_propagates(tmp_path, monkeypatch):
+    # A bug is a traceback, not an error: line.
+    def broken(args):
+        return [][0]
+
+    monkeypatch.setattr(cli, "cmd_synth", broken)
+    with pytest.raises(IndexError):
+        run(["synth", "--out", str(tmp_path)])
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_descriptors_from_a_pipe_are_one_error_line(tiny_set, tiny_run, tmp_path, capsys):
+    # The readers check the claimed size against the file's, so they need a
+    # seekable file, as the checkpoint reader does.
+    raw = (tiny_set / "descriptors.desc").read_bytes()
+    read_end, write_end = os.pipe()
+    try:
+        os.set_blocking(write_end, False)  # a file too large for the pipe fails, not hangs
+        assert os.write(write_end, raw) == len(raw)
+        os.close(write_end)
+        assert run(["extract", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
+                    "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", f"/dev/fd/{read_end}",
+                    "--out", str(tmp_path / "out.feat")]) == 1
+    finally:
+        os.close(read_end)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.feat").exists()
 
 
 def required_flags_file(command, tiny_set, tiny_run, tmp_path):

@@ -172,7 +172,7 @@ class TestHierarchicalLoss:
         assert 0.0 <= total.item() < 1e-6
 
     def test_sum_definition(self):
-        report = LossReport.from_branches(0.3, 0.7)
+        report = LossReport(0.3, 0.7)
         assert report.total == 1.0
 
     def test_total_is_branch_sum_bit_exact(self):
@@ -186,7 +186,7 @@ class TestHierarchicalLoss:
 
     def test_mean_preserves_identity(self):
         rng = np.random.default_rng(7)
-        reports = [LossReport.from_branches(rng.uniform(0, 2), rng.uniform(0, 2))
+        reports = [LossReport(rng.uniform(0, 2), rng.uniform(0, 2))
                    for _ in range(9)]
         mean = LossReport.mean(reports)
         assert mean.total == mean.model + mean.vehicle

@@ -2,8 +2,13 @@
 
 Each format starts from one small valid file, then Hypothesis truncates it
 or overwrites a few of its bytes. Any other exception, a MemoryError from a
-corrupted count included, fails the test.
+corrupted count included, fails the test. The DESC1 and FEAT1 readers also
+return the stored float32 values, and check a header's claimed size before
+they allocate it.
 """
+
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,3 +77,37 @@ def test_damaged_file_parses_or_is_format_error(kind, tmp_path_factory):
             pass
 
     check()
+
+
+TENSOR_FILES = {"DESC1": (formats.write_tensor_file, formats.read_tensor_file, (2, 3, 1, 4)),
+                "FEAT1": (formats.write_features, formats.load_features, (3, 4))}
+
+
+@pytest.mark.parametrize("kind", list(TENSOR_FILES))
+def test_reader_returns_the_stored_float32(kind, tmp_path):
+    write, read, shape = TENSOR_FILES[kind]
+    values = (np.arange(np.prod(shape)).reshape(shape) - 5.0) / 7.0
+    write(tmp_path / "f", values)
+    got = read(tmp_path / "f")
+    assert got.dtype == np.float32 and got.shape == shape
+    assert got.flags.c_contiguous and got.flags.writeable
+    np.testing.assert_array_equal(got, values.astype(np.float32))
+
+
+@pytest.mark.parametrize("kind", list(TENSOR_FILES))
+def test_claimed_payload_is_checked_before_it_is_allocated(kind, tmp_path):
+    write, read, shape = TENSOR_FILES[kind]
+    path = tmp_path / "f"
+    write(path, np.ones((1,) * len(shape)))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, len(formats.DESC_MAGIC), 2**32 - 1)  # n
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"expected {(2**32 - 1) * 4} payload bytes, got 4" in str(err.value)
+    assert peak < 2**20  # NumPy reports its arrays to tracemalloc
