@@ -22,6 +22,13 @@ gradient. ``Tensor(data)``, ``parameter`` and ``constant`` make leaves.
 
 Tensors are treated as immutable once they participate in a graph; leaf data
 may be mutated between graphs (that is how the optimizer updates parameters).
+
+A leaf keeps the array its gradient accumulates in from one graph to the
+next. Its first gradient allocates it; after ``zero_grads`` the next graph
+writes its first contribution into the same array (a weight product's
+backward computes it there directly), so a caller that keeps a ``.grad``
+across graphs must copy it. ``.grad`` itself is ``None`` until a leaf's
+first contribution of the graph.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .errors import NumericError, ShapeError
 class Tensor:
     """Dense float64 array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_backward", "_grad_array")
 
     def __init__(self, data, requires_grad: bool = False):
         """A leaf holding ``data`` as float64; the primitives build op nodes."""
@@ -46,6 +53,7 @@ class Tensor:
         self.op = "leaf"
         self.parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._grad_array: np.ndarray | None = None  # a leaf's .grad array, kept between graphs
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -128,13 +136,22 @@ def _as_tensor(x) -> Tensor:
     return _node(np.asarray(x, dtype=np.float64), "leaf", ())
 
 
+def _kept_grad(t: Tensor) -> np.ndarray:
+    if t._grad_array is None:
+        t._grad_array = np.empty(t.data.shape)
+    return t._grad_array
+
+
 def _add_grad(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif t.parents:
         t.grad = np.array(g, dtype=np.float64)
     else:
-        t.grad += g
+        t.grad = _kept_grad(t)
+        t.grad[...] = g
 
 
 def topological_order(root: Tensor) -> list[Tensor]:
@@ -162,7 +179,9 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a scalar (shape ``()``). An interior node's gradient is
     dropped as soon as it has been passed on to the node's parents, so only
-    the leaves keep one.
+    the leaves keep one. A leaf whose ``.grad`` is ``None`` gets its first
+    contribution written into its kept array, overwriting the previous
+    graph's gradient there: copy a ``.grad`` to keep it past ``zero_grads``.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -347,7 +366,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _add_grad(a, g @ np.swapaxes(bd, -1, -2))
+            if a.grad is None and not a.parents:  # a weight's first gradient: into its array
+                a.grad = np.matmul(g, np.swapaxes(bd, -1, -2), out=_kept_grad(a))
+            else:
+                _add_grad(a, g @ np.swapaxes(bd, -1, -2))
         if b.requires_grad:
             _add_grad(b, np.swapaxes(ad, -1, -2) @ g)
 

@@ -15,7 +15,9 @@ Layout (all integers little-endian):
 
 Saving a loaded checkpoint reproduces the file byte for byte. A save writes
 a temporary file and renames it over the path, so a failed save leaves the
-previous checkpoint whole. A malformed file raises FormatError.
+previous checkpoint whole. A malformed file raises FormatError, and so does
+a path that is not a regular file (a pipe): the reader checks each length
+against the bytes left in the file before it reads.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import FormatError
+from .formats import open_regular_file
 from .model import ModelConfig
 from .optim import ALPHA, DELTA, RmspropState
 
@@ -114,7 +117,7 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor | np.nda
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
+    with open_regular_file(path) as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic {magic!r}")

@@ -8,7 +8,8 @@ Descriptor and feature files share one layout, differing only in magic:
 
 Feature files (FEAT1) store one vector per item as h = w = 1, d = dim. Both
 readers return the stored float32 values, and check the size a header claims
-against the file's before they allocate it, so they need a seekable file.
+against the file's before they allocate it, so they need a regular file: a
+pipe is a FormatError naming it.
 Images are 8-bit PGM (P2/P5) or PPM (P3/P6), scaled to [0, 1] on read; a
 sample above the header's maxval is a FormatError.
 """
@@ -16,9 +17,11 @@ sample above the header's maxval is a FormatError.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from collections.abc import Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -37,8 +40,19 @@ def _write_block(path, arr: np.ndarray, magic: bytes) -> None:
         f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
+def open_regular_file(path) -> BinaryIO:
+    """``path`` opened for binary reading, for a reader that checks sizes
+    against the file's: anything but a regular file (a pipe, a device) is a
+    FormatError naming the path."""
+    f = open(path, "rb")
+    if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        f.close()
+        raise FormatError(f"{path}: not a regular file; pass a file, not a pipe")
+    return f
+
+
 def _read_block(path, magic: bytes) -> np.ndarray:
-    with open(path, "rb") as f:
+    with open_regular_file(path) as f:
         head = f.read(len(magic) + _HEADER.size)
         if head[:len(magic)] != magic:
             raise FormatError(f"{path}: bad magic {head[:len(magic)]!r}, expected {magic!r}")

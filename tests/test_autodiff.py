@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import scale_sigmoid_backward
 from hareid import autodiff as ad
+from hareid.gru import GruParams, gru_step
 from hareid.errors import NumericError, ShapeError
 
 
@@ -341,6 +342,84 @@ class TestNodes:
             ad.backward(ad.tsum(out))
             assert c.grad is None and x.grad is not None
             x.zero_grad()
+
+
+def sharing_cases(rng):
+    """Parameters x, y (3, 3) and GRU weights, and losses that hand one
+    upstream gradient to several leaves, or several to one: each case is a
+    weighted sum, so every gradient entry differs."""
+    x, y = ad.parameter(rand(rng, 3, 3)), ad.parameter(rand(rng, 3, 3))
+    c = ad.constant(rand(rng, 3, 3))
+    gru = GruParams.init(2, 3, rng)
+    x1, x2 = ad.constant(rand(rng, 2, 4)), ad.constant(rand(rng, 2, 4))
+    c34 = ad.constant(rand(rng, 3, 4))
+
+    def weighted(t, weights=c):
+        return ad.tsum(ad.mul(t, weights))
+
+    cases = {
+        "x + y": lambda: weighted(x + y),
+        "x - y": lambda: weighted(x - y),
+        "x + x": lambda: weighted(x + x),
+        "x @ x": lambda: weighted(x @ x),
+        "reshape and transpose": lambda: (
+            weighted(ad.reshape(ad.reshape(x, (9,)), (3, 3)) + ad.transpose(y))
+            + weighted(ad.transpose(x) @ y)),
+        "a weight in both GRU steps": lambda: weighted(
+            gru_step(x2, gru_step(x1, None, gru), gru), c34),
+    }
+    return [x, y, *gru.named().values()], cases
+
+
+def fresh_gradient_arrays(monkeypatch):
+    """The plain engine as a reference: every first gradient of a leaf, in
+    every graph, is a new array."""
+    def add_grad(t, g):
+        if t.requires_grad:
+            if t.grad is None:
+                t.grad = np.array(g, dtype=np.float64)
+            else:
+                t.grad += g
+
+    monkeypatch.setattr(ad, "_add_grad", add_grad)
+    monkeypatch.setattr(ad, "_kept_grad", lambda t: np.empty(t.shape))
+
+
+class TestGradArrays:
+    @pytest.mark.parametrize("case", list(sharing_cases(np.random.default_rng(0))[1]))
+    def test_no_two_leaves_share_a_gradient_array(self, case, monkeypatch):
+        leaves, cases = sharing_cases(np.random.default_rng(60))
+        kept = None
+        for _ in range(2):  # the second graph writes into the kept arrays
+            ad.zero_grads(leaves)
+            ad.backward(cases[case]())
+            got = [t.grad for t in leaves if t.grad is not None]
+            kept = kept or got
+        assert got and len(got) == len(kept) and all(g is k for g, k in zip(got, kept))
+        arrays = got + [t.data for t in leaves]
+        for i, g in enumerate(got):
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(g, other), case
+
+        fresh_gradient_arrays(monkeypatch)
+        ad.zero_grads(leaves)
+        ad.backward(cases[case]())
+        want = [t.grad for t in leaves if t.grad is not None]
+        assert len(want) == len(got)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), case
+
+    def test_none_until_the_first_gradient_and_a_callers_array_is_added_to(self):
+        x = ad.parameter([1.0, 2.0])
+        caller = np.array([10.0, 20.0])
+        x.grad = caller
+        ad.backward(ad.tsum(x * 3.0))
+        assert x.grad is caller and np.array_equal(caller, [13.0, 23.0])
+        x.zero_grad()
+        y = ad.sigmoid(x)
+        assert x.grad is None
+        ad.backward(ad.tsum(y))
+        assert x.grad is not caller and np.array_equal(caller, [13.0, 23.0])
 
 
 class TestGradCheck:

@@ -605,7 +605,7 @@ def test_index_error_inside_a_command_propagates(tmp_path, monkeypatch):
 @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
 def test_descriptors_from_a_pipe_are_one_error_line(tiny_set, tiny_run, tmp_path, capsys):
     # The readers check the claimed size against the file's, so they need a
-    # seekable file, as the checkpoint reader does.
+    # regular file, as the checkpoint reader does; the error line names the pipe.
     raw = (tiny_set / "descriptors.desc").read_bytes()
     read_end, write_end = os.pipe()
     try:
@@ -619,7 +619,7 @@ def test_descriptors_from_a_pipe_are_one_error_line(tiny_set, tiny_run, tmp_path
     finally:
         os.close(read_end)
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: /dev/fd/{read_end}: not a regular file; pass a file, not a pipe\n"
     assert not (tmp_path / "out.feat").exists()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,58 @@ class TestGradientSeparation:
             assert g is None or not np.any(g), name
         vehicle = grads_for("vehicle")
         assert any(g is not None and np.any(g) for g in vehicle.values())
+
+
+class TestGradArrays:
+    """Each parameter keeps its gradient array between batches."""
+
+    @staticmethod
+    def gradients(model, inputs):
+        ad.zero_grads(model.params().values())
+        labels = np.arange(len(inputs))
+        total, _, _ = model.loss(inputs, labels % 3, labels % 6)
+        ad.backward(total)
+        return {name: t.grad for name, t in model.params().items()}
+
+    @pytest.mark.parametrize("case", ["rnn_ha", "fc_ha", "rnn_h_no_attention", "rnn_ha_conv"])
+    def test_second_batch_reuses_the_arrays_and_matches_a_fresh_model(self, case):
+        conv = dict(conv=ConvStackConfig(layers=2, kernel=2, channels=4))
+        config = small_config(variant=case.removesuffix("_conv"), seed=31,
+                              **(conv if case.endswith("_conv") else {}))
+        rng = np.random.default_rng(32)
+        shape = (10, 10, 1) if case.endswith("_conv") else (2, 3, 4)
+        first_inputs, second_inputs = rng.uniform(-1.0, 1.0, size=(2, 5, *shape))
+        model = Model(config)
+        first = self.gradients(model, first_inputs)
+        second = self.gradients(model, second_inputs)
+        assert all(g is not None for g in first.values())
+        assert all(second[name] is first[name] for name in first)
+        fresh = self.gradients(Model(config), second_inputs)
+        for name, g in second.items():
+            assert np.array_equal(g, fresh[name]), name
+
+    def test_backward_allocates_no_weight_gradient_after_the_first_batch(self):
+        # tracemalloc sees NumPy's data allocations. At H=256 a weight's
+        # gradient is 512 KiB: from the second graph on, backward writes
+        # every weight gradient into the parameter's kept array, so the
+        # traced peak stays below one of them and backward keeps nothing.
+        model = Model(ModelConfig(num_models=3, num_vehicles=6, d=4, hidden=256, seed=33))
+        params = model.params()
+        inputs = np.random.default_rng(34).uniform(-1.0, 1.0, size=(8, 2, 3, 4))
+        labels = np.arange(8)
+        for batch in range(3):
+            ad.zero_grads(params.values())
+            total, _, _ = model.loss(inputs, labels % 3, labels % 6)
+            tracemalloc.start()
+            try:
+                ad.backward(total)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del total
+            if batch:
+                assert peak < 256 * 256 * 8, (batch, peak)
+                assert retained < 16 * 1024, (batch, retained)
 
 
 class TestConvBackbone:

@@ -4,11 +4,13 @@ Each format starts from one small valid file, then Hypothesis truncates it
 or overwrites a few of its bytes. Any other exception, a MemoryError from a
 corrupted count included, fails the test. The DESC1 and FEAT1 readers also
 return the stored float32 values, and check a header's claimed size before
-they allocate it.
+they allocate it. The binary readers refuse a pipe by name.
 """
 
+import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,3 +113,22 @@ def test_claimed_payload_is_checked_before_it_is_allocated(kind, tmp_path):
         tracemalloc.stop()
     assert f"expected {(2**32 - 1) * 4} payload bytes, got 4" in str(err.value)
     assert peak < 2**20  # NumPy reports its arrays to tracemalloc
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("kind", ["CKPT1", "DESC1", "FEAT1"])
+def test_pipe_is_format_error_naming_it(kind, tmp_path):
+    # The readers check sizes against the file's, so a pipe holding a valid
+    # file is refused up front, by name, not by a failed seek.
+    raw = VALID[kind](tmp_path)
+    read_end, write_end = os.pipe()
+    try:
+        os.set_blocking(write_end, False)  # a file too large for the pipe fails, not hangs
+        assert os.write(write_end, raw) == len(raw)
+        path = f"/dev/fd/{read_end}"
+        with pytest.raises(FormatError) as err:
+            READERS[kind](path)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert str(err.value) == f"{path}: not a regular file; pass a file, not a pipe"
