@@ -13,12 +13,16 @@ stack along a leading axis, (B, H, W, C) and (B, h, w, d). The elementwise primi
 whose shape is a prefix of the other's along the remaining axes, such as a
 per-feature bias (H,) over the columns of an (H, B) stack.
 
-Every primitive takes tensors and builds its output through one lean
-constructor that sets the node's fields directly: float64 data (a 0-d array
-for a scalar), whether any parent needs a gradient, the parents, the op name
-and the backward rule. The operator sugar turns a Python-number operand, as
-in ``1.0 - z``, into a parentless constant built the same way; it receives no
-gradient. ``Tensor(data)``, ``parameter`` and ``constant`` make leaves.
+Every primitive takes tensors and builds its output whole through one lean
+constructor, which receives the backward rule with the node's other fields:
+float64 data (a 0-d array for a scalar), the parents, the op name and the
+rule; the node needs a gradient if any parent does. No primitive touches a
+node after building it. The four binary primitives share one gradient-routing
+rule: each gives its forward value and its two partial derivatives, and an
+operand that needs no gradient is skipped, its partial never computed. The
+operator sugar turns a Python-number operand, as in ``1.0 - z``, into a
+parentless constant built the same way; it receives no gradient.
+``Tensor(data)``, ``parameter`` and ``constant`` make leaves.
 
 Tensors are treated as immutable once they participate in a graph; leaf data
 may be mutated between graphs (that is how the optimizer updates parameters).
@@ -105,13 +109,15 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def _node(data, op: str, parents: tuple[Tensor, ...]) -> Tensor:
-    """A primitive's output node, built without ``Tensor.__init__``.
+def _node(data, op: str, parents: tuple[Tensor, ...],
+          backward: Callable[[np.ndarray], None] | None) -> Tensor:
+    """A primitive's output node, built whole without ``Tensor.__init__``.
 
     ``data`` is computed from float64 operands, so only a NumPy scalar (from
     a full reduction, or from two 0-d operands) needs converting, to a 0-d
-    array. The node requires a gradient if any parent does; the primitive
-    sets its ``_backward`` rule. Without parents it is a constant.
+    array. The node requires a gradient if any parent does. ``backward`` is
+    its rule: called with the node's gradient, it accumulates into the
+    parents and returns nothing. Without parents the node is a constant.
     """
     out = object.__new__(Tensor)
     out.data = data if data.__class__ is np.ndarray else np.asarray(data, dtype=np.float64)
@@ -124,7 +130,7 @@ def _node(data, op: str, parents: tuple[Tensor, ...]) -> Tensor:
     out.grad = None
     out.op = op
     out.parents = parents
-    out._backward = None
+    out._backward = backward
     return out
 
 
@@ -133,7 +139,7 @@ def _as_tensor(x) -> Tensor:
     Python number as in ``1.0 - z``, a parentless constant holding it."""
     if isinstance(x, Tensor):
         return x
-    return _node(np.asarray(x, dtype=np.float64), "leaf", ())
+    return _node(np.asarray(x, dtype=np.float64), "leaf", (), None)
 
 
 def _kept_grad(t: Tensor) -> np.ndarray:
@@ -226,60 +232,42 @@ def _operands(x: Tensor, y: Tensor, op: str) -> tuple[np.ndarray, np.ndarray]:
                      "and neither is a prefix of the other")
 
 
-def add(x: Tensor, y: Tensor) -> Tensor:
-    xd, yd = _operands(x, y, "add")
-    out = _node(xd + yd, "add", (x, y))
+def _binary(data, op: str, x: Tensor, y: Tensor,
+            dx: Callable[[np.ndarray], np.ndarray],
+            dy: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """The output node of a binary primitive with partials ``dx`` and ``dy``.
 
+    Its rule sends ``dx(g)`` to ``x`` and ``dy(g)`` to ``y``, each summed back
+    over the axes that operand was broadcast along. An operand that needs no
+    gradient is skipped, so its partial is never computed.
+    """
     def _bw(g):
         if x.requires_grad:
-            _add_grad(x, _reduce_to(g, x.shape))
+            _add_grad(x, _reduce_to(dx(g), x.shape))
         if y.requires_grad:
-            _add_grad(y, _reduce_to(g, y.shape))
+            _add_grad(y, _reduce_to(dy(g), y.shape))
 
-    out._backward = _bw
-    return out
+    return _node(data, op, (x, y), _bw)
+
+
+def add(x: Tensor, y: Tensor) -> Tensor:
+    xd, yd = _operands(x, y, "add")
+    return _binary(xd + yd, "add", x, y, lambda g: g, lambda g: g)
 
 
 def sub(x: Tensor, y: Tensor) -> Tensor:
     xd, yd = _operands(x, y, "sub")
-    out = _node(xd - yd, "sub", (x, y))
-
-    def _bw(g):
-        if x.requires_grad:
-            _add_grad(x, _reduce_to(g, x.shape))
-        if y.requires_grad:
-            _add_grad(y, _reduce_to(-g, y.shape))
-
-    out._backward = _bw
-    return out
+    return _binary(xd - yd, "sub", x, y, lambda g: g, lambda g: -g)
 
 
 def mul(x: Tensor, y: Tensor) -> Tensor:
     xd, yd = _operands(x, y, "mul")
-    out = _node(xd * yd, "mul", (x, y))
-
-    def _bw(g):
-        if x.requires_grad:
-            _add_grad(x, _reduce_to(g * yd, x.shape))
-        if y.requires_grad:
-            _add_grad(y, _reduce_to(g * xd, y.shape))
-
-    out._backward = _bw
-    return out
+    return _binary(xd * yd, "mul", x, y, lambda g: g * yd, lambda g: g * xd)
 
 
 def div(x: Tensor, y: Tensor) -> Tensor:
     xd, yd = _operands(x, y, "div")
-    out = _node(xd / yd, "div", (x, y))
-
-    def _bw(g):
-        if x.requires_grad:
-            _add_grad(x, _reduce_to(g / yd, x.shape))
-        if y.requires_grad:
-            _add_grad(y, _reduce_to(-g * xd / (yd * yd), y.shape))
-
-    out._backward = _bw
-    return out
+    return _binary(xd / yd, "div", x, y, lambda g: g / yd, lambda g: -g * xd / (yd * yd))
 
 
 # ---------------------------------------------------------------------------
@@ -304,45 +292,22 @@ def log1p_exp(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     y = logistic(x.data)
-    out = _node(y, "sigmoid", (x,))
-
-    def _bw(g):
-        _add_grad(x, g * y * (1.0 - y))
-
-    out._backward = _bw
-    return out
+    return _node(y, "sigmoid", (x,), lambda g: _add_grad(x, g * y * (1.0 - y)))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = _node(y, "tanh", (x,))
-
-    def _bw(g):
-        _add_grad(x, g * (1.0 - y * y))
-
-    out._backward = _bw
-    return out
+    return _node(y, "tanh", (x,), lambda g: _add_grad(x, g * (1.0 - y * y)))
 
 
 def softplus(x: Tensor) -> Tensor:
-    out = _node(log1p_exp(x.data), "softplus", (x,))
-
-    def _bw(g):
-        _add_grad(x, g * logistic(x.data))
-
-    out._backward = _bw
-    return out
+    return _node(log1p_exp(x.data), "softplus", (x,),
+                 lambda g: _add_grad(x, g * logistic(x.data)))
 
 
 def relu(x: Tensor) -> Tensor:
-    y = np.maximum(x.data, 0.0)
-    out = _node(y, "relu", (x,))
-
-    def _bw(g):
-        _add_grad(x, g * (x.data > 0))
-
-    out._backward = _bw
-    return out
+    return _node(np.maximum(x.data, 0.0), "relu", (x,),
+                 lambda g: _add_grad(x, g * (x.data > 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +327,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: unsupported ranks for shapes {a.shape} and {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for shapes {a.shape} and {b.shape}")
-    out = _node(ad @ bd, "matmul", (a, b))
 
     def _bw(g):
         if a.requires_grad:
@@ -373,8 +337,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _add_grad(b, np.swapaxes(ad, -1, -2) @ g)
 
-    out._backward = _bw
-    return out
+    return _node(ad @ bd, "matmul", (a, b), _bw)
 
 
 def tsum(x: Tensor, keep: int = 0) -> Tensor:
@@ -382,13 +345,8 @@ def tsum(x: Tensor, keep: int = 0) -> Tensor:
     by default; ``keep=1`` sums each sample of a stack."""
     if not 0 <= keep <= x.data.ndim:
         raise ShapeError(f"tsum: cannot keep {keep} axes of shape {x.shape}")
-    out = _node(x.data.reshape(x.shape[:keep] + (-1,)).sum(axis=-1), "sum", (x,))
-
-    def _bw(g):
-        _add_grad(x, np.broadcast_to(_trailing(g, x.data.ndim), x.shape))
-
-    out._backward = _bw
-    return out
+    return _node(x.data.reshape(x.shape[:keep] + (-1,)).sum(axis=-1), "sum", (x,),
+                 lambda g: _add_grad(x, np.broadcast_to(_trailing(g, x.data.ndim), x.shape)))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -396,26 +354,15 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if shape == x.data.shape:
         return x
-    out = _node(x.data.reshape(shape), "reshape", (x,))
-
-    def _bw(g):
-        _add_grad(x, g.reshape(x.shape))
-
-    out._backward = _bw
-    return out
+    return _node(x.data.reshape(shape), "reshape", (x,),
+                 lambda g: _add_grad(x, g.reshape(x.shape)))
 
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the two axes of a matrix."""
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a matrix, got shape {x.shape}")
-    out = _node(x.data.T, "transpose", (x,))
-
-    def _bw(g):
-        _add_grad(x, g.T)
-
-    out._backward = _bw
-    return out
+    return _node(x.data.T, "transpose", (x,), lambda g: _add_grad(x, g.T))
 
 
 def scale_rows(x: Tensor, a: Tensor) -> Tensor:
@@ -446,13 +393,8 @@ def global_average_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_average_pool on empty tensor of shape {x.shape}")
     n, h, w, d = x.shape
     m = h * w
-    out = _node(pool_rows(x.data).T, "gap", (x,))
-
-    def _bw(g):
-        _add_grad(x, np.broadcast_to((g.T / m)[:, None, :], (n, m, d)).reshape(x.shape))
-
-    out._backward = _bw
-    return out
+    return _node(pool_rows(x.data).T, "gap", (x,), lambda g: _add_grad(
+        x, np.broadcast_to((g.T / m)[:, None, :], (n, m, d)).reshape(x.shape)))
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -481,15 +423,13 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     ez = np.exp(z - zmax)
     total = np.sum(ez, axis=0)
     loss = np.log(total) - (z[flat, cols] - zmax)
-    out = _node(loss.reshape(labels.shape), "cross_entropy", (logits,))
 
     def _bw(g):
         p = ez / total
         p[flat, cols] -= 1.0
         _add_grad(logits, (p * g.reshape(-1)).reshape(logits.shape))
 
-    out._backward = _bw
-    return out
+    return _node(loss.reshape(labels.shape), "cross_entropy", (logits,), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +462,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             cols[..., i, j, :] = x.data[..., i:i + oh, j:j + ow, :]
     flat = cols.reshape(-1, kh * kw * cin)
     y = (flat @ kernel.data.reshape(-1, cout) + bias.data).reshape(*batch, oh, ow, cout)
-    out = _node(y, "conv2d", (x, kernel, bias))
 
     def _bw(g):
         gf = g.reshape(-1, cout)
@@ -536,8 +475,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                     dx[..., i:i + oh, j:j + ow, :] += dcols[..., i, j, :]
             _add_grad(x, dx)
 
-    out._backward = _bw
-    return out
+    return _node(y, "conv2d", (x, kernel, bias), _bw)
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -558,7 +496,6 @@ def max_pool2(x: Tensor) -> Tensor:
     idx = windows.argmax(axis=4)
     pad_shape = padded.shape
     y = np.take_along_axis(windows, idx[..., None], axis=4)[..., 0]
-    out = _node(y.reshape(*batch, oh, ow, c), "max_pool2", (x,))
 
     def _bw(g):
         dwin = np.zeros(idx.shape + (4,))
@@ -566,8 +503,7 @@ def max_pool2(x: Tensor) -> Tensor:
         dpad = dwin.reshape(-1, oh, ow, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
         _add_grad(x, dpad.reshape(pad_shape)[..., :h, :w, :])
 
-    out._backward = _bw
-    return out
+    return _node(y.reshape(*batch, oh, ow, c), "max_pool2", (x,), _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,9 @@ def synth_generate(config: SynthConfig, seed: int) -> SynthDataset:
     return SynthDataset(split=split, maps=maps, signature_cells=signature_cells)
 
 
+_SIGNATURE_HEADER = ["vehicle_id", "signature_row", "signature_col"]
+
+
 def write_synth(ds: SynthDataset, out_dir) -> dict[str, Path]:
     """Write manifest.csv, descriptors.desc and the signature-cell sidecar."""
     out = Path(out_dir)
@@ -236,22 +239,34 @@ def write_synth(ds: SynthDataset, out_dir) -> dict[str, Path]:
     paths = {"manifest": out / "manifest.csv",
              "descriptors": out / "descriptors.desc",
              "signatures": out / "signatures.csv"}
-    write_manifest(paths["manifest"], ds.split)
+    # The descriptors first: the one file that can be refused (a value float32
+    # cannot hold), so a refused run writes no file.
     formats.write_tensor_file(paths["descriptors"], ds.maps)
+    write_manifest(paths["manifest"], ds.split)
     with open(paths["signatures"], "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["vehicle_id", "signature_row", "signature_col"])
+        writer.writerow(_SIGNATURE_HEADER)
         for vehicle_id, (row, col) in ds.signature_cells.items():
             writer.writerow([vehicle_id, row, col])
     return paths
 
 
 def load_signature_cells(path) -> dict[str, tuple[int, int]]:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != ["vehicle_id", "signature_row", "signature_col"]:
+    rows = list(csv.reader(formats.text_lines(path)))
+    if not rows or rows[0] != _SIGNATURE_HEADER:
         raise ValidationError(f"{path}: not a signature sidecar")
-    return {r[0]: (int(r[1]), int(r[2])) for r in rows[1:] if r}
+    cells: dict[str, tuple[int, int]] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ValidationError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        try:
+            cells[row[0]] = (int(row[1]), int(row[2]))
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: signature cell ({row[1]!r}, {row[2]!r}) "
+                                  "is not two integers") from None
+    return cells
 
 
 def sample_input(sample: LabeledSample, maps: np.ndarray | None = None,

@@ -9,7 +9,8 @@ Descriptor and feature files share one layout, differing only in magic:
 Feature files (FEAT1) store one vector per item as h = w = 1, d = dim. Both
 readers return the stored float32 values, and check the size a header claims
 against the file's before they allocate it, so they need a regular file: a
-pipe is a FormatError naming it.
+pipe is a FormatError naming it. The writers refuse a finite value beyond
+float32's range, which the cast would store as infinite.
 Images are 8-bit PGM (P2/P5) or PPM (P3/P6), scaled to [0, 1] on read; a
 sample above the header's maxval is a FormatError.
 """
@@ -33,11 +34,22 @@ _HEADER = struct.Struct("<4I")
 
 
 def _write_block(path, arr: np.ndarray, magic: bytes) -> None:
-    n, h, w, d = arr.shape
+    """Write ``arr`` as float32, or refuse before opening ``path`` if a finite
+    value is beyond float32's range: the cast would store it as infinite."""
+    with np.errstate(over="ignore"):
+        values = np.ascontiguousarray(arr, dtype="<f4")
+    # fmin and fmax skip nans and allocate no array the size of ``values``: only
+    # a cast that holds an infinity is searched for a finite value it overflowed.
+    lo = np.fmin.reduce(values, axis=None, initial=0)
+    hi = np.fmax.reduce(values, axis=None, initial=0)
+    if (np.isinf(lo) or np.isinf(hi)) and (np.isinf(values) & np.isfinite(arr)).any():
+        raise FormatError(f"{path}: a value beyond float32's range (about 3.4e38 in "
+                          "magnitude) cannot be stored")
+    n, h, w, d = values.shape
     with open(path, "wb") as f:
         f.write(magic)
         f.write(_HEADER.pack(n, h, w, d))
-        f.write(np.ascontiguousarray(arr, dtype="<f4"))
+        f.write(values)
 
 
 def open_regular_file(path) -> BinaryIO:

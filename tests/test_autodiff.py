@@ -343,6 +343,25 @@ class TestNodes:
             assert c.grad is None and x.grad is not None
             x.zero_grad()
 
+    def test_a_constant_operands_partial_is_never_computed(self, monkeypatch):
+        # The attention weighting of ingested maps: constant (B,h,w,d) maps
+        # times parameter (B,h,w) weights. Only the weights' partial, g * maps,
+        # is computed and summed back; the maps' g * weights never is.
+        reductions = []
+        reduce_to = ad._reduce_to
+
+        def recording(g, shape):
+            reductions.append((g.shape, shape))
+            return reduce_to(g, shape)
+
+        monkeypatch.setattr(ad, "_reduce_to", recording)
+        rng = np.random.default_rng(8)
+        maps = ad.constant(rand(rng, 2, 3, 4, 5))
+        weights = ad.parameter(rand(rng, 2, 3, 4))
+        ad.backward(ad.tsum(ad.mul(maps, weights)))
+        assert reductions == [((2, 3, 4, 5), (2, 3, 4))]
+        assert maps.grad is None and weights.grad.shape == (2, 3, 4)
+
 
 def sharing_cases(rng):
     """Parameters x, y (3, 3) and GRU weights, and losses that hand one

@@ -99,13 +99,16 @@ class TestSynth:
     @pytest.mark.parametrize("flag, value, message", [
         ("--noise", "-0.5", "noise_sigma must be >= 0, got -0.5"),
         ("--view-amplitude", "nan", "view_amplitude must be finite, got nan"),
+        # Finite, but beyond the float32 that DESC1 stores.
+        ("--noise", "1e39", "beyond float32's range"),
+        ("--view-amplitude", "1e39", "beyond float32's range"),
     ])
     def test_bad_noise_settings(self, tmp_path, capsys, flag, value, message):
         assert run(["synth", "--out", str(tmp_path), flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
-        assert not (tmp_path / "descriptors.desc").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_har_seed_overrides_flag(self, tmp_path, monkeypatch):
         args = ["--models", "2", "--vehicles", "2", "--images", "2", "--grid", "3",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hareid import data as dat
-from hareid.errors import ConfigError, ShapeError, ValidationError
+from hareid.errors import ConfigError, FormatError, ShapeError, ValidationError
 
 
 def write_lines(path, lines):
@@ -258,6 +258,25 @@ class TestSynthGenerate:
                                                 images_per_vehicle=1), seed=8)
         paths = dat.write_synth(ds, tmp_path)
         assert dat.load_signature_cells(paths["signatures"]) == ds.signature_cells
+
+    @pytest.mark.parametrize("row, message", [
+        ("v1,3", "expected 3 fields, got 2"),
+        ("v1,3,4,5", "expected 3 fields, got 4"),
+        ("v1,a,2", "signature cell ('a', '2') is not two integers"),
+        ("v1,2,2.5", "signature cell ('2', '2.5') is not two integers"),
+    ])
+    def test_malformed_sidecar_row_names_its_line(self, tmp_path, row, message):
+        path = write_lines(tmp_path / "s.csv", ["vehicle_id,signature_row,signature_col",
+                                                "v0,0,1", row])
+        with pytest.raises(ValidationError) as err:
+            dat.load_signature_cells(path)
+        assert str(err.value) == f"{path}:3: {message}"
+
+    def test_sidecar_that_is_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"vehicle_id,signature_row,signature_col\nv\xff,0,1\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            dat.load_signature_cells(path)
 
 
 class TestSampleInput:

@@ -306,9 +306,9 @@ class TestGraphSize:
         ops = []
         node = ad._node
 
-        def counting(data, op, parents):
+        def counting(data, op, *rest):
             ops.append(op)
-            return node(data, op, parents)
+            return node(data, op, *rest)
 
         monkeypatch.setattr(ad, "_node", counting)
         rng = np.random.default_rng(35)

@@ -97,6 +97,30 @@ def test_reader_returns_the_stored_float32(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind", list(TENSOR_FILES))
+def test_value_beyond_float32_is_refused_before_the_file_is_opened(kind, tmp_path):
+    # The float32 cast would store -1e39 as -inf. A value that is already
+    # infinite or nan is stored as it is, and float32's largest value fits.
+    write, read, shape = TENSOR_FILES[kind]
+    path = tmp_path / "f"
+    values = np.zeros(shape)
+    values.flat[0] = np.finfo(np.float32).max
+    values.flat[1] = -1e39
+    with pytest.raises(FormatError) as err:
+        write(path, values)
+    assert str(err.value) == (f"{path}: a value beyond float32's range (about 3.4e38 in "
+                              "magnitude) cannot be stored")
+    assert not path.exists()
+    values.flat[1], values.flat[2] = -np.inf, np.nan
+    write(path, values)
+    got = read(path).reshape(-1)
+    assert got[0] == np.finfo(np.float32).max and got[1] == -np.inf and np.isnan(got[2])
+    values.flat[3] = 1e39  # overflow beside an infinity is still found
+    with pytest.raises(FormatError):
+        write(tmp_path / "g", values)
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("kind", list(TENSOR_FILES))
 def test_claimed_payload_is_checked_before_it_is_allocated(kind, tmp_path):
     write, read, shape = TENSOR_FILES[kind]
     path = tmp_path / "f"

@@ -3,6 +3,8 @@
 * Every name a module imports is used in that module.
 * Every private module-level name a module defines is loaded in that module.
 * Every parameter a function or lambda takes is read in its body.
+* Only ``autodiff._node`` and ``Tensor.__init__`` set a node's ``_backward``
+  rule, so every primitive hands its rule to the one constructor.
 * Every public name (module-level function, class or constant, method, or
   dataclass field) is read by the programs: in hareid outside its own definition, or in
   ``perfbench/*.py`` as a name, an attribute or a string (its tracer looks
@@ -98,6 +100,27 @@ def test_no_unread_parameter(path):
         unread += [f"{getattr(node, 'name', 'lambda')}({p.arg}) line {node.lineno}"
                    for p in params if p.arg not in ("self", "cls") and p.arg not in used]
     assert not unread, f"{path.name}: parameters never read: {unread}"
+
+
+def backward_rule_setters(node: ast.AST, scope: str = "") -> list[str]:
+    """The function (``Class.method`` for a method) around each store to a
+    ``_backward`` attribute in ``node``."""
+    if isinstance(node, (*FUNCTION, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    sites = []
+    if (isinstance(node, ast.Attribute) and node.attr == "_backward"
+            and isinstance(node.ctx, ast.Store)):
+        sites.append(scope)
+    for child in ast.iter_child_nodes(node):
+        sites += backward_rule_setters(child, scope)
+    return sites
+
+
+def test_backward_rule_is_set_only_where_nodes_are_built():
+    sites = [f"{path.name}:{site}" for path in MODULES
+             for site in backward_rule_setters(parse(path))]
+    assert sorted(sites) == ["autodiff.py:Tensor.__init__", "autodiff.py:_node"], (
+        f"_backward set outside the node constructors: {sites}; pass the rule to _node")
 
 
 def read_names(node: ast.AST, skip: ast.AST | None = None, names: bool = True) -> set[str]:
