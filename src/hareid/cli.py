@@ -34,10 +34,14 @@ from .retrieval import (EvaluationReport, RetrievalIndex, check_repeated_gallery
 
 def _load_split_and_maps(args) -> tuple[data.DatasetSplit, np.ndarray | None]:
     split = data.load_manifest(args.manifest)
-    maps = None
-    if getattr(args, "descriptors", None):
-        maps = formats.read_tensor_file(args.descriptors)
-    return split, maps
+    descriptors = getattr(args, "descriptors", None)
+    return split, formats.read_tensor_file(descriptors) if descriptors else None
+
+
+def _chosen_split(args) -> tuple[list[data.LabeledSample], np.ndarray | None]:
+    """The samples of the --split a command reads, and the descriptor maps."""
+    split, maps = _load_split_and_maps(args)
+    return getattr(split, args.split), maps
 
 
 def _model_from_checkpoint(path) -> tuple[Model, Checkpoint]:
@@ -183,12 +187,8 @@ def cmd_train(args) -> int:
     items = data.training_items(split, maps, image_root=args.image_root)
 
     if args.resume:
-        model, ckpt = _model_from_checkpoint(args.resume)
-        config = ckpt.config
-        _check_resume_flags(given, config)
-        state = ckpt.opt
-        start_epoch = ckpt.epoch
-        seed = ckpt.seed
+        model, start = _model_from_checkpoint(args.resume)
+        _check_resume_flags(given, start.config)
     else:
         flags = {**_MODEL_FLAG_DEFAULTS, **given}
         if flags["backbone"] == "conv":
@@ -203,20 +203,17 @@ def cmd_train(args) -> int:
             if maps is None:
                 raise ConfigError("ingested backbone needs --descriptors")
             d = maps.shape[-1]
-        config = ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
-                             variant=flags["variant"], d=d, hidden=flags["hidden"],
-                             seed=args.seed, conv=conv)
-        model = Model(config)
-        state = None
-        start_epoch = 0
-        seed = args.seed
-
+        model = Model(ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
+                                  variant=flags["variant"], d=d, hidden=flags["hidden"],
+                                  seed=args.seed, conv=conv))
+        start = Checkpoint(model.config, params={}, opt=None, epoch=0, seed=args.seed)
+    # The run starts from the checkpoint's record, or a fresh one's; optimizer
+    # state absent from it starts at zero.
+    config, seed, start_epoch = start.config, start.seed, start.epoch
+    state = start.opt or RmspropState.init(model.params())
     if config.num_models != split.num_models or config.num_vehicles != split.num_vehicles:
         raise ConfigError(f"checkpoint expects {config.num_models}/{config.num_vehicles} "
                           f"classes, manifest has {split.num_models}/{split.num_vehicles}")
-
-    if state is None:
-        state = RmspropState.init(model.params())
     # Created only once the run's inputs are read and checked, so a refused
     # run leaves no directory behind.
     out_dir = Path(args.out_dir)
@@ -243,8 +240,7 @@ def cmd_train(args) -> int:
 
 def cmd_extract(args) -> int:
     model, ckpt = _model_from_checkpoint(args.checkpoint)
-    split, maps = _load_split_and_maps(args)
-    samples = getattr(split, args.split)
+    samples, maps = _chosen_split(args)
     if not samples:
         raise ConfigError(f"split {args.split!r} is empty")
     formats.write_features(args.out, _features(model, samples, maps, args.image_root))
@@ -253,8 +249,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    split, _ = _load_split_and_maps(args)
-    samples = getattr(split, args.split)
+    samples, _ = _chosen_split(args)
     index = RetrievalIndex.build(formats.load_features(args.features), samples)
     if args.protocol == "veri":
         report = veri_protocol(index, track_agg=args.track_agg)
@@ -301,8 +296,7 @@ def cmd_attmap(args) -> int:
     model, ckpt = _model_from_checkpoint(args.checkpoint)
     if model.attn is None:
         raise ConfigError(f"variant {ckpt.config.variant!r} has no attention module")
-    split, maps = _load_split_and_maps(args)
-    samples = getattr(split, args.split)
+    samples, maps = _chosen_split(args)
     weights_of = []  # (sample id, attention weights), in --samples order
     for i in _int_list(args.samples, "--samples"):
         if not 0 <= i < len(samples):
@@ -341,7 +335,7 @@ def run_variant(split: data.DatasetSplit, maps: np.ndarray, variant: str, seed: 
 def cmd_ablate(args) -> int:
     split, maps = _load_split_and_maps(args)
     schedule = _schedule_from_args(args)
-    seeds = _int_list(args.seeds, "--seeds")
+    seeds = args.seeds
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
         raise ConfigError(f"--seeds lists seed {repeated} more than once; "
@@ -392,6 +386,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--epochs", type=int, default=TrainSchedule.epochs)
         p.add_argument("--batch-size", type=int, default=TrainSchedule.batch_size)
 
+    def add_inputs(p):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--descriptors")
+        p.add_argument("--image-root")
+
+    def add_split(p):
+        p.add_argument("--split", choices=("train", "test"), default="test")
+
     p = sub.add_parser("synth", help="generate the synthetic dataset")
     add_common(p)
     p.add_argument("--out", required=True)
@@ -410,9 +412,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("train", help="train a model variant")
     add_common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--descriptors")
-    p.add_argument("--image-root")
+    add_inputs(p)
     p.add_argument("--out-dir", required=True)
     # Model flags default to None, so a resume can tell a given flag from a
     # default; a fresh run fills in _MODEL_FLAG_DEFAULTS.
@@ -431,10 +431,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("extract", help="write l2-normalized features for a split")
     add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--descriptors")
-    p.add_argument("--image-root")
-    p.add_argument("--split", choices=("train", "test"), default="test")
+    add_inputs(p)
+    add_split(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
@@ -442,7 +440,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_common(p)
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", choices=("train", "test"), default="test")
+    add_split(p)
     p.add_argument("--protocol", choices=("veri", "vehicleid"), required=True)
     p.add_argument("--gallery-size", type=int, default=0,
                    help="0 = all test vehicles")
@@ -460,10 +458,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("attmap", help="export attention maps as PGM + CSV")
     add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--descriptors")
-    p.add_argument("--image-root")
-    p.add_argument("--split", choices=("train", "test"), default="test")
+    add_inputs(p)
+    add_split(p)
     p.add_argument("--samples", required=True, help="comma-separated split indices")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_attmap)
@@ -485,9 +481,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _config_defaults(path, command: argparse.ArgumentParser) -> dict[str, object]:
-    """A config file's values, typed like the command's own flags."""
+    """A config file's values, typed like the command's own flags; a key set
+    twice (``-`` and ``_`` spell one key) is an error."""
     actions = {a.dest: a for a in command._actions}  # noqa: SLF001
     defaults: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # the line that sets each key
     for lineno, line in enumerate(formats.text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -499,6 +497,9 @@ def _config_defaults(path, command: argparse.ArgumentParser) -> dict[str, object
         if key not in actions:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r} "
                               f"for command {command.prog.split()[-1]}")
+        first = set_on.setdefault(key, lineno)
+        if first != lineno:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is set twice, first on line {first}")
         action = actions[key]
         try:
             defaults[key] = action.type(value) if action.type else value
@@ -511,35 +512,30 @@ def _config_defaults(path, command: argparse.ArgumentParser) -> dict[str, object
     return defaults
 
 
-def _probe_args(argv) -> argparse.Namespace | None:
-    """argv parsed with no flag required, to find the command and its
-    --config before the file can supply required flags; None where argparse
-    would print help or an error, which the real parse then prints."""
-    parser, commands = build_parser()
-    for command in commands.values():
-        for action in command._actions:  # noqa: SLF001
-            action.required = False
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return parser.parse_args(argv)
-        except SystemExit:
-            return None
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-    args = _probe_args(argv)
+    # A quiet first parse, with no flag required, finds the command and its
+    # --config before the file can supply required flags. Where argparse would
+    # print help or an error, the second parse prints it.
+    required = [a for c in commands.values() for a in c._actions if a.required]  # noqa: SLF001
+    for action in required:
+        action.required = False
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            args = None
     try:
+        defaults = {}
         if args is not None and args.config:
             # The file's values become the command's defaults, so any flag
             # argparse recognises on the command line, a prefix included, wins,
             # and a required flag the file gives may be left off the command line.
-            command = commands[args.command]
-            defaults = _config_defaults(args.config, command)
-            command.set_defaults(**defaults)
-            for action in command._actions:  # noqa: SLF001
-                action.required = action.required and action.dest not in defaults
+            defaults = _config_defaults(args.config, commands[args.command])
+            commands[args.command].set_defaults(**defaults)
+        for action in required:
+            action.required = action.dest not in defaults
         args = parser.parse_args(argv)
         if "HAR_SEED" in os.environ and (hasattr(args, "seed") or hasattr(args, "seeds")):
             try:
@@ -548,12 +544,14 @@ def main(argv=None) -> int:
                 raise ConfigError(f"HAR_SEED must be an integer, got "
                                   f"{os.environ['HAR_SEED']!r}") from None
             if hasattr(args, "seeds"):  # ablate: train and evaluate with the one seed
-                args.seeds, args.eval_seed = str(seed), seed
+                args.seeds, args.eval_seed = [seed], seed
             else:
                 args.seed = seed
+        elif hasattr(args, "seeds"):  # parsed once, here; cmd_ablate reads the list
+            args.seeds = _int_list(args.seeds, "--seeds")
         # Every seed is checked before the command reads or writes anything.
         seeds = [getattr(args, key) for key in ("seed", "eval_seed") if hasattr(args, key)]
-        for seed in seeds + (_int_list(args.seeds, "--seeds") if hasattr(args, "seeds") else []):
+        for seed in seeds + getattr(args, "seeds", []):
             check_seed(seed)
         return args.func(args)
     except (HareidError, OSError, MemoryError) as exc:

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, FormatError, ShapeError, ValidationError
 from .optim import rng_for
 
 
@@ -233,15 +233,22 @@ _SIGNATURE_HEADER = ["vehicle_id", "signature_row", "signature_col"]
 
 
 def write_synth(ds: SynthDataset, out_dir) -> dict[str, Path]:
-    """Write manifest.csv, descriptors.desc and the signature-cell sidecar."""
+    """Write manifest.csv, descriptors.desc and the signature-cell sidecar; a
+    refused run leaves no file and no directory behind."""
     out = Path(out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)
     paths = {"manifest": out / "manifest.csv",
              "descriptors": out / "descriptors.desc",
              "signatures": out / "signatures.csv"}
     # The descriptors first: the one file that can be refused (a value float32
-    # cannot hold), so a refused run writes no file.
-    formats.write_tensor_file(paths["descriptors"], ds.maps)
+    # cannot hold), before it is opened.
+    try:
+        formats.write_tensor_file(paths["descriptors"], ds.maps)
+    except FormatError:
+        for d in made:
+            d.rmdir()
+        raise
     write_manifest(paths["manifest"], ds.split)
     with open(paths["signatures"], "w", newline="") as f:
         writer = csv.writer(f)

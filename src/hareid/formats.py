@@ -18,6 +18,7 @@ sample above the header's maxval is a FormatError.
 from __future__ import annotations
 
 import os
+import re
 import stat
 import struct
 from collections.abc import Iterator
@@ -124,25 +125,22 @@ def load_features(path) -> np.ndarray:
 # Netpbm images
 
 
+# Whitespace and '#' comments (each up to its newline), then one token: a run
+# of non-whitespace bytes, empty only at the end of the file.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _read_tokens(raw: bytes, count: int, start: int) -> tuple[list[int], int]:
     tokens: list[int] = []
     i = start
-    while len(tokens) < count:
-        while i < len(raw) and raw[i:i + 1].isspace():
-            i += 1
-        if i < len(raw) and raw[i:i + 1] == b"#":
-            while i < len(raw) and raw[i] != 0x0A:
-                i += 1
-            continue
-        j = i
-        while j < len(raw) and not raw[j:j + 1].isspace():
-            j += 1
-        if j == i:
+    for _ in range(count):
+        match = _TOKEN.match(raw, i)
+        token, i = match[1], match.end()
+        if not token:
             raise FormatError("unexpected end of image header")
-        if not raw[i:j].isdigit() or j - i > 10:
-            raise FormatError(f"bad image token {raw[i:j][:16]!r}, expected a decimal number")
-        tokens.append(int(raw[i:j]))
-        i = j
+        if not token.isdigit() or len(token) > 10:
+            raise FormatError(f"bad image token {token[:16]!r}, expected a decimal number")
+        tokens.append(int(token))
     return tokens, i
 
 

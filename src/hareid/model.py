@@ -10,12 +10,14 @@ Three variants share the surrounding plumbing:
 Training runs the whole chain and both heads as one autodiff graph
 (``Model.forward``) over a batch; a single map or image enters as a batch of
 one, so every layer below ``Model`` sees one (B, ...) layout. Extraction
-(``Model.extract_features``) runs a stack of inputs through the same chain on
-the parameters' arrays, without a graph or the heads, and l2-normalizes o2;
-each row keeps the bits of that input's own ``forward``. The attention net's
-width ``max(1, hidden // 2)`` (``attn_hidden=0``), ``attention.DEFAULT_EPSILON``
-and the input gain ``gru.DEFAULT_INPUT_GAIN`` are constants, recorded in the
-config text and checked.
+(``Model.extract_features``) runs a stack of inputs through the same chain
+without the heads, and l2-normalizes o2. A conv backbone's stack runs through
+its graph, image by image; from the activation maps on, extraction works on
+the parameters' arrays without a graph. Each row keeps the bits of that
+input's own ``forward``. The attention net's width ``max(1, hidden // 2)``
+(``attn_hidden=0``), ``attention.DEFAULT_EPSILON`` and the input gain
+``gru.DEFAULT_INPUT_GAIN`` are constants, recorded in the config text and
+checked.
 
 Parameter registration order is fixed (conv stack, recurrent or fc block,
 model head, vehicle head, attention net) so that, for one seed, variants
@@ -293,10 +295,11 @@ class Model:
         images (n, H, W, C) with the conv backbone: ``unit_rows`` of their o2
         rows, with the zero mask.
 
-        The chain of ``forward`` up to o2 runs on the parameters' arrays
-        without a graph or the heads, and makes the NumPy calls a one-sample
-        graph makes, so every row has the bits of ``forward`` on that input
-        alone, whatever the stack.
+        A conv backbone's stack runs through its graph, image by image. From
+        the activation maps to o2 the chain of ``forward`` runs on the
+        parameters' arrays without a graph or the heads, and makes the NumPy
+        calls a one-sample graph makes, so every row has the bits of
+        ``forward`` on that input alone, whatever the stack.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 4 or len(inputs) == 0:

@@ -109,6 +109,10 @@ class TestSynth:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert list(tmp_path.iterdir()) == []
+        # A refused run makes no directory, its parents included.
+        assert run(["synth", "--out", str(tmp_path / "s1" / "out"), flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_har_seed_overrides_flag(self, tmp_path, monkeypatch):
         args = ["--models", "2", "--vehicles", "2", "--images", "2", "--grid", "3",
@@ -720,6 +724,34 @@ def test_config_value_outside_the_flags_choices_is_refused(tiny_set, tiny_run, t
                                    f"is not one of ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists() and trained == []
+
+
+@pytest.mark.parametrize("command, lines, first, again", [
+    ("train", ["hidden=8", "# H", "hidden=9"], 1, 3),
+    ("train", ["out-dir={out}", "out_dir={out}2"], 1, 2),
+    ("eval", ["split=test", "repeats=2", "split=train"], 1, 3),
+], ids=["train", "train dash and underscore", "eval"])
+def test_config_key_set_twice_is_refused(tiny_set, tiny_run, tmp_path, capsys, command, lines,
+                                         first, again):
+    # The last value used to win without a word; "-" and "_" spell one key.
+    manifest, desc = str(tiny_set / "manifest.csv"), str(tiny_set / "descriptors.desc")
+    out = tmp_path / "out"
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("".join(line.format(out=out) + "\n" for line in lines))
+    if command == "train":
+        argv = ["--descriptors", desc, "--epochs", "0"]
+        argv += [] if "out" in lines[0] else ["--out-dir", str(out)]
+    else:
+        features = tmp_path / "test.feat"
+        assert run(["extract", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
+                    "--manifest", manifest, "--descriptors", desc, "--out", str(features)]) == 0
+        argv = ["--features", str(features), "--protocol", "veri", "--out", str(out)]
+    capsys.readouterr()
+    assert run([command, "--manifest", manifest, "--config", str(cfg), *argv]) == 1
+    key = lines[first - 1].partition("=")[0].replace("-", "_")
+    assert capsys.readouterr() == ("", f"error: {cfg}:{again}: {key!r} is set twice, "
+                                       f"first on line {first}\n")
+    assert not out.exists() and not Path(f"{out}2").exists()
 
 
 @pytest.mark.parametrize("argv", [

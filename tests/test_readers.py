@@ -156,3 +156,37 @@ def test_pipe_is_format_error_naming_it(kind, tmp_path):
         os.close(read_end)
         os.close(write_end)
     assert str(err.value) == f"{path}: not a regular file; pass a file, not a pipe"
+
+
+BAD_TOKEN = "bad image token {}, expected a decimal number"
+
+
+@pytest.mark.parametrize("raw, expected", [
+    # A '#' inside a token is part of it: only a token's first byte starts a comment.
+    (b"P2 1 1#x\n255\n0\n", BAD_TOKEN.format(b"1#x")),
+    # A comment may run to the end of the file without a newline.
+    (b"P2 1 1 255 7 # last", [[[7]]]),
+    (b"P2 2 1 # no maxval", "unexpected end of image header"),
+    # \r, \v and \f separate tokens as space, tab and newline do.
+    (b"P2\r2\x0b1\x0c255\r3\x0b4\x0c", [[[3], [4]]]),
+    # A token has at most 10 digits; an error shows its first 16 bytes.
+    (b"P2 1 1 0000000255 9", [[[9]]]),
+    (b"P2 1 1 25500000000 0", BAD_TOKEN.format(b"25500000000")),
+    (b"P2 1 1 255 " + b"9" * 20, BAD_TOKEN.format(b"9" * 16)),
+    # The header ends after two of its three tokens.
+    (b"P2 1 1", "unexpected end of image header"),
+    (b"P5\n1 1\n", "unexpected end of image header"),
+    # Comments between the samples of a plain payload.
+    (b"P3 2 1 255\n1 # red\n2 #green\n# a line\n3 4\t#\n5 6", [[[1, 2, 3], [4, 5, 6]]]),
+], ids=["comment after token", "comment at end of file", "header ends in comment",
+        "cr vt ff separators", "ten digits", "eleven digits", "long token", "two tokens",
+        "two tokens P5", "P3 comments"])
+def test_netpbm_token_grammar(tmp_path, raw, expected):
+    path = tmp_path / "img"
+    path.write_bytes(raw)
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as err:
+            formats.read_image(path)
+        assert str(err.value) == expected
+    else:
+        np.testing.assert_array_equal(formats.read_image(path), np.array(expected) / 255)
