@@ -13,11 +13,11 @@ Layout (all integers little-endian):
         float64 alpha, float64 delta (must equal ``optim.ALPHA``, ``optim.DELTA``),
         then the squared-gradient averages in the same named-tensor record format.
 
-Saving a loaded checkpoint reproduces the file byte for byte. A save writes
-a temporary file and renames it over the path, so a failed save leaves the
-previous checkpoint whole. A malformed file raises FormatError, and so does
-a path that is not a regular file (a pipe): the reader checks each length
-against the bytes left in the file before it reads.
+Saving a loaded checkpoint reproduces the file byte for byte. A save goes
+through ``formats.written_whole``, as every output file does, so a failed
+save leaves the previous checkpoint whole. A malformed file raises
+FormatError, and so does a path that is not a regular file (a pipe): the
+reader checks each length against the bytes left in the file before it reads.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ import os
 import struct
 from dataclasses import dataclass
 from io import BufferedReader
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import FormatError
-from .formats import open_regular_file
+from .formats import open_regular_file, written_whole
 from .model import ModelConfig
 from .optim import ALPHA, DELTA, RmspropState
 
@@ -90,30 +89,23 @@ class Checkpoint:
 def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor | np.ndarray],
                     opt: RmspropState | None, epoch: int, seed: int) -> None:
     config_bytes = config.to_text().encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<I", len(config_bytes)))
-            f.write(config_bytes)
-            f.write(struct.pack("<QI", seed, epoch))
-            f.write(struct.pack("<I", len(params)))
-            for name, value in params.items():
-                arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-                _write_named(f, name, arr)
-            if opt is None:
-                f.write(struct.pack("<B", 0))
-            else:
-                f.write(struct.pack("<B", 1))
-                f.write(struct.pack("<dd", ALPHA, DELTA))
-                for name in params:
-                    _write_named(f, name, opt.v[name])
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with written_whole(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<I", VERSION))
+        f.write(struct.pack("<I", len(config_bytes)))
+        f.write(config_bytes)
+        f.write(struct.pack("<QI", seed, epoch))
+        f.write(struct.pack("<I", len(params)))
+        for name, value in params.items():
+            arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+            _write_named(f, name, arr)
+        if opt is None:
+            f.write(struct.pack("<B", 0))
+        else:
+            f.write(struct.pack("<B", 1))
+            f.write(struct.pack("<dd", ALPHA, DELTA))
+            for name in params:
+                _write_named(f, name, opt.v[name])
 
 
 def load_checkpoint(path) -> Checkpoint:

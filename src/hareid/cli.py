@@ -107,8 +107,7 @@ def _start_loss_file(path: Path, start_epoch: int, resume: bool) -> None:
     line (rows run in epoch order), so a row written, whole or in part, just
     before a stop is not repeated when its epoch runs again."""
     if not resume or not path.exists():
-        with open(path, "w", newline="") as f:
-            csv.writer(f).writerow(["epoch", "mean_total", "mean_model", "mean_vehicle"])
+        formats.write_csv(path, [["epoch", "mean_total", "mean_model", "mean_vehicle"]])
         return
     with open(path, "rb+") as f:
         end = len(f.readline())  # the header
@@ -214,10 +213,9 @@ def cmd_train(args) -> int:
     if config.num_models != split.num_models or config.num_vehicles != split.num_vehicles:
         raise ConfigError(f"checkpoint expects {config.num_models}/{config.num_vehicles} "
                           f"classes, manifest has {split.num_models}/{split.num_vehicles}")
-    # Created only once the run's inputs are read and checked, so a refused
-    # run leaves no directory behind.
+    # The first write, which creates the directory, comes once the run's inputs
+    # are read and checked, so a refused run leaves no directory behind.
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     loss_path, ckpt_path = out_dir / "loss.csv", out_dir / "checkpoint.ckpt"
     _start_loss_file(loss_path, start_epoch, bool(args.resume))
 
@@ -258,9 +256,10 @@ def cmd_eval(args) -> int:
         report = vehicleid_protocol(index, gallery_size=gallery_size,
                                     repeats=args.repeats, seed=args.seed)
     text = report.to_json()
+    if args.out:  # written first, so a run that cannot write it prints no report
+        with formats.written_whole(args.out) as f:
+            f.write(text + "\n")
     print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
     return 0
 
 
@@ -307,14 +306,11 @@ def cmd_attmap(args) -> int:
             raise NumericError(f"sample {i} ({samples[i].source}) has a non-finite attention map")
         weights_of.append((i, weights))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i, weights in weights_of:
         formats.write_pgm(out_dir / f"attmap_{i}.pgm",
                           formats.attention_to_pixels(weights.a[0]))
-        with open(out_dir / f"attmap_{i}.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            for row in weights.a[0]:
-                writer.writerow([repr(float(v)) for v in row])
+        formats.write_csv(out_dir / f"attmap_{i}.csv",
+                          ([repr(float(v)) for v in row] for row in weights.a[0]))
         print(f"sample {i}: argmax cell {weights.argmax_cell()}")
     return 0
 
@@ -357,9 +353,8 @@ def cmd_ablate(args) -> int:
         means = {key: float(np.mean([r[key] for r in per_seed])) for key in ("map", "cmc1", "cmc5")}
         results[variant] = {"per_seed": per_seed, **means}
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "ablation.json").write_text(json.dumps(results, sort_keys=True, indent=2))
+    with formats.written_whole(Path(args.out_dir) / "ablation.json") as f:
+        json.dump(results, f, sort_keys=True, indent=2)
     print(f"{'variant':22s} {'mAP':>8s} {'CMC@1':>8s} {'CMC@5':>8s}   (seeds {seeds})")
     for variant in VARIANTS:
         r = results[variant]

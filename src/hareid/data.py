@@ -35,13 +35,15 @@ fine structure. Every image of a model-m vehicle seen by camera c is
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
-from .errors import ConfigError, FormatError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError
 from .optim import rng_for
 
 
@@ -121,13 +123,9 @@ def load_manifest(path) -> DatasetSplit:
 
 
 def write_manifest(path, split: DatasetSplit) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_HEADER_PREFIX + _HEADER_OPTIONAL)
-        for name, samples in (("train", split.train), ("test", split.test)):
-            for s in samples:
-                writer.writerow([name, s.source, s.vehicle_id, s.model_id,
-                                 s.camera_id or "", s.track_id or ""])
+    formats.write_csv(path, chain([_HEADER_PREFIX + _HEADER_OPTIONAL], (
+        [name, s.source, s.vehicle_id, s.model_id, s.camera_id or "", s.track_id or ""]
+        for name, samples in (("train", split.train), ("test", split.test)) for s in samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +234,19 @@ def write_synth(ds: SynthDataset, out_dir) -> dict[str, Path]:
     """Write manifest.csv, descriptors.desc and the signature-cell sidecar; a
     refused run leaves no file and no directory behind."""
     out = Path(out_dir)
-    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
-    out.mkdir(parents=True, exist_ok=True)
     paths = {"manifest": out / "manifest.csv",
              "descriptors": out / "descriptors.desc",
              "signatures": out / "signatures.csv"}
     # The descriptors first: the one file that can be refused (a value float32
-    # cannot hold), before it is opened.
-    try:
-        formats.write_tensor_file(paths["descriptors"], ds.maps)
-    except FormatError:
-        for d in made:
-            d.rmdir()
-        raise
+    # cannot hold), before the writer creates the directory.
+    formats.write_tensor_file(paths["descriptors"], ds.maps)
     write_manifest(paths["manifest"], ds.split)
-    with open(paths["signatures"], "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_SIGNATURE_HEADER)
-        for vehicle_id, (row, col) in ds.signature_cells.items():
-            writer.writerow([vehicle_id, row, col])
+    formats.write_csv(paths["signatures"], chain([_SIGNATURE_HEADER], (
+        [vehicle_id, row, col] for vehicle_id, (row, col) in ds.signature_cells.items())))
     return paths
+
+
+_CELL = re.compile(r"-?[0-9]+")  # a sidecar cell coordinate: ASCII digits, maybe negative
 
 
 def load_signature_cells(path) -> dict[str, tuple[int, int]]:
@@ -268,11 +259,12 @@ def load_signature_cells(path) -> dict[str, tuple[int, int]]:
             continue
         if len(row) != 3:
             raise ValidationError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-        try:
-            cells[row[0]] = (int(row[1]), int(row[2]))
-        except ValueError:
+        if not (_CELL.fullmatch(row[1]) and _CELL.fullmatch(row[2])):
             raise ValidationError(f"{path}:{lineno}: signature cell ({row[1]!r}, {row[2]!r}) "
-                                  "is not two integers") from None
+                                  "is not two integers")
+        if row[0] in cells:
+            raise ValidationError(f"{path}:{lineno}: a second row for vehicle {row[0]!r}")
+        cells[row[0]] = (int(row[1]), int(row[2]))
     return cells
 
 

@@ -13,17 +13,26 @@ pipe is a FormatError naming it. The writers refuse a finite value beyond
 float32's range, which the cast would store as infinite.
 Images are 8-bit PGM (P2/P5) or PPM (P3/P6), scaled to [0, 1] on read; a
 sample above the header's maxval is a FormatError.
+
+Every output file of the package is written through ``written_whole``: into a
+sibling ``<name>.tmp`` that replaces the target only once it is complete, so a
+target holds its previous bytes or the whole new ones, never a part. The one
+exception is ``loss.csv``'s rows, which training appends (and a resume cuts)
+in place. The writer does not fsync: it guards against a stopped process, not
+a power loss.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import os
 import re
 import stat
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import BinaryIO
+from typing import IO, BinaryIO
 
 import numpy as np
 
@@ -32,6 +41,37 @@ from .errors import FormatError
 DESC_MAGIC = b"DESC1\n"
 FEAT_MAGIC = b"FEAT1\n"
 _HEADER = struct.Struct("<4I")
+
+
+@contextlib.contextmanager
+def written_whole(path, mode: str = "w") -> Iterator[IO]:
+    """A file object, opened in ``mode`` ("w" for UTF-8 text with no newline
+    translation, "wb" for bytes), whose content replaces ``path`` when the
+    block ends without an error; on any error the target keeps its previous
+    bytes and the temporary is removed. Missing parent directories are
+    created, a symlink is written through to the file it names, and a target
+    that is not a regular file (a pipe, a device, a directory) is a
+    FormatError before anything is created."""
+    target = Path(path)
+    if target.is_symlink():
+        target = Path(os.path.realpath(target))
+    if target.exists() and not target.is_file():
+        raise FormatError(f"{path}: not a regular file; an output must be a file or a new path")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        with open(tmp, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, rows: Iterable[Iterable]) -> None:
+    """Write ``rows`` as CSV lines, whole, through ``written_whole``."""
+    with written_whole(path) as f:
+        csv.writer(f).writerows(rows)
 
 
 def _write_block(path, arr: np.ndarray, magic: bytes) -> None:
@@ -47,7 +87,7 @@ def _write_block(path, arr: np.ndarray, magic: bytes) -> None:
         raise FormatError(f"{path}: a value beyond float32's range (about 3.4e38 in "
                           "magnitude) cannot be stored")
     n, h, w, d = values.shape
-    with open(path, "wb") as f:
+    with written_whole(path, "wb") as f:
         f.write(magic)
         f.write(_HEADER.pack(n, h, w, d))
         f.write(values)
@@ -174,10 +214,10 @@ def write_pgm(path, values: np.ndarray) -> None:
     if grid.ndim != 2:
         raise FormatError(f"PGM export needs a 2-D grid, got shape {grid.shape}")
     h, w = grid.shape
-    lines = [f"P2\n{w} {h}\n255\n"]
-    for row in grid.astype(np.uint64):
-        lines.append(" ".join(str(int(v)) for v in row) + "\n")
-    Path(path).write_text("".join(lines))
+    with written_whole(path) as f:
+        f.write(f"P2\n{w} {h}\n255\n")
+        for row in grid.astype(np.uint64):
+            f.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
 def attention_to_pixels(a: np.ndarray) -> np.ndarray:

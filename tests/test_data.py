@@ -264,6 +264,11 @@ class TestSynthGenerate:
         ("v1,3,4,5", "expected 3 fields, got 4"),
         ("v1,a,2", "signature cell ('a', '2') is not two integers"),
         ("v1,2,2.5", "signature cell ('2', '2.5') is not two integers"),
+        # int() would read each of these cells.
+        ("v1,1_0,2", "signature cell ('1_0', '2') is not two integers"),
+        ("v1,+1, 2", "signature cell ('+1', ' 2') is not two integers"),
+        ("v1,\u0663,2", "signature cell ('\u0663', '2') is not two integers"),
+        ("v0,3,4", "a second row for vehicle 'v0'"),
     ])
     def test_malformed_sidecar_row_names_its_line(self, tmp_path, row, message):
         path = write_lines(tmp_path / "s.csv", ["vehicle_id,signature_row,signature_col",
@@ -271,6 +276,12 @@ class TestSynthGenerate:
         with pytest.raises(ValidationError) as err:
             dat.load_signature_cells(path)
         assert str(err.value) == f"{path}:3: {message}"
+
+    def test_sidecar_cell_may_be_negative(self, tmp_path):
+        # The grid bound is the caller's, which knows the grid.
+        path = write_lines(tmp_path / "s.csv", ["vehicle_id,signature_row,signature_col",
+                                                "v0,-4,99"])
+        assert dat.load_signature_cells(path) == {"v0": (-4, 99)}
 
     def test_sidecar_that_is_not_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -5,6 +5,9 @@
 * Every parameter a function or lambda takes is read in its body.
 * Only ``autodiff._node`` and ``Tensor.__init__`` set a node's ``_backward``
   rule, so every primitive hands its rule to the one constructor.
+* Only ``formats.written_whole`` and ``loss.csv``'s row helpers open a file
+  for writing or create, replace or remove a path, so every output file is
+  written one way.
 * Every public name (module-level function, class or constant, method, or
   dataclass field) is read by the programs: in hareid outside its own definition, or in
   ``perfbench/*.py`` as a name, an attribute or a string (its tracer looks
@@ -102,25 +105,63 @@ def test_no_unread_parameter(path):
     assert not unread, f"{path.name}: parameters never read: {unread}"
 
 
-def backward_rule_setters(node: ast.AST, scope: str = "") -> list[str]:
-    """The function (``Class.method`` for a method) around each store to a
-    ``_backward`` attribute in ``node``."""
+def sites(node: ast.AST, match, scope: str = "") -> list[str]:
+    """The function (``Class.method`` for a method) around each node in
+    ``node`` that ``match`` accepts."""
     if isinstance(node, (*FUNCTION, ast.ClassDef)):
         scope = f"{scope}.{node.name}" if scope else node.name
-    sites = []
-    if (isinstance(node, ast.Attribute) and node.attr == "_backward"
-            and isinstance(node.ctx, ast.Store)):
-        sites.append(scope)
+    found = [scope] if match(node) else []
     for child in ast.iter_child_nodes(node):
-        sites += backward_rule_setters(child, scope)
-    return sites
+        found += sites(child, match, scope)
+    return found
+
+
+def sets_backward_rule(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "_backward"
+            and isinstance(node.ctx, ast.Store))
 
 
 def test_backward_rule_is_set_only_where_nodes_are_built():
-    sites = [f"{path.name}:{site}" for path in MODULES
-             for site in backward_rule_setters(parse(path))]
-    assert sorted(sites) == ["autodiff.py:Tensor.__init__", "autodiff.py:_node"], (
-        f"_backward set outside the node constructors: {sites}; pass the rule to _node")
+    found = [f"{path.name}:{site}" for path in MODULES
+             for site in sites(parse(path), sets_backward_rule)]
+    assert sorted(found) == ["autodiff.py:Tensor.__init__", "autodiff.py:_node"], (
+        f"_backward set outside the node constructors: {found}; pass the rule to _node")
+
+
+# Calls that write a file or change a directory: methods of these names
+# (``tofile`` is ndarray's, the others Path's) and these ``os`` functions.
+# ``Path.replace`` is left out, since ``str.replace`` shares its name.
+WRITING_METHODS = {"write_text", "write_bytes", "mkdir", "rmdir", "unlink", "touch", "tofile"}
+WRITING_OS_CALLS = {"replace", "rename", "remove", "unlink", "rmdir", "mkdir", "makedirs"}
+
+
+def writes_a_file(node: ast.AST) -> bool:
+    """Whether ``node`` is a call that writes a file or changes a directory;
+    an ``open`` whose mode is not a constant counts as writing."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id == "os":
+            return func.attr in WRITING_OS_CALLS
+        if func.attr in WRITING_METHODS:
+            return True
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name != "open":
+        return False
+    mode_at = 1 if isinstance(func, ast.Name) else 0  # open(path, mode), Path.open(mode)
+    mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                node.args[mode_at] if len(node.args) > mode_at else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value))
+
+
+def test_files_are_written_only_by_the_writer():
+    found = {f"{path.name}:{site}" for path in MODULES
+             for site in sites(parse(path), writes_a_file)}
+    assert sorted(found) == ["cli.py:_append_loss_row", "cli.py:_start_loss_file",
+                             "formats.py:written_whole"], (
+        f"a file written outside formats.written_whole: {sorted(found)}; write it "
+        "through written_whole or write_csv")
 
 
 def read_names(node: ast.AST, skip: ast.AST | None = None, names: bool = True) -> set[str]:
