@@ -105,8 +105,10 @@ def _start_loss_file(path: Path, start_epoch: int, resume: bool) -> None:
     """A fresh run writes loss.csv's header. A resume keeps the whole rows of
     the epochs below ``start_epoch`` and cuts the file at the first other
     line (rows run in epoch order), so a row written, whole or in part, just
-    before a stop is not repeated when its epoch runs again."""
-    if not resume or not path.exists():
+    before a stop is not repeated when its epoch runs again. A resume whose
+    loss.csv is missing, or is not a regular file (which the writer refuses),
+    starts it as a fresh run does."""
+    if not resume or not path.is_file():
         formats.write_csv(path, [["epoch", "mean_total", "mean_model", "mean_vehicle"]])
         return
     with open(path, "rb+") as f:

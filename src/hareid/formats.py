@@ -15,8 +15,9 @@ Images are 8-bit PGM (P2/P5) or PPM (P3/P6), scaled to [0, 1] on read; a
 sample above the header's maxval is a FormatError.
 
 Every output file of the package is written through ``written_whole``: into a
-sibling ``<name>.tmp`` that replaces the target only once it is complete, so a
-target holds its previous bytes or the whole new ones, never a part. The one
+sibling ``<name>.<pid>.<n>.tmp`` of its own, which replaces the target only
+once it is complete, so a target holds its previous bytes or the whole new
+ones, never a part, even when two writers meet on it. The one
 exception is ``loss.csv``'s rows, which training appends (and a resume cuts)
 in place. The writer does not fsync: it guards against a stopped process, not
 a power loss.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import os
 import re
 import stat
@@ -41,6 +43,7 @@ from .errors import FormatError
 DESC_MAGIC = b"DESC1\n"
 FEAT_MAGIC = b"FEAT1\n"
 _HEADER = struct.Struct("<4I")
+_TEMPORARY_SERIALS = itertools.count()  # with the pid, names each writer's own temporary
 
 
 @contextlib.contextmanager
@@ -51,16 +54,26 @@ def written_whole(path, mode: str = "w") -> Iterator[IO]:
     bytes and the temporary is removed. Missing parent directories are
     created, a symlink is written through to the file it names, and a target
     that is not a regular file (a pipe, a device, a directory) is a
-    FormatError before anything is created."""
+    FormatError before anything is created. Each writer creates its own
+    sibling temporary, ``<name>.<pid>.<n>.tmp``, exclusively and with the
+    mode any new file gets (0666 less the umask), so two writers of one
+    target each leave it whole; the last to finish wins."""
     target = Path(path)
     if target.is_symlink():
         target = Path(os.path.realpath(target))
     if target.exists() and not target.is_file():
         raise FormatError(f"{path}: not a regular file; an output must be a file or a new path")
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + ".tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    for serial in _TEMPORARY_SERIALS:
+        tmp = target.with_name(f"{target.name}.{os.getpid()}.{serial}.tmp")
+        try:
+            f = open(tmp, mode.replace("w", "x"), **text)
+            break
+        except FileExistsError:  # left by a killed process that had this pid
+            continue
     try:
-        with open(tmp, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as f:
+        with f:
             yield f
         os.replace(tmp, target)
     except BaseException:

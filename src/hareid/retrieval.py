@@ -1,29 +1,42 @@
 """Cosine-similarity retrieval and the two evaluation protocols.
 
 Features are l2-normalized rows (``model.unit_rows``), so the dot product of
-two rows is their cosine. Every evaluation scores its queries in blocks
-through one scorer, so no (queries, items) array is larger than one block.
-A block holds ``_BLOCK`` queries, or more on a gallery of fewer than 1024
-rows and dims: as many as keep its (queries, items) similarities and its
-(queries, dim) query rows within ``_BLOCK_ELEMENTS`` elements each (see
-``_block_queries``), so a small gallery's queries do not pay per-block NumPy
-calls that cost more than their products. A block's similarities are
-computed one gallery tile at a time, with one stacked matmul per tile; its
-inner loop makes the per-query BLAS matrix-vector call, not a GEMM, so every
-query of the block reads the tile while it sits in cache and each row keeps
-the bits of one ``features @ q`` product. Every gallery is tiled under one
-bound, ``_TILE_ELEMENTS`` (1 MiB of float64): each call is then too small
-for OpenBLAS to split across its threads, so up to feature widths of 10,000
-(see ``_tiles``) the similarities, and every report, are the one-thread bits
-on any machine. No gallery is sorted: a relevant item's rank is 1 + the
-number of items scoring higher, plus those scoring equal with a smaller item
-id, which is the order a stable sort of the negated scores gives, so exact
-ties break toward the smaller id and results are deterministic even with
-quantized features. AP adds the precision at each relevant rank in rank
-order (``np.cumsum``) and the first hit is the smallest relevant rank. A
-query with no relevant gallery item is skipped and counted in the report.
-``rank_items``, ``average_precision`` and ``first_hit_rank`` state these
-definitions on one ranking.
+two rows is their cosine. Every evaluation scores its queries in blocks, so no
+(queries, items) array is larger than one block. A block holds ``_BLOCK``
+queries, or more on a gallery of fewer than 1024 rows and dims: as many as
+keep its (queries, items) similarities and its (queries, dim) query rows
+within ``_BLOCK_ELEMENTS`` elements each (see ``_block_queries``), so a small
+gallery's queries do not pay per-block NumPy calls that cost more than their
+products.
+
+The ranks, and so every report, are those of the exact similarities: the bits
+of the one-thread BLAS matrix-vector product ``gallery @ q`` of each query,
+which ``_similarity_blocks`` computes over gallery tiles (see there). A block
+is first scored from one GEMM, ``features[block] @ gallery.T``, which adds the
+terms in another order and may move a similarity by a few ulps. Each score of
+the GEMM lies within a band of its exact value, bounded from the width, a
+bound on the row norms and, for a track mean, the largest track size (Higham's
+gamma_n for a dot product or a sum in any order; see ``_band``). A relevant
+item whose band holds no other item's score has the rank the exact scores
+give it: every item above the band stays above, every item below stays below,
+and no exact tie exists. A query with a relevant item whose band holds another
+score (a duplicate row, a zero row, features rounded to few values, a near
+tie) is scored again from its exact similarities, as a filtered geometric
+predicate falls back to exact arithmetic (Shewchuk 1997). On trained or random
+features the band, 6e-14 at d=64 and 9e-13 at d=1024 on unit rows, catches
+almost no query; on features rounded to a few values it catches almost every
+one, and those blocks cost their GEMM on top of the exact products (a veri
+block then took about 1.7 times as long as with the exact products alone).
+
+No gallery is sorted: a relevant item's rank is 1 + the number of items
+scoring higher, plus those scoring equal with a smaller item id, which is the
+order a stable sort of the negated scores gives, so exact ties break toward
+the smaller id and results are deterministic even with quantized features.
+AP adds the precision at each relevant rank in rank order (``np.cumsum``) and
+the first hit is the smallest relevant rank. A query with no relevant gallery
+item is skipped and counted in the report. ``rank_items``,
+``average_precision`` and ``first_hit_rank`` state these definitions on one
+ranking.
 
 * Image-to-track protocol: each query is one image, gallery units are the
   tracks of all vehicles, tracks containing any image from the query's own
@@ -56,6 +69,7 @@ from .optim import rng_for
 _BLOCK = 64  # fewest queries scored per block
 _BLOCK_ELEMENTS = 65536  # a larger block's per-query arrays: 512 KiB of float64
 _TILE_ELEMENTS = 131_072  # a gallery tile's bound (rows x dim): 1 MiB of float64, half an L2
+_U = np.finfo(np.float64).eps / 2  # float64's unit roundoff
 
 
 def rank_items(similarities) -> np.ndarray:
@@ -129,6 +143,12 @@ class RetrievalIndex:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """The largest l2 norm of a feature row (about 1, or 0 if every row is
+        zero), which bounds every similarity of the index."""
+        return _norm_bound(self.features)
 
     @cached_property
     def vehicle_codes(self) -> np.ndarray:
@@ -229,19 +249,21 @@ def _block_queries(n: int, d: int) -> int:
 
 
 def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
-    """(query ids, (queries, gallery) similarities) per block of queries.
+    """(query ids, (queries, gallery) exact similarities) per block of queries.
 
-    A block holds ``_block_queries`` queries: 64 on a gallery of 1024 or more
-    rows or dims, 1024 on a 64x64 one. The dims count too: at d=1024 a
-    1024-query block would gather 8 MB of query rows. One stacked matmul per
-    ``_tiles`` tile; its inner loop makes the per-query BLAS matrix-vector
-    call, not a GEMM, so the block size moves no bit. NumPy sees a stack of
-    (tile, d) @ (d, 1) products and issues the ``tile @ q`` call of each
-    query of the block from C, writing each row segment in place, so every
-    query reads the tile from L2, next to the block's query rows. A block
-    GEMM would add the terms in another order and move similarities by an
-    ulp. No tile call is large enough for OpenBLAS to split across threads,
-    so each row is the one-thread ``gallery @ q`` whatever the thread count.
+    The exact path: a report ranks as these similarities do. A block holds
+    ``_block_queries`` queries: 64 on a gallery of 1024 or more rows or dims,
+    1024 on a 64x64 one. The dims count too: at d=1024 a 1024-query block
+    would gather 8 MB of query rows. One stacked matmul per ``_tiles`` tile;
+    its inner loop makes the per-query BLAS matrix-vector call, not a GEMM,
+    so the block size moves no bit and a row does not depend on the other
+    queries of its block. NumPy sees a stack of (tile, d) @ (d, 1) products
+    and issues the ``tile @ q`` call of each query of the block from C,
+    writing each row segment in place, so every query reads the tile from
+    L2, next to the block's query rows. No tile call is large enough for
+    OpenBLAS to split across threads, so each row is the one-thread
+    ``gallery @ q`` whatever the thread count. The protocols call it only for
+    the queries whose GEMM scores ``_band`` cannot rank (see ``_ranked``).
     """
     tiles = _tiles(*gallery.shape)
     size = _block_queries(*gallery.shape)
@@ -254,35 +276,112 @@ def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
         yield block, sims
 
 
-def _score(blocks) -> tuple[float, dict[int, float], int, int]:
-    """mAP, CMC@1/@5, answered and skipped counts of query blocks.
+def _norm_bound(*arrays: np.ndarray) -> float:
+    """The largest l2 norm of a row of the given (rows, dim) arrays."""
+    return float(np.sqrt(max((np.einsum("ij,ij->i", a, a).max(initial=0.0)
+                              for a in arrays), default=0.0)))
 
-    A block is a (queries, items) score matrix, each query's relevant item
-    positions as a (queries, width) table, and the mask of the table's
-    entries that count; a query with none is skipped. A relevant item's rank
-    is 1 + the items scoring higher or scoring equal at a smaller position,
-    its place in a stable sort of the negated scores, so no row is sorted.
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): a result that n roundings made,
+    such as a dot product of n terms or a sum of n + 1 added in any order,
+    is within gamma_n times the sum of its terms' magnitudes of the exact one."""
+    return n * _U / (1 - n * _U)
+
+
+def _band(d: int, norm: float, terms: int) -> float:
+    """Half-width of the window around a relevant item's GEMM score outside
+    which every other GEMM score keeps its order against it in the exact scores.
+
+    Rows of at most ``norm`` in l2 norm make each similarity's terms sum to at
+    most norm**2 in magnitude (Cauchy-Schwarz), so a similarity computed in
+    any order, a GEMM's or the exact one, lies within gamma_(d+1) norm**2 of
+    the true dot product (d + 1 leaves room for a kernel adding into its zeroed
+    output), and the two differ by at most twice that. A score that averages
+    up to ``terms`` similarities (0: a similarity or a track max, which
+    selects one) adds each side's sum and division error, 2 gamma_terms times
+    the largest score. So each GEMM score is within ``delta`` of its exact
+    score, and a score more than 2 delta from ``own`` keeps its side of it.
+    The window is twice 2 delta + u size: that covers the rounding of
+    ``own +/- window`` itself (at most u (size + window)) and of this bound
+    and ``norm``, each a relative error far below 1.
     """
+    size = norm * norm * (1 + _gamma(d + 1))  # bounds every computed score
+    delta = 2 * _gamma(d + 1) * norm * norm
+    if terms:
+        delta += 2 * _gamma(terms) * size
+    return 2 * (2 * delta + _U * size)
+
+
+def _rank(scores, relevant, real, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of each query's relevant items, and the queries whose ranks the
+    band does not decide.
+
+    ``scores`` is a (queries, items) matrix, ``relevant`` each query's
+    relevant item positions as a (queries, width) table and ``real`` the mask
+    of the table's entries that count (the rest rank ``inf``). A query is
+    crowded where some relevant item's band, ``own +/- band``, holds another
+    item's score. A relevant item's rank is 1 + the items scoring above its
+    band, which decides it unless its query is crowded. With ``band`` 0 the
+    scores are exact, and a crowded query's ranks add the items scoring equal
+    at a smaller position: each rank is its item's place in a stable sort of
+    the negated scores, so no row is sorted.
+    """
+    ids = np.arange(scores.shape[1])
+    ranks = np.full(relevant.shape, np.inf)
+    crowded = np.zeros(len(scores), dtype=bool)
+    whole = real.all(axis=0)  # slots where every row counts need no gather
+    for slot in range(relevant.shape[1]):
+        rows = np.flatnonzero(real[:, slot])
+        row_scores = scores if whole[slot] else scores[rows]
+        items = relevant[rows, slot, None]
+        own = np.take_along_axis(row_scores, items, axis=1)
+        lo, hi = own - band, own + band
+        above = np.count_nonzero(row_scores > hi, axis=1)
+        near = np.count_nonzero(row_scores >= lo, axis=1)
+        ranks[rows, slot] = 1 + above
+        close = np.flatnonzero(near > above + 1)
+        crowded[rows[close]] = True
+        if band == 0 and close.size:
+            tied = row_scores[close] == own[close]
+            tied &= ids < items[close]
+            ranks[rows[close], slot] += np.count_nonzero(tied, axis=1)
+    return ranks, crowded
+
+
+def _ranked(gallery: np.ndarray, features: np.ndarray, queries, norm: float, scored,
+            terms: int = 0):
+    """Per block of ``queries``: the (queries, width) ranks of each query's
+    relevant items, ``inf`` on entries that do not count.
+
+    ``scored(block, similarities)`` turns a block's (queries, gallery)
+    similarities into its scores, relevant items and mask (see ``_rank``);
+    ``norm`` bounds the rows' l2 norms and ``terms`` is the most similarities
+    one score averages. Each block is ranked from one GEMM within ``_band``;
+    its crowded queries are ranked again from their exact similarities.
+    """
+    band = _band(gallery.shape[1], norm, terms)
+    size = _block_queries(*gallery.shape)
+    for lo in range(0, len(queries), size):
+        block = queries[lo:lo + size]
+        ranks, crowded = _rank(*scored(block, features[block] @ gallery.T), band)
+        redo = block[crowded]
+        if redo.size:
+            (_, exact), = _similarity_blocks(gallery, features, redo)
+            exact_ranks = _rank(*scored(redo, exact), 0.0)[0]
+            ranks[crowded] = np.inf  # their table may be narrower than the block's
+            ranks[crowded, :exact_ranks.shape[1]] = exact_ranks
+        yield ranks
+
+
+def _score(blocks) -> tuple[float, dict[int, float], int, int]:
+    """mAP, CMC@1/@5, answered and skipped counts of blocks of ranks, each a
+    (queries, width) table of relevant ranks, ``inf`` on padding; a query
+    with no finite rank is skipped."""
     ap_blocks, first_blocks, skipped = [np.empty(0)], [np.empty(0)], 0
-    for scores, relevant, real in blocks:
-        ids = np.arange(scores.shape[1])
-        ranks = np.full(relevant.shape, np.inf)
-        whole = real.all(axis=0)  # slots where every row counts need no gather
-        for slot in range(relevant.shape[1]):
-            if whole[slot]:
-                rows, row_scores = slice(None), scores
-            else:
-                rows = np.flatnonzero(real[:, slot])
-                row_scores = scores[rows]
-            items = relevant[rows, slot, None]
-            own = np.take_along_axis(row_scores, items, axis=1)
-            ahead = row_scores > own
-            tied = row_scores == own
-            tied &= ids < items
-            ahead |= tied
-            ranks[rows, slot] = 1 + np.count_nonzero(ahead, axis=1)
+    for ranks in blocks:
+        hits = np.count_nonzero(np.isfinite(ranks), axis=1)
         ranks.sort(axis=1)
-        hits = np.count_nonzero(real, axis=1)
         answered = hits > 0
         skipped += int(np.count_nonzero(~answered))
         ranks = ranks[answered]
@@ -306,13 +405,12 @@ def image_retrieval_metrics(query_features, query_labels, gallery_features,
     labels = _codes([*gallery_labels, *query_labels])
     gallery, query = labels[:len(gf)], labels[len(gf):]
 
-    def blocks():
-        for block, sims in _similarity_blocks(gf, qf, np.arange(len(qf))):
-            relevant = query[block, None] == gallery
-            yield (sims, *_padded(np.count_nonzero(relevant, axis=1),
-                                  np.nonzero(relevant)[1]))
+    def scored(block, sims):
+        relevant = query[block, None] == gallery
+        return (sims, *_padded(np.count_nonzero(relevant, axis=1), np.nonzero(relevant)[1]))
 
-    mean_ap, cmc, answered, skipped = _score(blocks())
+    mean_ap, cmc, answered, skipped = _score(
+        _ranked(gf, qf, np.arange(len(qf)), _norm_bound(gf, qf), scored))
     return EvaluationReport(protocol="image", map=mean_ap, cmc=cmc,
                             counts={"queries": answered, "skipped": skipped,
                                     "gallery": len(gallery_labels)})
@@ -342,19 +440,21 @@ def veri_protocol(index: RetrievalIndex, queries=None,
     vehicle = index.vehicle_codes
     num_tracks = tables.camera_tracks.shape[1]
 
-    def blocks():
-        for block, sims in _similarity_blocks(index.features, index.features, ids):
-            scores = np.empty((len(block), num_tracks))
-            for tracks, images in tables.groups:
-                scores[:, tracks] = reduce(sims[:, images], axis=-1)
-            excluded = tables.camera_tracks[tables.camera[block]]
-            scores[excluded] = -np.inf
-            relevant = tables.vehicle_tracks[vehicle[block]]
-            real = (tables.vehicle_has[vehicle[block]]
-                    & ~np.take_along_axis(excluded, relevant, axis=1))
-            yield scores, relevant, real
+    def scored(block, sims):
+        scores = np.empty((len(block), num_tracks))
+        for tracks, images in tables.groups:
+            scores[:, tracks] = reduce(sims[:, images], axis=-1)
+        excluded = tables.camera_tracks[tables.camera[block]]
+        scores[excluded] = -np.inf
+        relevant = tables.vehicle_tracks[vehicle[block]]
+        real = (tables.vehicle_has[vehicle[block]]
+                & ~np.take_along_axis(excluded, relevant, axis=1))
+        return scores, relevant, real
 
-    mean_ap, cmc, answered, skipped = _score(blocks())
+    terms = (max((images.shape[1] for _, images in tables.groups), default=0)
+             if track_agg == "mean" else 0)
+    mean_ap, cmc, answered, skipped = _score(
+        _ranked(index.features, index.features, ids, index.norm_bound, scored, terms))
     return EvaluationReport(protocol="veri", map=mean_ap, cmc=cmc,
                             counts={"queries": answered, "skipped": skipped,
                                     "gallery_tracks": num_tracks,
@@ -391,10 +491,10 @@ def vehicleid_protocol(index: RetrievalIndex, gallery_size: int,
         gallery = rows[gallery_slots, picks]
         queried[gallery_slots, picks] = False  # every other image queries
         slot[chosen] = gallery_slots  # each query's one relevant item
-        mean_ap, cmc, answered, skipped = _score(
-            (sims, slot[vehicle[block], None], np.ones((len(block), 1), dtype=bool))
-            for block, sims in _similarity_blocks(index.features[gallery], index.features,
-                                                  rows[queried]))
+        mean_ap, cmc, answered, skipped = _score(_ranked(
+            index.features[gallery], index.features, rows[queried], index.norm_bound,
+            lambda block, sims: (sims, slot[vehicle[block], None],
+                                 np.ones((len(block), 1), dtype=bool))))
         per_repeat.append({"repeat": r, "seed": [seed, r], "map": mean_ap,
                            "cmc": {str(k): v for k, v in sorted(cmc.items())},
                            "queries": answered, "skipped": skipped,

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from bruteforce import bf_metrics, bf_vehicleid_repeat, bf_veri
+from hareid import retrieval
 from hareid.data import LabeledSample
 from hareid.errors import ConfigError, ShapeError, ValidationError
+from hareid.model import unit_rows
 from hareid.optim import rng_for
 from hareid.retrieval import (_BLOCK, _TILE_ELEMENTS, EvaluationReport, RetrievalIndex,
                               _block_queries, _similarity_blocks, _tiles,
@@ -585,6 +587,51 @@ class TestGalleryTiles:
         assert len(digests[0]) == 64
         assert digests[1:] == digests[:1] * 2
 
+    def test_report_bytes_do_not_depend_on_blas_threads(self):
+        """The GEMM that scores a block first is threaded by OpenBLAS on these
+        galleries (64 queries x 2048 rows x d=64, 64 x 1280 x 1024), and its
+        bits may depend on the thread count; the ranks, checked against
+        ``_band`` and recomputed from the one-thread products where the band
+        cannot decide them, do not. So veri (max and mean), vehicleid and
+        image reports have the same bytes under one, two and four BLAS
+        threads, each in its own process, on features where some queries fall
+        back (rounded and duplicated rows) and on features where few do."""
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from hareid.data import LabeledSample\n"
+            "from hareid.retrieval import (RetrievalIndex, image_retrieval_metrics,\n"
+            "                              vehicleid_protocol, veri_protocol)\n"
+            "digest = hashlib.sha256()\n"
+            "for n, d, vehicles in ((2048, 64, 256), (1280, 1024, 160)):\n"
+            "    rng = np.random.default_rng(n + d)\n"
+            "    meta = [LabeledSample(source=str(i), vehicle_id=f'v{i % vehicles}',\n"
+            "                          model_id='m', camera_id=f'c{rng.integers(4)}',\n"
+            "                          track_id=f't{i % (2 * vehicles)}') for i in range(n)]\n"
+            "    feats = rng.standard_normal((n, d))\n"
+            "    feats[:n // 4] = np.rint(feats[:n // 4])\n"
+            "    feats[n // 4:n // 2:2] = feats[n // 4 + 1:n // 2:2]\n"
+            "    index = RetrievalIndex.build(feats, meta)\n"
+            "    queries = np.arange(0, n, 5)\n"
+            "    for agg in ('max', 'mean'):\n"
+            "        digest.update(veri_protocol(index, queries, agg).to_json().encode())\n"
+            "    digest.update(vehicleid_protocol(index, vehicles, 2, 3).to_json().encode())\n"
+            "    labels = [s.vehicle_id for s in meta]\n"
+            "    digest.update(image_retrieval_metrics(feats[:64], labels[:64], feats,\n"
+            "                                          labels).to_json().encode())\n"
+            "print(digest.hexdigest())\n")
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        digests = []
+        for threads in ("1", "2", "4"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, path))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[1:] == digests[:1] * 2
+
     @pytest.mark.parametrize("agg", ["max", "mean"])
     def test_veri_matches_brute_force_across_tiles(self, agg):
         # d=64 gives 2048-row tiles, d=1024 128-row ones.
@@ -618,6 +665,121 @@ class TestGalleryTiles:
             assert rep["map"] == bf_map
             assert rep["cmc"] == {str(k): v for k, v in bf_cmc.items()}
             assert rep["skipped"] == bf_skipped
+
+
+def adversarial_instance(kind: str, d: int):
+    """Features and track metadata of about a hundred images in 12 vehicles
+    (see ``random_protocol_instance``), made ``kind``: "random", "duplicated"
+    (every odd row copies the row before it), "rounded" (integers), "zero"
+    (every third row zero) or "nudged" (every odd row is the row before it
+    with its first entry moved by one ulp, so its similarities are near ties
+    of the other's)."""
+    feats, meta = random_protocol_instance(np.random.default_rng(d), vehicles=(12, 13),
+                                           tracks=(2, 4), images=(2, 6), dims=(d, d + 1))
+    n = len(feats)
+    if kind == "duplicated":
+        feats[1::2] = feats[0:n - 1:2]
+    elif kind == "rounded":
+        feats = np.rint(feats)
+    elif kind == "zero":
+        feats[::3] = 0.0
+    elif kind == "nudged":
+        feats[1::2] = feats[0:n - 1:2]
+        feats[1::2, 0] = np.nextafter(feats[1::2, 0], np.inf)
+    return feats, meta
+
+
+def adversarial_reports(feats, meta) -> list[str]:
+    """The JSON of the veri (max and mean), vehicleid (every vehicle, and a
+    third of them, ten repeats each) and image reports of one instance."""
+    index = RetrievalIndex.build(feats, meta)
+    vehicles = len({s.vehicle_id for s in meta})
+    queries = np.arange(0, len(meta), 3)
+    gallery = np.setdiff1d(np.arange(len(meta)), queries)
+    labels = np.array([s.vehicle_id for s in meta])
+    return [report.to_json() for report in (
+        veri_protocol(index, track_agg="max"), veri_protocol(index, track_agg="mean"),
+        vehicleid_protocol(index, vehicles, repeats=10, seed=2),
+        vehicleid_protocol(index, vehicles // 3, repeats=10, seed=3),
+        image_retrieval_metrics(feats[queries], labels[queries], feats[gallery],
+                                labels[gallery]))]
+
+
+class TestFilteredRanking:
+    """Ranks from a block's GEMM scores within ``_band``, with the undecided
+    queries recomputed exactly, against every query recomputed exactly."""
+
+    @pytest.mark.parametrize("kind, d", [("random", d) for d in (1, 3, 64, 1024, 4096)]
+                             + [("duplicated", 64), ("rounded", 8), ("rounded", 64),
+                                ("zero", 64), ("nudged", 3), ("nudged", 64),
+                                ("nudged", 1024)])
+    def test_filtered_reports_equal_exact_ones(self, kind, d, monkeypatch):
+        feats, meta = adversarial_instance(kind, d)
+        exact_blocks = retrieval._similarity_blocks
+        recomputed = [0]
+
+        def counted(gallery, features, queries):
+            recomputed[0] += len(queries)
+            return exact_blocks(gallery, features, queries)
+
+        monkeypatch.setattr(retrieval, "_similarity_blocks", counted)
+        filtered, filtered_rows = adversarial_reports(feats, meta), recomputed[0]
+        recomputed[0] = 0
+        monkeypatch.setattr(retrieval, "_band", lambda *bound: np.inf)
+        exact, exact_rows = adversarial_reports(feats, meta), recomputed[0]
+        assert filtered == exact
+        if kind == "random" and d > 1:
+            assert filtered_rows < exact_rows / 4  # the band decides most queries
+        else:
+            assert filtered_rows > 0  # the fallback ran
+
+    def test_a_recomputed_query_may_have_fewer_relevant_items_than_its_block(self):
+        # The block's relevant table is three wide (query 1 has three "a"
+        # items); query 0's one "b" item ties its duplicate, so query 0 alone
+        # is ranked again, from a table one wide.
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=4)
+        gallery = np.stack([x, x, *rng.normal(size=(3, 4))])
+        labels = ["b", "c", "a", "a", "a"]
+        queries = np.stack([x + 0.1, rng.normal(size=4)])
+        report = image_retrieval_metrics(queries, ["b", "a"], gallery, labels)
+        bf_map, bf_cmc, bf_skipped = bf_metrics(queries, ["b", "a"], gallery, labels)
+        assert (report.map, report.cmc, report.counts["skipped"]) == (bf_map, bf_cmc, 0)
+
+    def test_band_bounds(self):
+        # About 6e-14 at d=64 and 9e-13 at d=1024, growing with the width,
+        # the squared norm and, for a track mean, the track size.
+        assert 5e-14 < retrieval._band(64, 1.0, 0) < 1e-13
+        assert 5e-13 < retrieval._band(1024, 1.0, 0) < 1e-12
+        assert retrieval._band(1024, 2.0, 0) == pytest.approx(4 * retrieval._band(1024, 1.0, 0))
+        assert retrieval._band(64, 1.0, 13) > retrieval._band(64, 1.0, 0)
+        assert retrieval._band(64, 0.0, 13) == 0.0
+
+    def test_near_ties_rank_as_the_exact_similarities_order_them(self):
+        # Forty gallery rows within 1e-14 of one another score within a few
+        # ulps of each other (and often equal) against queries near them, where
+        # a reordered sum such as a GEMM's often swaps or ties two of them. Each
+        # query's one relevant item ranks as the tie rule on the exact
+        # similarities, the one-thread ``g @ q``, puts it.
+        rng = np.random.default_rng(30)
+        d = 1024
+        base = rng.normal(size=d)
+        gallery = np.concatenate([base + 1e-14 * rng.normal(size=(40, d)),
+                                  rng.normal(size=(20, d))])
+        queries = base + 0.1 * rng.normal(size=(_BLOCK + 6, d))
+        relevant = np.arange(len(queries)) % 40
+        g, q = unit_rows(gallery)[0], unit_rows(queries)[0]
+        ranks = []
+        for qi, item in enumerate(relevant):
+            exact = g @ q[qi]
+            ranks.append(1 + np.count_nonzero(exact > exact[item])
+                         + np.count_nonzero(exact[:item] == exact[item]))
+        ranks = np.array(ranks, dtype=float)
+        report = image_retrieval_metrics(queries, relevant.tolist(), gallery,
+                                         list(range(len(gallery))))
+        assert report.map == float(np.mean(1 / ranks))
+        assert report.cmc == {k: cmc_at_k(ranks, k) for k in (1, 5)}
+        assert len(set(ranks)) > 5
 
 
 class TestScaleInvariance:

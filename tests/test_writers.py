@@ -2,6 +2,7 @@
 stop at any write leaves each output with its previous bytes or complete new
 ones, and no temporary file."""
 
+import itertools
 import os
 import stat
 
@@ -123,6 +124,48 @@ def test_a_stop_at_any_write_leaves_whole_files(name, inputs, tmp_path, monkeypa
             assert cli.main([*command(name, inputs, root), "--resume",
                              str(root / "run" / "checkpoint.ckpt")]) == 0
             assert snapshot(root) == final
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_resume_onto_a_fifo_loss_csv_ends_in_one_error_line(inputs, tmp_path, capsys):
+    argv = command("train", inputs, tmp_path)
+    at = argv.index("--epochs") + 1
+    assert cli.main([*argv[:at], "1", *argv[at + 1:]]) == 0
+    loss = tmp_path / "run" / "loss.csv"
+    loss.unlink()
+    os.mkfifo(loss)
+    capsys.readouterr()
+    assert cli.main([*argv, "--resume", str(tmp_path / "run" / "checkpoint.ckpt")]) == 1
+    assert capsys.readouterr().err == (f"error: {loss}: not a regular file; an output must "
+                                       "be a file or a new path\n")
+    assert stat.S_ISFIFO(loss.stat().st_mode)
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_interleaved_writers_of_one_target_each_leave_it_whole(tmp_path):
+    target = tmp_path / "out.txt"
+    (tmp_path / "plain.txt").write_text("")  # the mode a new file gets
+    with formats.written_whole(target) as a:
+        a.write("A" * 8)
+        with formats.written_whole(target) as b:
+            b.write("BBB")
+        assert target.read_text() == "BBB"
+        a.write("a")
+    assert target.read_text() == "A" * 8 + "a"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+    assert target.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+def test_a_temporary_left_by_a_killed_writer_of_this_pid_is_stepped_over(tmp_path,
+                                                                          monkeypatch):
+    monkeypatch.setattr(formats, "_TEMPORARY_SERIALS", itertools.count())
+    stale = tmp_path / f"out.txt.{os.getpid()}.0.tmp"
+    stale.write_text("stale")
+    with formats.written_whole(tmp_path / "out.txt") as f:
+        f.write("new")
+    assert (tmp_path / "out.txt").read_text() == "new"
+    assert stale.read_text() == "stale"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", stale.name]
 
 
 def test_writer_creates_parents_and_writes_utf8_without_newline_translation(tmp_path):
