@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import os
@@ -101,30 +100,22 @@ def _int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def _start_loss_file(path: Path, start_epoch: int, resume: bool) -> None:
-    """A fresh run writes loss.csv's header. A resume keeps the whole rows of
-    the epochs below ``start_epoch`` and cuts the file at the first other
-    line (rows run in epoch order), so a row written, whole or in part, just
-    before a stop is not repeated when its epoch runs again. A resume whose
-    loss.csv is missing, or is not a regular file (which the writer refuses),
-    starts it as a fresh run does."""
-    if not resume or not path.is_file():
-        formats.write_csv(path, [["epoch", "mean_total", "mean_model", "mean_vehicle"]])
-        return
-    with open(path, "rb+") as f:
-        end = len(f.readline())  # the header
-        for line in f:
+def _kept_loss_rows(path: Path, start_epoch: int) -> list[list[str]]:
+    """The rows of loss.csv that a run from ``start_epoch`` keeps: after the
+    header, each whole line whose epoch is ASCII digits below ``start_epoch``,
+    up to the first other line (rows run in epoch order), so a row written
+    just before a stop is not repeated when its epoch runs again; a kept byte
+    that is not UTF-8 reads as U+FFFD. A missing loss.csv, or one that is not
+    a regular file (which the writer refuses), keeps none."""
+    rows = []
+    if start_epoch and path.is_file():
+        # Each piece but the last ended in a newline; the first is the header.
+        for line in path.read_bytes().split(b"\n")[1:-1]:
             epoch = line.partition(b",")[0]
-            if not (line.endswith(b"\n") and epoch.isdigit() and int(epoch) < start_epoch):
+            if not (epoch.isdigit() and int(epoch) < start_epoch):
                 break
-            end += len(line)
-        f.truncate(end)
-
-
-def _append_loss_row(path: Path, epoch: int, report) -> None:
-    with open(path, "a", newline="") as f:
-        csv.writer(f).writerow([epoch, repr(report.total), repr(report.model),
-                                repr(report.vehicle)])
+            rows.append(line.decode(errors="replace").removesuffix("\r").split(","))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +210,16 @@ def cmd_train(args) -> int:
     # are read and checked, so a refused run leaves no directory behind.
     out_dir = Path(args.out_dir)
     loss_path, ckpt_path = out_dir / "loss.csv", out_dir / "checkpoint.ckpt"
-    _start_loss_file(loss_path, start_epoch, bool(args.resume))
+    loss_rows = [["epoch", "mean_total", "mean_model", "mean_vehicle"],
+                 *_kept_loss_rows(loss_path, start_epoch)]
+    formats.write_csv(loss_path, loss_rows)
 
     def on_epoch(epoch, report) -> None:
         # Every finished epoch is on disk before the next starts, so an
-        # interrupted run resumes from its last epoch. The row goes first: a
-        # checkpoint never runs ahead of loss.csv.
-        _append_loss_row(loss_path, epoch, report)
+        # interrupted run resumes from its last epoch. loss.csv goes first: a
+        # checkpoint never runs ahead of it.
+        loss_rows.append([epoch, repr(report.total), repr(report.model), repr(report.vehicle)])
+        formats.write_csv(loss_path, loss_rows)
         save_checkpoint(ckpt_path, config, model.params(), state, epoch + 1, seed)
         print(f"epoch {epoch}: total={report.total:.6f} model={report.model:.6f} "
               f"vehicle={report.vehicle:.6f}", flush=True)
@@ -479,8 +473,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _config_defaults(path, command: argparse.ArgumentParser) -> dict[str, object]:
     """A config file's values, typed like the command's own flags; a key set
-    twice (``-`` and ``_`` spell one key) is an error."""
-    actions = {a.dest: a for a in command._actions}  # noqa: SLF001
+    twice (``-`` and ``_`` spell one key) is an error, and so are ``help``
+    and ``config``, which a file cannot set."""
+    actions = {a.dest: a for a in command._actions  # noqa: SLF001
+               if a.dest not in ("help", "config")}
     defaults: dict[str, object] = {}
     set_on: dict[str, int] = {}  # the line that sets each key
     for lineno, line in enumerate(formats.text_lines(path), start=1):

@@ -17,10 +17,8 @@ sample above the header's maxval is a FormatError.
 Every output file of the package is written through ``written_whole``: into a
 sibling ``<name>.<pid>.<n>.tmp`` of its own, which replaces the target only
 once it is complete, so a target holds its previous bytes or the whole new
-ones, never a part, even when two writers meet on it. The one
-exception is ``loss.csv``'s rows, which training appends (and a resume cuts)
-in place. The writer does not fsync: it guards against a stopped process, not
-a power loss.
+ones, never a part, even when two writers meet on it. The writer does not
+fsync: it guards against a stopped process, not a power loss.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ products.
 
 The ranks, and so every report, are those of the exact similarities: the bits
 of the one-thread BLAS matrix-vector product ``gallery @ q`` of each query,
-which ``_similarity_blocks`` computes over gallery tiles (see there). A block
+which ``_exact_similarities`` computes over gallery tiles (see there). A block
 is first scored from one GEMM, ``features[block] @ gallery.T``, which adds the
 terms in another order and may move a similarity by a few ulps. Each score of
 the GEMM lies within a band of its exact value, bounded from the width, a
@@ -244,36 +244,31 @@ def _tiles(n: int, d: int) -> list[tuple[int, int]]:
 def _block_queries(n: int, d: int) -> int:
     """Queries per block on an (n, d) gallery: ``_BLOCK``, or more while the
     block's (queries, n) similarities and (queries, d) query rows each stay
-    within ``_BLOCK_ELEMENTS`` elements."""
+    within ``_BLOCK_ELEMENTS`` elements: 64 on a gallery of 1024 or more rows
+    or dims, 1024 on a 64x64 one. The dims count too: at d=1024 a 1024-query
+    block would gather 8 MB of query rows."""
     return max(_BLOCK, _BLOCK_ELEMENTS // max(n, d, 1))
 
 
-def _similarity_blocks(gallery: np.ndarray, features: np.ndarray, queries):
-    """(query ids, (queries, gallery) exact similarities) per block of queries.
+def _exact_similarities(gallery: np.ndarray, features: np.ndarray, queries) -> np.ndarray:
+    """The (queries, gallery) exact similarities of the given query rows.
 
-    The exact path: a report ranks as these similarities do. A block holds
-    ``_block_queries`` queries: 64 on a gallery of 1024 or more rows or dims,
-    1024 on a 64x64 one. The dims count too: at d=1024 a 1024-query block
-    would gather 8 MB of query rows. One stacked matmul per ``_tiles`` tile;
-    its inner loop makes the per-query BLAS matrix-vector call, not a GEMM,
-    so the block size moves no bit and a row does not depend on the other
-    queries of its block. NumPy sees a stack of (tile, d) @ (d, 1) products
-    and issues the ``tile @ q`` call of each query of the block from C,
-    writing each row segment in place, so every query reads the tile from
-    L2, next to the block's query rows. No tile call is large enough for
-    OpenBLAS to split across threads, so each row is the one-thread
-    ``gallery @ q`` whatever the thread count. The protocols call it only for
-    the queries whose GEMM scores ``_band`` cannot rank (see ``_ranked``).
+    The exact path: a report ranks as these similarities do. ``_ranked``
+    passes the queries of one block that ``_band`` cannot rank, so at most
+    ``_block_queries`` rows are gathered. One stacked matmul per ``_tiles``
+    tile; its inner loop makes the per-query BLAS matrix-vector call, not a
+    GEMM, so a row does not depend on the other queries. NumPy sees a stack
+    of (tile, d) @ (d, 1) products and issues the ``tile @ q`` call of each
+    query from C, writing each row segment in place, so every query reads
+    the tile from L2, next to the query rows. No tile call is large enough
+    for OpenBLAS to split across threads, so each row is the one-thread
+    ``gallery @ q`` whatever the thread count.
     """
-    tiles = _tiles(*gallery.shape)
-    size = _block_queries(*gallery.shape)
-    for lo in range(0, len(queries), size):
-        block = queries[lo:lo + size]
-        sims = np.empty((len(block), len(gallery)))
-        for start, stop in tiles:
-            np.matmul(gallery[start:stop], features[block, :, None],
-                      out=sims[:, start:stop, None])
-        yield block, sims
+    sims = np.empty((len(queries), len(gallery)))
+    for start, stop in _tiles(*gallery.shape):
+        np.matmul(gallery[start:stop], features[queries, :, None],
+                  out=sims[:, start:stop, None])
+    return sims
 
 
 def _norm_bound(*arrays: np.ndarray) -> float:
@@ -367,7 +362,7 @@ def _ranked(gallery: np.ndarray, features: np.ndarray, queries, norm: float, sco
         ranks, crowded = _rank(*scored(block, features[block] @ gallery.T), band)
         redo = block[crowded]
         if redo.size:
-            (_, exact), = _similarity_blocks(gallery, features, redo)
+            exact = _exact_similarities(gallery, features, redo)
             exact_ranks = _rank(*scored(redo, exact), 0.0)[0]
             ranks[crowded] = np.inf  # their table may be narrower than the block's
             ranks[crowded, :exact_ranks.shape[1]] = exact_ranks

@@ -165,6 +165,23 @@ class TestTrain:
         assert ((full_dir / "checkpoint.ckpt").read_bytes()
                 == (part_dir / "checkpoint.ckpt").read_bytes())
 
+    @pytest.mark.parametrize("held", [b"", b"epoch,mean_to"], ids=["empty", "cut header"])
+    def test_resume_onto_a_loss_csv_without_a_whole_header_writes_one(self, tiny_set,
+                                                                      tmp_path, held):
+        base = ["--manifest", str(tiny_set / "manifest.csv"),
+                "--descriptors", str(tiny_set / "descriptors.desc"),
+                "--hidden", "8", "--batch-size", "8", "--seed", "2"]
+        full_dir = tmp_path / "full"
+        assert run(["train", *base, "--out-dir", str(full_dir), "--epochs", "4"]) == 0
+        part_dir = tmp_path / "part"
+        assert run(["train", *base, "--out-dir", str(part_dir), "--epochs", "2"]) == 0
+        (part_dir / "loss.csv").write_bytes(held)
+        assert run(["train", *base, "--out-dir", str(part_dir), "--epochs", "4",
+                    "--resume", str(part_dir / "checkpoint.ckpt")]) == 0
+        # The header, then the rows of the epochs this run trained.
+        full = (full_dir / "loss.csv").read_bytes().split(b"\r\n")
+        assert (part_dir / "loss.csv").read_bytes().split(b"\r\n") == [full[0], *full[3:]]
+
     def test_resume_cannot_rewind_the_checkpoint(self, tiny_set, tmp_path, capsys):
         base = ["train", "--manifest", str(tiny_set / "manifest.csv"),
                 "--descriptors", str(tiny_set / "descriptors.desc"), "--out-dir", str(tmp_path),
@@ -286,42 +303,50 @@ class TestTrain:
         assert ((full_dir / "checkpoint.ckpt").read_bytes()
                 == (part_dir / "checkpoint.ckpt").read_bytes())
 
-    @pytest.mark.parametrize("stop_at", ["row", "checkpoint"])
+    @pytest.mark.parametrize("stop_at", ["row", "loss", "checkpoint"])
     def test_stop_while_an_epoch_is_written_resumes_to_the_same_files(self, tiny_set, tmp_path,
                                                                       monkeypatch, stop_at):
-        # Stop once while epoch 10 is written: after the first byte of its
-        # loss.csv row, which reads as epoch 1, or after the whole row and
-        # before the checkpoint for epoch 11.
+        # Stop once while epoch 10 is written: inside its loss.csv write, which
+        # leaves the file as it was, or after that write and before the
+        # checkpoint for epoch 11. "row" stops inside the write too, then
+        # appends the first byte of epoch 10's row, which reads as epoch 1: a
+        # file written by appending rows in place can still end in one.
         base = ["--manifest", str(tiny_set / "manifest.csv"),
                 "--descriptors", str(tiny_set / "descriptors.desc"),
                 "--hidden", "8", "--batch-size", "8", "--seed", "2", "--epochs", "12"]
         full_dir = tmp_path / "full"
         assert run(["train", *base, "--out-dir", str(full_dir)]) == 0
-        real_row, real_save = cli._append_loss_row, cli.save_checkpoint
+        real_csv, real_save = formats.write_csv, cli.save_checkpoint
 
-        def cut_row(path, epoch, report):
-            if epoch != 10:
-                return real_row(path, epoch, report)
-            with open(path, "a", newline="") as f:
-                f.write(str(epoch)[0])
-            raise KeyboardInterrupt
+        def stopped_csv(path, rows):
+            if rows[-1][0] != 10:
+                return real_csv(path, rows)
+            with formats.written_whole(path) as f:
+                f.write("epoch,")
+                raise KeyboardInterrupt
 
         def stopped_save(path, config, params, state, epoch, seed):
             if epoch == 11:
                 raise KeyboardInterrupt
             return real_save(path, config, params, state, epoch, seed)
 
-        if stop_at == "row":
-            monkeypatch.setattr(cli, "_append_loss_row", cut_row)
-        else:
+        if stop_at == "checkpoint":
             monkeypatch.setattr(cli, "save_checkpoint", stopped_save)
+        else:
+            monkeypatch.setattr(formats, "write_csv", stopped_csv)
         part_dir = tmp_path / "part"
         with pytest.raises(KeyboardInterrupt):
             run(["train", *base, "--out-dir", str(part_dir)])
         monkeypatch.undo()
         assert load_checkpoint(part_dir / "checkpoint.ckpt").epoch == 10
+        if stop_at == "row":
+            with open(part_dir / "loss.csv", "ab") as f:
+                f.write(b"1")
         rows = (part_dir / "loss.csv").read_bytes().split(b"\r\n")
-        assert (rows[11] == b"1") if stop_at == "row" else rows[11].startswith(b"10,")
+        if stop_at == "checkpoint":
+            assert rows[11].startswith(b"10,")
+        else:
+            assert rows[11] == (b"1" if stop_at == "row" else b"")
         assert run(["train", *base, "--out-dir", str(part_dir),
                     "--resume", str(part_dir / "checkpoint.ckpt")]) == 0
         assert ((full_dir / "loss.csv").read_bytes()
@@ -752,6 +777,19 @@ def test_config_key_set_twice_is_refused(tiny_set, tiny_run, tmp_path, capsys, c
     assert capsys.readouterr() == ("", f"error: {cfg}:{again}: {key!r} is set twice, "
                                        f"first on line {first}\n")
     assert not out.exists() and not Path(f"{out}2").exists()
+
+
+@pytest.mark.parametrize("line", ["help=yes", "config=nonexistent.cfg"])
+def test_config_file_cannot_set_help_or_config(tmp_path, capsys, line):
+    # Both are dests of every command's parser, and used to be accepted and
+    # ignored; the nested file is never read.
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text(f"seed=1\n{line}\n")
+    capsys.readouterr()
+    assert run(["gradcheck", "--config", str(cfg)]) == 1
+    key = line.partition("=")[0]
+    assert capsys.readouterr() == ("", f"error: {cfg}:2: unknown option {key!r} "
+                                       f"for command gradcheck\n")
 
 
 @pytest.mark.parametrize("argv", [

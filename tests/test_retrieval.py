@@ -15,7 +15,7 @@ from hareid.errors import ConfigError, ShapeError, ValidationError
 from hareid.model import unit_rows
 from hareid.optim import rng_for
 from hareid.retrieval import (_BLOCK, _TILE_ELEMENTS, EvaluationReport, RetrievalIndex,
-                              _block_queries, _similarity_blocks, _tiles,
+                              _block_queries, _exact_similarities, _tiles,
                               average_precision, cmc_at_k, first_hit_rank,
                               image_retrieval_metrics, rank_items, vehicleid_protocol,
                               veri_protocol)
@@ -472,8 +472,8 @@ class TestGalleryTiles:
 
     # Each gallery's one product stays at or under ONE_THREAD_PRODUCT, so the
     # reference's bits do not depend on the BLAS thread count. 16, 64 and 256
-    # are VehicleID gallery sizes; each block is a full one (1024 queries on
-    # the 64x64 gallery), but at most 1024 queries long. At d=64 tiles have
+    # are VehicleID gallery sizes; each call takes a full block's queries
+    # (1024 on the 64x64 gallery), but at most 1024. At d=64 tiles have
     # 2048 rows, at d=100 1024, at d=256 512 and at d=1024 128.
     @pytest.mark.parametrize("n", [0, 1, 16, 64, 256, 1023, 2047, 2048, 2049, 3071,
                                    3072, 4097, 5120, 6147])
@@ -484,9 +484,9 @@ class TestGalleryTiles:
             gallery = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
             features = rng.normal(size=(_BLOCK + 7, d)).astype(np.float32).astype(np.float64)
             queries = rng.integers(len(features), size=min(_block_queries(n, d), 1024))
-            blocks = list(_similarity_blocks(gallery, features, queries))
-            assert [b.tolist() for b, _ in blocks] == [queries.tolist()]
-            for qi, row in zip(queries, blocks[0][1]):
+            sims = _exact_similarities(gallery, features, queries)
+            assert sims.shape == (len(queries), n)
+            for qi, row in zip(queries, sims):
                 assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
@@ -496,10 +496,9 @@ class TestGalleryTiles:
                                                images=(3, 4))
         index = RetrievalIndex.build(feats, meta)
         queries = rng.integers(len(index), size=_BLOCK + 5)
-        for block, sims in _similarity_blocks(index.features, index.features,
-                                              queries.astype(dtype)):
-            for qi, row in zip(block, sims):
-                assert np.array_equal(row, index.features @ index.features[qi])
+        sims = _exact_similarities(index.features, index.features, queries.astype(dtype))
+        for qi, row in zip(queries, sims):
+            assert np.array_equal(row, index.features @ index.features[qi])
         assert (veri_protocol(index, queries=queries.astype(dtype)).as_dict()
                 == veri_protocol(index, queries=queries.tolist()).as_dict())
 
@@ -507,9 +506,13 @@ class TestGalleryTiles:
                                             (64, 1024, 64)])
     def test_block_size_counts_gallery_rows_and_dims(self, n, d, size):
         assert _block_queries(n, d) == size
-        blocks = _similarity_blocks(np.zeros((n, d)), np.zeros((1, d)),
-                                    np.zeros(2 * size + 5, dtype=np.intp))
-        assert [len(block) for block, _ in blocks] == [size, size, 5]
+
+        def scored(block, sims):  # each query's one relevant item is item 0
+            return sims, np.zeros((len(block), 1), dtype=np.intp), np.ones((len(block), 1), bool)
+
+        blocks = retrieval._ranked(np.zeros((n, d)), np.zeros((1, d)),
+                                   np.zeros(2 * size + 5, dtype=np.intp), 0.0, scored)
+        assert [len(ranks) for ranks in blocks] == [size, size, 5]
 
     def test_tile_edges(self):
         # d=64: 2048-row tiles, as the 5120x64 benchmark gallery has always had.
@@ -553,27 +556,24 @@ class TestGalleryTiles:
         one product ``gallery @ q``. The one products of 11579x64, 1280x1024,
         11579x1024 and 40x20000 (4-row tiles) are larger than OpenBLAS runs on
         one thread; scored as one product, the first and third give other bytes
-        under two threads. The rows of a full 1024-query block on a
-        64x64 gallery are covered too."""
+        under two threads. The rows of 1030 queries on a 64x64 gallery, more
+        than its full 1024-query block, are covered too."""
         script = (
             "import hashlib, sys\n"
             "import numpy as np\n"
-            "from hareid.retrieval import _similarity_blocks\n"
+            "from hareid.retrieval import _exact_similarities\n"
             "one_thread = sys.argv[1] == '1'\n"
             "digest = hashlib.sha256()\n"
-            "for n, d, queries, first in ((5120, 64, 70, 64), (64, 64, 1030, 1024),\n"
-            "                             (11579, 64, 65, 64), (1280, 1024, 65, 64),\n"
-            "                             (11579, 1024, 65, 64), (40, 20000, 65, 64)):\n"
+            "for n, d, queries in ((5120, 64, 70), (64, 64, 1030), (11579, 64, 65),\n"
+            "                      (1280, 1024, 65), (11579, 1024, 65), (40, 20000, 65)):\n"
             "    rng = np.random.default_rng(n + d)\n"
             "    gallery, features = (rng.standard_normal((rows, d), dtype=np.float32)\n"
             "                         .astype(np.float64) for rows in (n, queries))\n"
-            "    blocks = list(_similarity_blocks(gallery, features, np.arange(queries)))\n"
-            "    assert len(blocks[0][0]) == first, (n, d, len(blocks[0][0]))\n"
-            "    for block, sims in blocks:\n"
-            "        if one_thread:\n"
-            "            for qi, row in zip(block, sims):\n"
-            "                assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)\n"
-            "        digest.update(sims.tobytes())\n"
+            "    sims = _exact_similarities(gallery, features, np.arange(queries))\n"
+            "    if one_thread:\n"
+            "        for qi, row in enumerate(sims):\n"
+            "            assert np.array_equal(row, gallery @ features[qi]), (n, d, qi)\n"
+            "    digest.update(sims.tobytes())\n"
             "print(digest.hexdigest())\n")
         path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         digests = []
@@ -715,14 +715,14 @@ class TestFilteredRanking:
                                 ("nudged", 1024)])
     def test_filtered_reports_equal_exact_ones(self, kind, d, monkeypatch):
         feats, meta = adversarial_instance(kind, d)
-        exact_blocks = retrieval._similarity_blocks
+        exact_similarities = retrieval._exact_similarities
         recomputed = [0]
 
         def counted(gallery, features, queries):
             recomputed[0] += len(queries)
-            return exact_blocks(gallery, features, queries)
+            return exact_similarities(gallery, features, queries)
 
-        monkeypatch.setattr(retrieval, "_similarity_blocks", counted)
+        monkeypatch.setattr(retrieval, "_exact_similarities", counted)
         filtered, filtered_rows = adversarial_reports(feats, meta), recomputed[0]
         recomputed[0] = 0
         monkeypatch.setattr(retrieval, "_band", lambda *bound: np.inf)

@@ -5,9 +5,8 @@
 * Every parameter a function or lambda takes is read in its body.
 * Only ``autodiff._node`` and ``Tensor.__init__`` set a node's ``_backward``
   rule, so every primitive hands its rule to the one constructor.
-* Only ``formats.written_whole`` and ``loss.csv``'s row helpers open a file
-  for writing or create, replace or remove a path, so every output file is
-  written one way.
+* Only ``formats.written_whole`` opens a file for writing or creates,
+  replaces or removes a path, so every output file is written one way.
 * Every public name (module-level function, class or constant, method, or
   dataclass field) is read by the programs: in hareid outside its own definition, or in
   ``perfbench/*.py`` as a name, an attribute or a string (its tracer looks
@@ -158,8 +157,7 @@ def writes_a_file(node: ast.AST) -> bool:
 def test_files_are_written_only_by_the_writer():
     found = {f"{path.name}:{site}" for path in MODULES
              for site in sites(parse(path), writes_a_file)}
-    assert sorted(found) == ["cli.py:_append_loss_row", "cli.py:_start_loss_file",
-                             "formats.py:written_whole"], (
+    assert sorted(found) == ["formats.py:written_whole"], (
         f"a file written outside formats.written_whole: {sorted(found)}; write it "
         "through written_whole or write_csv")
 
