@@ -22,7 +22,8 @@ rule: each gives its forward value and its two partial derivatives, and an
 operand that needs no gradient is skipped, its partial never computed. The
 operator sugar turns a Python-number operand, as in ``1.0 - z``, into a
 parentless constant built the same way; it receives no gradient.
-``Tensor(data)``, ``parameter`` and ``constant`` make leaves.
+``Tensor(data)``, ``parameter`` and ``constant`` make leaves, and ``named``
+names the leaves of a parameter dataclass.
 
 Tensors are treated as immutable once they participate in a graph; leaf data
 may be mutated between graphs (that is how the optimizer updates parameters).
@@ -37,6 +38,7 @@ first contribution of the graph.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,6 +109,12 @@ def parameter(data) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
+
+
+def named(block, prefix: str) -> dict[str, Tensor]:
+    """The tensors of a parameter dataclass, each named ``prefix.<field>``,
+    in field order: the one naming rule of every model parameter."""
+    return {f"{prefix}.{f.name}": getattr(block, f.name) for f in fields(block)}
 
 
 def _node(data, op: str, parents: tuple[Tensor, ...],

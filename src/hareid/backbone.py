@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv2d, max_pool2, parameter, relu
+from .autodiff import Tensor, constant, conv2d, max_pool2, parameter, relu
 from .errors import ConfigError, ShapeError
 
 
@@ -56,39 +56,35 @@ class ConvStackConfig:
 
 
 @dataclass
-class ConvStackParams:
-    """Per layer, a (k, k, c_in, c_out) kernel and a (c_out,) bias."""
+class ConvLayer:
+    """One layer's (k, k, c_in, c_out) kernel and (c_out,) bias."""
 
-    kernels: list[Tensor]
-    biases: list[Tensor]
-
-    @classmethod
-    def init(cls, config: ConvStackConfig, rng: np.random.Generator) -> "ConvStackParams":
-        kernels, biases = [], []
-        cin = config.in_channels
-        for _ in range(config.layers):
-            fan_in = config.kernel * config.kernel * cin
-            bound = 1.0 / np.sqrt(fan_in)
-            kernels.append(parameter(rng.uniform(
-                -bound, bound, size=(config.kernel, config.kernel, cin, config.channels))))
-            biases.append(parameter(np.zeros(config.channels)))
-            cin = config.channels
-        return cls(kernels, biases)
-
-    def named(self) -> dict[str, Tensor]:
-        return {name: t for i, (k, b) in enumerate(zip(self.kernels, self.biases))
-                for name, t in ((f"conv{i}.kernel", k), (f"conv{i}.bias", b))}
+    kernel: Tensor
+    bias: Tensor
 
 
-def conv_forward(images, params: ConvStackParams) -> ActivationMap:
+def conv_layers(config: ConvStackConfig, rng: np.random.Generator) -> list[ConvLayer]:
+    """The stack's layers, first to last, each kernel drawn from
+    uniform(+-1/sqrt(fan_in)) and each bias zero."""
+    layers, cin = [], config.in_channels
+    for _ in range(config.layers):
+        bound = 1.0 / np.sqrt(config.kernel * config.kernel * cin)
+        kernel = rng.uniform(-bound, bound,
+                             size=(config.kernel, config.kernel, cin, config.channels))
+        layers.append(ConvLayer(parameter(kernel), parameter(np.zeros(config.channels))))
+        cin = config.channels
+    return layers
+
+
+def conv_forward(images, layers: list[ConvLayer]) -> ActivationMap:
     """Run the conv stack on a (B, H, W, C) stack of images as one graph;
     fully differentiable. C must be the input width of the first kernel."""
-    x = Tensor(images)
+    x = constant(images)
     if x.data.ndim != 4:
         raise ShapeError(f"conv_forward expects a (B,H,W,C) stack, got shape {x.shape}")
-    in_channels = params.kernels[0].shape[2]
+    in_channels = layers[0].kernel.shape[2]
     if x.shape[-1] != in_channels:
         raise ShapeError(f"image has {x.shape[-1]} channels, stack expects {in_channels}")
-    for k, b in zip(params.kernels, params.biases):
-        x = max_pool2(relu(conv2d(x, k, b)))
+    for layer in layers:
+        x = max_pool2(relu(conv2d(x, layer.kernel, layer.bias)))
     return ActivationMap(x)

@@ -28,7 +28,7 @@ state, up to the sign of an exact zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,9 +86,6 @@ class GruParams:
     def input_dim(self) -> int:
         return self.w_xz.shape[1]
 
-    def named(self) -> dict[str, Tensor]:
-        return {f"gru.{f.name}": getattr(self, f.name) for f in fields(self)}
-
 
 def gru_step(x: Tensor, h_prev: Tensor | None, params: GruParams) -> Tensor:
     """One step over a batch: inputs x (D, B) and states h_prev (H, B), one
@@ -132,9 +129,6 @@ class Mlp:
                    b1=parameter(np.zeros(hidden)),
                    w2=uniform_weight(out_dim, hidden, rng), b2=parameter(np.zeros(out_dim)))
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
-
     def apply(self, x: Tensor) -> Tensor:
         return matmul(self.w2, relu(matmul(self.w1, x) + self.b1)) + self.b2
 
@@ -149,9 +143,6 @@ class ClassifierHead:
     @classmethod
     def init(cls, classes: int, hidden: int, rng: np.random.Generator) -> "ClassifierHead":
         return cls(w=uniform_weight(classes, hidden, rng), b=parameter(np.zeros(classes)))
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
 def classify(o_t: Tensor, head: ClassifierHead) -> Tensor:

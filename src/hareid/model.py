@@ -19,9 +19,12 @@ input's own ``forward``. The attention net's width ``max(1, hidden // 2)``
 ``gru.DEFAULT_INPUT_GAIN`` are constants, recorded in the config text and
 checked.
 
-Parameter registration order is fixed (conv stack, recurrent or fc block,
-model head, vehicle head, attention net) so that, for one seed, variants
-sharing a prefix draw identical initial values for it.
+The parameter order is written once, in ``Model.__init__``: each block is
+registered (``Model._add``, named by ``autodiff.named``) as it is drawn, in
+the order conv stack, recurrent or fc block, model head, vehicle head,
+attention net. That order fixes the seeded initial draws, the checkpoint's
+tensor order and the RMSprop state, and for one seed variants sharing a
+prefix draw identical initial values for it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention as att
-from .autodiff import Tensor, global_average_pool, log1p_exp, logistic, pool_rows
-from .backbone import ActivationMap, ConvStackConfig, ConvStackParams, conv_forward
+from .autodiff import (Tensor, constant, global_average_pool, log1p_exp, logistic, named,
+                       pool_rows)
+from .backbone import ActivationMap, ConvLayer, ConvStackConfig, conv_forward, conv_layers
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .gru import (DEFAULT_INPUT_GAIN, ClassifierHead, GruParams, LossReport, Mlp, classify,
                   gru_step, hierarchical_loss)
@@ -215,36 +219,36 @@ class Model:
 
     def __init__(self, config: ModelConfig):
         self.config = config
+        self._params: dict[str, Tensor] = {}
         rng = np.random.default_rng(config.seed)
-        self.conv_params: ConvStackParams | None = None
+        d, hidden = config.d, config.hidden
+        self.conv_params: list[ConvLayer] | None = None
         if config.conv is not None:
-            self.conv_params = ConvStackParams.init(config.conv, rng)
+            self.conv_params = [self._add(f"conv{i}", layer)
+                                for i, layer in enumerate(conv_layers(config.conv, rng))]
+        self.gru: GruParams | None = None
         if config.variant == "fc_ha":
-            self.fc1 = Mlp.init(config.d, config.hidden, config.hidden, rng, DEFAULT_INPUT_GAIN)
-            self.fc2 = Mlp.init(config.d, config.hidden, config.hidden, rng, DEFAULT_INPUT_GAIN)
-            self.gru: GruParams | None = None
+            self.fc1 = self._add("fc1", Mlp.init(d, hidden, hidden, rng, DEFAULT_INPUT_GAIN))
+            self.fc2 = self._add("fc2", Mlp.init(d, hidden, hidden, rng, DEFAULT_INPUT_GAIN))
         else:
-            self.gru = GruParams.init(config.d, config.hidden, rng)
-        self.head_model = ClassifierHead.init(config.num_models, config.hidden, rng)
-        self.head_vehicle = ClassifierHead.init(config.num_vehicles, config.hidden, rng)
+            self.gru = self._add("gru", GruParams.init(d, hidden, rng))
+        self.head_model = self._add("head_model",
+                                    ClassifierHead.init(config.num_models, hidden, rng))
+        self.head_vehicle = self._add("head_vehicle",
+                                      ClassifierHead.init(config.num_vehicles, hidden, rng))
         self.attn: Mlp | None = None
         if config.variant != "rnn_h_no_attention":
-            self.attn = Mlp.init(config.hidden, max(1, config.hidden // 2), config.d, rng)
+            self.attn = self._add("attn", Mlp.init(hidden, max(1, hidden // 2), d, rng))
+
+    def _add(self, prefix: str, block):
+        """Register ``block``'s tensors under ``prefix``, after those drawn
+        before it, and return the block."""
+        self._params.update(named(block, prefix))
+        return block
 
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.conv_params is not None:
-            out.update(self.conv_params.named())
-        if self.gru is not None:
-            out.update(self.gru.named())
-        else:
-            out.update(self.fc1.named("fc1"))
-            out.update(self.fc2.named("fc2"))
-        out.update(self.head_model.named("head_model"))
-        out.update(self.head_vehicle.named("head_vehicle"))
-        if self.attn is not None:
-            out.update(self.attn.named("attn"))
-        return out
+        """Every parameter by name, in drawing order (a fresh dict)."""
+        return dict(self._params)
 
     def _activation_maps(self, inp) -> ActivationMap:
         """The (B, h, w, d) map stack of a batch of inputs; a single (h, w, d)
@@ -255,7 +259,7 @@ class Model:
         if self.conv_params is not None:
             amap = conv_forward(inp, self.conv_params)
         else:
-            amap = ActivationMap(Tensor(inp))
+            amap = ActivationMap(constant(inp))
         if amap.shape[-1] != self.config.d:
             raise ShapeError(f"activation map depth {amap.shape[-1]} does not match "
                              f"config.d = {self.config.d}")

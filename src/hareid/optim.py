@@ -33,8 +33,13 @@ from .model import Model, check_seed
 
 
 def rng_for(*key: int) -> np.random.Generator:
-    """Deterministic counter-based generator for a key of up to two seeds
-    (``check_seed`` refuses any other value, so no two keys share a stream)."""
+    """Deterministic counter-based generator for a key of up to two seeds,
+    each in [0, 2**64) (``check_seed`` refuses any other value). A missing
+    second seed is 0, so ``rng_for(s)`` and ``rng_for(s, 0)`` are one stream:
+    ``synth --seed s``, the epoch-0 shuffle of ``train --seed s``, repeat 0
+    of ``eval --protocol vehicleid --seed s`` and ``gradcheck --seed s``
+    read the same draws. Two keys that differ after that padding share no
+    stream."""
     k = np.zeros(2, dtype=np.uint64)
     for i, v in enumerate(key[:2]):
         k[i] = np.uint64(check_seed(int(v)))

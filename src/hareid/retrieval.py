@@ -220,20 +220,23 @@ def _tiles(n: int, d: int) -> list[tuple[int, int]]:
     """(start, stop) row ranges of the gallery tiles of an (n, d) gallery.
 
     A tile's row count is the largest power of two whose rows x ``d`` fit
-    ``_TILE_ELEMENTS`` (2048 rows at d=64, 128 at d=1024, one row when d
-    alone exceeds the bound). Tile edges sit at multiples of it, and a
-    remainder shorter than half a tile joins the tile before it, so no tile
-    is a sliver that BLAS would sum through another kernel path and none
-    holds 1.5 times the bound. A gallery of no rows is one empty tile.
+    ``_TILE_ELEMENTS`` (2048 rows at d=64, 128 at d=1024), but at least 4:
+    above d = 32,768 a tile has 4 rows and more elements than the bound.
+    Tile edges sit at multiples of it, and a remainder shorter than half a
+    tile joins the tile before it, so no tile is a sliver that BLAS would sum
+    through another kernel path, and up to d = 32,768 none holds 1.5 times
+    the bound. A gallery of no rows is one empty tile.
 
     Every tile, the merged last one included, is a product OpenBLAS runs on
-    one thread. With tiles of 4 rows or more (d up to 32,768) each row
-    equals the one-thread ``gallery @ q``; 40x20000, in 4-row tiles, is
-    checked. Beyond that, 2-row tiles can differ from it by an ulp, and a
-    1-row tile of more than 10,000 elements is a dot product, which OpenBLAS
-    splits across threads (as it does a one-image gallery's product).
+    one thread, and each of its rows equals the one-thread ``gallery @ q``.
+    40x20000, 6x40000 and 7x60000 are checked; a probe found the same for
+    every gallery of 2 to 13 rows at d from 20,000 to 100,000. Without the
+    floor, the 2-row and 1-row tiles of such galleries differed from that
+    product, some under more than one thread too. A one-image gallery of
+    more than 10,000 elements is still a dot product, which OpenBLAS splits
+    across threads.
     """
-    rows = 1 << max((_TILE_ELEMENTS // max(d, 1)).bit_length() - 1, 0)
+    rows = max(4, 1 << max((_TILE_ELEMENTS // max(d, 1)).bit_length() - 1, 0))
     edges = list(range(rows, n, rows))
     if edges and n - edges[-1] < rows // 2:
         edges.pop()

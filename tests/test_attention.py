@@ -28,7 +28,7 @@ def col(values):
 class TestGuidanceSignal:
     def test_zero_params(self):
         p = make_params(4, 3, 5)
-        for t in p.named("attn").values():
+        for t in ad.named(p, "attn").values():
             t.data[:] = 0.0
         w = att.guidance_signal(col(np.ones(4)), p)
         np.testing.assert_array_equal(w.data, np.zeros((5, 1)))
@@ -190,7 +190,7 @@ class TestPipeline:
             x2, _ = att.attention_pipeline(o1, amap, params)
             return ad.tsum(ad.softmax_cross_entropy(x2, [2, 0, 4]))
 
-        errors = ad.grad_check_groups(f, params.named("attn"))
+        errors = ad.grad_check_groups(f, ad.named(params, "attn"))
         assert max(errors.values()) < 1e-4
 
     def test_gradients_reach_the_map_itself(self):

@@ -387,7 +387,7 @@ def sharing_cases(rng):
         "a weight in both GRU steps": lambda: weighted(
             gru_step(x2, gru_step(x1, None, gru), gru), c34),
     }
-    return [x, y, *gru.named().values()], cases
+    return [x, y, *ad.named(gru, "gru").values()], cases
 
 
 def fresh_gradient_arrays(monkeypatch):

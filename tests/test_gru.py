@@ -11,14 +11,14 @@ from hareid.gru import (ClassifierHead, GruParams, LossReport, classify, gru_ste
 
 def zero_params(d, h):
     p = GruParams.init(d, h, np.random.default_rng(0))
-    for t in p.named().values():
+    for t in ad.named(p, "gru").values():
         t.data[:] = 0.0
     return p
 
 
 def scalar_params(weight=1.0):
     p = zero_params(1, 1)
-    for name, t in p.named().items():
+    for name, t in ad.named(p, "gru").items():
         if name.startswith("gru.w"):
             t.data[:] = weight
     return p
@@ -50,7 +50,7 @@ def numpy_gates(x, h_prev, p):
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    w = {name.removeprefix("gru."): t.data for name, t in p.named().items()}
+    w = {name.removeprefix("gru."): t.data for name, t in ad.named(p, "gru").items()}
     z = sig(w["w_xz"] @ x + w["w_hz"] @ h_prev + w["b_z"][:, None])
     r = sig(w["w_xr"] @ x + w["w_hr"] @ h_prev + w["b_r"][:, None])
     n = np.tanh(w["w_xg"] @ x + r * (w["w_hg"] @ h_prev) + w["b_g"][:, None])
@@ -96,18 +96,18 @@ class TestGruStep:
         # values and gradients equal the full cell's on a zero state.
         rng = np.random.default_rng(11)
         p = GruParams.init(4, 6, rng)
-        for t in p.named().values():
+        for t in ad.named(p, "gru").values():
             t.data[:] = rng.uniform(-2, 2, size=t.shape)
         x = ad.constant(rng.uniform(-2, 2, size=(4, batch)))
         weights = ad.constant(rng.uniform(-1, 1, size=(6, batch)))
 
         def run(h_prev):
-            for t in p.named().values():
+            for t in ad.named(p, "gru").values():
                 t.zero_grad()
             h = gru_step(x, h_prev, p)
             ad.backward(ad.tsum(h * weights))
             return h, {k: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-                       for k, t in p.named().items()}
+                       for k, t in ad.named(p, "gru").items()}
 
         implicit, g_implicit = run(None)
         explicit, g_explicit = run(ad.constant(np.zeros((6, batch))))
@@ -119,7 +119,7 @@ class TestGruStep:
         rng = np.random.default_rng(2)
         for _ in range(25):
             p = GruParams.init(4, 6, rng)
-            for t in p.named().values():
+            for t in ad.named(p, "gru").values():
                 t.data[:] = rng.uniform(-2, 2, size=t.shape)
             x = ad.constant(rng.uniform(-2, 2, size=(4, 5)))  # a batch of five
             h_prev = rng.uniform(-2, 2, size=(6, 5))
@@ -237,13 +237,13 @@ class TestUnroll:
         x2 = col(rng.uniform(-1, 1, size=3))
 
         def branch_grad(branch, h0=None):
-            for t in p.named().values():
+            for t in ad.named(p, "gru").values():
                 t.zero_grad()
             s1, s2 = two_steps(x1, x2, p, h0=h0)
             target = classify(s1, heads[0]) if branch == "model" else classify(s2, heads[1])
             ad.backward(ad.tsum(ad.softmax_cross_entropy(target, [1])))
             return {k: (None if t.grad is None else t.grad.copy())
-                    for k, t in p.named().items()}
+                    for k, t in ad.named(p, "gru").items()}
 
         g_model = branch_grad("model")
         g_vehicle = branch_grad("vehicle")
@@ -277,6 +277,6 @@ class TestUnroll:
                                          classify(s2, head_v), np.array([4, 2, 3]))
             return total
 
-        named = {**p.named(), **head_m.named("hm"), **head_v.named("hv")}
+        named = {**ad.named(p, "gru"), **ad.named(head_m, "hm"), **ad.named(head_v, "hv")}
         errors = ad.grad_check_groups(f, named)
         assert max(errors.values()) < 1e-4

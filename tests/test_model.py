@@ -36,6 +36,10 @@ GOLDEN_INIT = {
                            "42fa47f343b7dff6bde2594235c39d7ec7bf68b26739c00713b999fa0569b957"),
     "rnn_ha_conv": ({"conv": CONV}, CONV_NAMES + GRU_NAMES + HEAD_NAMES + ATTN_NAMES,
                     "f14763bd9cabaecbb8739c0bb42e1f725a3e820a70a73f1b866e19b0cc6dfb11"),
+    "fc_ha_conv": ({"conv": CONV}, CONV_NAMES + FC_NAMES + HEAD_NAMES + ATTN_NAMES,
+                   "35d5289c23129de980523c46087e4497a0fbe22195c4109db5e4687219e3df91"),
+    "rnn_h_no_attention_conv": ({"conv": CONV}, CONV_NAMES + GRU_NAMES + HEAD_NAMES,
+                                "4d66852acdb93a08e98d1b6eb438c0754750231dcf40506d4a559e9abc84cc00"),
 }
 
 
@@ -407,7 +411,7 @@ class TestConvBackbone:
         total, report, result = model.loss(image, 1, 2)
         assert np.isfinite(total.data)
         ad.backward(total)
-        kernel = model.conv_params.kernels[0]
+        kernel = model.conv_params[0].kernel
         assert kernel.grad is not None and np.any(kernel.grad)
 
     def test_stack_forward_matches_per_image_forwards(self):

@@ -228,3 +228,12 @@ def test_seed_outside_64_bits_is_refused(bad):
     top = 2**64 - 1  # the largest seed is accepted
     rng_for(top, top)
     assert ModelConfig(num_models=1, num_vehicles=1, seed=top).seed == top
+
+
+def test_a_missing_second_seed_is_zero():
+    # rng_for(s) is rng_for(s, 0): synth --seed s, the epoch-0 shuffle of
+    # train --seed s and repeat 0 of a vehicleid eval --seed s read one stream.
+    for seed in (0, 7, 2**64 - 1):
+        assert np.array_equal(rng_for(seed).random(8), rng_for(seed, 0).random(8))
+    for other in ((7, 1), (0, 7), (8,)):
+        assert not np.array_equal(rng_for(7).random(8), rng_for(*other).random(8))

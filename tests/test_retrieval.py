@@ -533,7 +533,10 @@ class TestGalleryTiles:
         assert _tiles(0, 64) == [(0, 0)]
         assert _tiles(5, 0) == [(0, 5)]
         assert _tiles(40, 20000) == [(lo, lo + 4) for lo in range(0, 40, 4)]
-        assert _tiles(3, _TILE_ELEMENTS + 1) == [(0, 1), (1, 2), (2, 3)]
+        # Past d = 32,768 a tile still has 4 rows, over the bound.
+        assert _tiles(6, 40000) == [(0, 4), (4, 6)]
+        assert _tiles(9, 70000) == [(0, 4), (4, 9)]
+        assert _tiles(3, _TILE_ELEMENTS + 1) == [(0, 3)]
         # Tiles cover the gallery in order, start at multiples of a
         # power-of-two row count that fits the bound, and none holds more
         # than 1.5 times the bound.
@@ -556,8 +559,11 @@ class TestGalleryTiles:
         one product ``gallery @ q``. The one products of 11579x64, 1280x1024,
         11579x1024 and 40x20000 (4-row tiles) are larger than OpenBLAS runs on
         one thread; scored as one product, the first and third give other bytes
-        under two threads. The rows of 1030 queries on a 64x64 gallery, more
-        than its full 1024-query block, are covered too."""
+        under two threads. 6x40000 and 7x60000 have a 4-row tile and a shorter
+        last one; in 2-row and 1-row tiles their rows differed from
+        ``gallery @ q``, and 7x60000's bytes under two threads from those under
+        one. The rows of 1030 queries on a 64x64 gallery, more than its full
+        1024-query block, are covered too."""
         script = (
             "import hashlib, sys\n"
             "import numpy as np\n"
@@ -565,7 +571,8 @@ class TestGalleryTiles:
             "one_thread = sys.argv[1] == '1'\n"
             "digest = hashlib.sha256()\n"
             "for n, d, queries in ((5120, 64, 70), (64, 64, 1030), (11579, 64, 65),\n"
-            "                      (1280, 1024, 65), (11579, 1024, 65), (40, 20000, 65)):\n"
+            "                      (1280, 1024, 65), (11579, 1024, 65), (40, 20000, 65),\n"
+            "                      (6, 40000, 65), (7, 60000, 65)):\n"
             "    rng = np.random.default_rng(n + d)\n"
             "    gallery, features = (rng.standard_normal((rows, d), dtype=np.float32)\n"
             "                         .astype(np.float64) for rows in (n, queries))\n"
