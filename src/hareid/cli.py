@@ -141,8 +141,7 @@ def _schedule_from_args(args) -> TrainSchedule:
 
 
 # The model flags of ``train`` and what a fresh run uses for those not given.
-_MODEL_FLAG_DEFAULTS = {"variant": ModelConfig.variant, "backbone": "ingested",
-                       "hidden": ModelConfig.hidden,
+_MODEL_FLAG_DEFAULTS = {"variant": ModelConfig.variant, "hidden": ModelConfig.hidden,
                        "conv_layers": backbone.ConvStackConfig.layers,
                        "conv_kernel": backbone.ConvStackConfig.kernel,
                        "conv_channels": backbone.ConvStackConfig.channels}
@@ -152,16 +151,15 @@ def _given_model_flags(args) -> dict[str, object]:
     """The model flags given on the command line or in --config (None otherwise).
     Each is read as ``args.<flag>``, the form the flag-read lint recognises;
     test_cli checks that the keys are those of ``_MODEL_FLAG_DEFAULTS``."""
-    flags = {"variant": args.variant, "backbone": args.backbone, "hidden": args.hidden,
-             "conv_layers": args.conv_layers, "conv_kernel": args.conv_kernel,
-             "conv_channels": args.conv_channels}
+    flags = {"variant": args.variant, "hidden": args.hidden, "conv_layers": args.conv_layers,
+             "conv_kernel": args.conv_kernel, "conv_channels": args.conv_channels}
     return {key: value for key, value in flags.items() if value is not None}
 
 
 def _check_resume_flags(given: dict[str, object], config: ModelConfig) -> None:
     """A resume keeps the checkpoint's model: a given model flag that disagrees
     with it is an error. Conv flags only describe a conv-backbone checkpoint."""
-    saved = {"variant": config.variant, "backbone": config.backbone, "hidden": config.hidden}
+    saved = {"variant": config.variant, "hidden": config.hidden}
     if config.conv is not None:
         saved.update(conv_layers=config.conv.layers, conv_kernel=config.conv.kernel,
                      conv_channels=config.conv.channels)
@@ -183,18 +181,16 @@ def cmd_train(args) -> int:
         _check_resume_flags(given, start.config)
     else:
         flags = {**_MODEL_FLAG_DEFAULTS, **given}
-        if flags["backbone"] == "conv":
-            # The images set the input channels; train() refuses an empty set.
+        if maps is None:
+            # Raw images train a conv stack, and set its input channels;
+            # train() refuses an empty set.
             conv = backbone.ConvStackConfig(layers=flags["conv_layers"],
                                             kernel=flags["conv_kernel"],
                                             channels=flags["conv_channels"],
                                             in_channels=items[0][0].shape[-1] if items else 1)
             d = conv.channels
-        else:
-            conv = None
-            if maps is None:
-                raise ConfigError("ingested backbone needs --descriptors")
-            d = maps.shape[-1]
+        else:  # an external extractor's maps train the ingested backbone
+            conv, d = None, maps.shape[-1]
         model = Model(ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
                                   variant=flags["variant"], d=d, hidden=flags["hidden"],
                                   seed=args.seed, conv=conv))
@@ -206,28 +202,30 @@ def cmd_train(args) -> int:
     if config.num_models != split.num_models or config.num_vehicles != split.num_vehicles:
         raise ConfigError(f"checkpoint expects {config.num_models}/{config.num_vehicles} "
                           f"classes, manifest has {split.num_models}/{split.num_vehicles}")
-    # The first write, which creates the directory, comes once the run's inputs
-    # are read and checked, so a refused run leaves no directory behind.
     out_dir = Path(args.out_dir)
     loss_path, ckpt_path = out_dir / "loss.csv", out_dir / "checkpoint.ckpt"
     loss_rows = [["epoch", "mean_total", "mean_model", "mean_vehicle"],
                  *_kept_loss_rows(loss_path, start_epoch)]
-    formats.write_csv(loss_path, loss_rows)
+
+    def save(next_epoch: int) -> None:
+        # The only writes of a run, which create the directory: a run refused
+        # or stopped before its first epoch ends leaves the files as they were.
+        # loss.csv goes first, so a checkpoint never runs ahead of it.
+        formats.write_csv(loss_path, loss_rows)
+        save_checkpoint(ckpt_path, config, model.params(), state, next_epoch, seed)
 
     def on_epoch(epoch, report) -> None:
         # Every finished epoch is on disk before the next starts, so an
-        # interrupted run resumes from its last epoch. loss.csv goes first: a
-        # checkpoint never runs ahead of it.
+        # interrupted run resumes from its last epoch.
         loss_rows.append([epoch, repr(report.total), repr(report.model), repr(report.vehicle)])
-        formats.write_csv(loss_path, loss_rows)
-        save_checkpoint(ckpt_path, config, model.params(), state, epoch + 1, seed)
+        save(epoch + 1)
         print(f"epoch {epoch}: total={report.total:.6f} model={report.model:.6f} "
               f"vehicle={report.vehicle:.6f}", flush=True)
 
     result = train(model, items, schedule, seed, start_epoch=start_epoch, state=state,
                    on_epoch=on_epoch)
     if not result.trace:
-        save_checkpoint(ckpt_path, config, model.params(), state, schedule.epochs, seed)
+        save(schedule.epochs)
     print(f"checkpoint: {ckpt_path}")
     return 0
 
@@ -409,7 +407,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     # default; a fresh run fills in _MODEL_FLAG_DEFAULTS.
     default = {key: f"default {value}" for key, value in _MODEL_FLAG_DEFAULTS.items()}
     p.add_argument("--variant", choices=VARIANTS, help=default["variant"])
-    p.add_argument("--backbone", choices=("ingested", "conv"), help=default["backbone"])
     p.add_argument("--conv-layers", type=int, help=default["conv_layers"])
     p.add_argument("--conv-kernel", type=int, help=default["conv_kernel"])
     p.add_argument("--conv-channels", type=int, help=default["conv_channels"])

@@ -32,18 +32,15 @@ from .gru import LossReport
 from .model import Model, check_seed
 
 
-def rng_for(*key: int) -> np.random.Generator:
-    """Deterministic counter-based generator for a key of up to two seeds,
-    each in [0, 2**64) (``check_seed`` refuses any other value). A missing
-    second seed is 0, so ``rng_for(s)`` and ``rng_for(s, 0)`` are one stream:
+def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
+    """Deterministic counter-based generator for one seed and one stream,
+    each in [0, 2**64) (``check_seed`` refuses any other value). The stream
+    defaults to 0, so ``rng_for(s)`` and ``rng_for(s, 0)`` are one stream:
     ``synth --seed s``, the epoch-0 shuffle of ``train --seed s``, repeat 0
     of ``eval --protocol vehicleid --seed s`` and ``gradcheck --seed s``
-    read the same draws. Two keys that differ after that padding share no
-    stream."""
-    k = np.zeros(2, dtype=np.uint64)
-    for i, v in enumerate(key[:2]):
-        k[i] = np.uint64(check_seed(int(v)))
-    return np.random.Generator(np.random.Philox(key=k))
+    read the same draws. Two different (seed, stream) pairs share no stream."""
+    key = np.array([check_seed(int(seed)), check_seed(int(stream))], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass

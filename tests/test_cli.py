@@ -42,9 +42,8 @@ def conv_checkpoint(tmp_path) -> tuple[bytes, list[str]]:
     (tmp_path / "manifest.csv").write_text(
         "split,source,vehicle_id,model_id\ntrain,a.pgm,v0,m0\ntest,a.pgm,t0,m0\n")
     common = ["--manifest", str(tmp_path / "manifest.csv"), "--image-root", str(tmp_path)]
-    assert run(["train", *common, "--backbone", "conv", "--conv-layers", "2",
-                "--conv-channels", "4", "--out-dir", str(tmp_path / "run"),
-                "--hidden", "6", "--epochs", "0"]) == 0
+    assert run(["train", *common, "--conv-layers", "2", "--conv-channels", "4",
+                "--out-dir", str(tmp_path / "run"), "--hidden", "6", "--epochs", "0"]) == 0
     return (tmp_path / "run" / "checkpoint.ckpt").read_bytes(), common
 
 
@@ -187,22 +186,24 @@ class TestTrain:
                 "--descriptors", str(tiny_set / "descriptors.desc"), "--out-dir", str(tmp_path),
                 "--hidden", "8", "--batch-size", "8", "--seed", "2"]
         assert run([*base, "--epochs", "4"]) == 0
-        ckpt = tmp_path / "checkpoint.ckpt"
-        before = ckpt.read_bytes()
+        ckpt, loss = tmp_path / "checkpoint.ckpt", tmp_path / "loss.csv"
+        with open(loss, "ab") as f:  # a stray byte, which a rewrite would drop
+            f.write(b"9")
+        before = ckpt.read_bytes(), loss.read_bytes()
         capsys.readouterr()
         assert run([*base, "--epochs", "2", "--resume", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "epochs=2" in err and "(4)" in err
-        assert ckpt.read_bytes() == before
+        assert (ckpt.read_bytes(), loss.read_bytes()) == before
 
     @pytest.mark.parametrize("flags, named", [
         (["--variant", "fc_ha"], "--variant fc_ha"),
         (["--hidden", "32"], "--hidden 32"),
         (["--hid", "32"], "--hidden 32"),
-        (["--backbone", "conv"], "--backbone conv"),
         ("config", "--variant rnn_h_no_attention"),
-    ], ids=["variant", "hidden", "prefix", "backbone", "config"])
+        ("manifest", "checkpoint expects 3/6 classes, manifest has 2/4"),
+    ], ids=["variant", "hidden", "prefix", "config", "class counts"])
     def test_resume_refuses_a_disagreeing_model_flag(self, tiny_set, tmp_path, capsys,
                                                      flags, named):
         base = ["train", "--manifest", str(tiny_set / "manifest.csv"),
@@ -214,6 +215,12 @@ class TestTrain:
         if flags == "config":
             (tmp_path / "run.cfg").write_text("variant=rnn_h_no_attention\n")
             flags = ["--config", str(tmp_path / "run.cfg")]
+        elif flags == "manifest":  # the train rows of two of the three car models
+            split = load_manifest(tiny_set / "manifest.csv")
+            kept = sorted({s.model_id for s in split.train})[:2]
+            write_manifest(tmp_path / "fewer.csv", DatasetSplit(
+                train=[s for s in split.train if s.model_id in kept], test=split.test))
+            flags = ["--manifest", str(tmp_path / "fewer.csv")]
         capsys.readouterr()
         assert run([*base, "--epochs", "3", *flags, "--resume", str(ckpt)]) == 1
         err = capsys.readouterr().err
@@ -487,10 +494,9 @@ class TestTrain:
         (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
         out = tmp_path / "run"
         assert run(["train", "--manifest", str(tmp_path / "manifest.csv"),
-                    "--image-root", str(tmp_path), "--backbone", "conv",
-                    "--conv-layers", "2", "--conv-channels", "4",
-                    "--out-dir", str(out), "--hidden", "6", "--epochs", "1",
-                    "--batch-size", "4"]) == 0
+                    "--image-root", str(tmp_path), "--conv-layers", "2",
+                    "--conv-channels", "4", "--out-dir", str(out), "--hidden", "6",
+                    "--epochs", "1", "--batch-size", "4"]) == 0
         feat = tmp_path / "feats.feat"
         assert run(["extract", "--checkpoint", str(out / "checkpoint.ckpt"),
                     "--manifest", str(tmp_path / "manifest.csv"),
@@ -511,9 +517,9 @@ class TestTrain:
         (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
         common = ["--manifest", str(tmp_path / "manifest.csv"), "--image-root", str(tmp_path)]
         out = tmp_path / "run"
-        assert run(["train", *common, "--backbone", "conv", "--conv-layers", "2",
-                    "--conv-channels", "4", "--out-dir", str(out), "--hidden", "6",
-                    "--epochs", "1", "--batch-size", "2"]) == 0
+        assert run(["train", *common, "--conv-layers", "2", "--conv-channels", "4",
+                    "--out-dir", str(out), "--hidden", "6", "--epochs", "1",
+                    "--batch-size", "2"]) == 0
         assert load_checkpoint(out / "checkpoint.ckpt").config.to_text().endswith(
             "\nconv=2,2,4,3,1,1\n")
         assert run(["extract", "--checkpoint", str(out / "checkpoint.ckpt"), *common,
@@ -523,7 +529,7 @@ class TestTrain:
     @staticmethod
     def train_conv_error(tmp_path, capsys, bad_image: bytes | None = None,
                          flags=(), first_image: bytes | None = None) -> str:
-        """`train --backbone conv` that fails on one bad training image (after
+        """`train` on images that fails on one bad training image (after
         ``first_image``, or an 8x8 PGM) or on ``flags``; its one error line.
         No checkpoint is written."""
         if first_image is None:
@@ -538,9 +544,9 @@ class TestTrain:
             "split,source,vehicle_id,model_id\ntrain,good.pgm,v0,m0\n"
             f"train,{second},v1,m0\ntest,good.pgm,t0,m0\n")
         assert run(["train", "--manifest", str(tmp_path / "manifest.csv"),
-                    "--image-root", str(tmp_path), "--backbone", "conv",
-                    "--conv-layers", "2", "--conv-channels", "4", *flags,
-                    "--out-dir", str(tmp_path / "run"), "--hidden", "6", "--epochs", "1"]) == 1
+                    "--image-root", str(tmp_path), "--conv-layers", "2", "--conv-channels", "4",
+                    *flags, "--out-dir", str(tmp_path / "run"), "--hidden", "6",
+                    "--epochs", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
@@ -573,8 +579,10 @@ class TestTrain:
 
 
 @pytest.mark.parametrize("case", ["samples", "no samples", "seeds", "no seeds", "manifest",
-                                  "config", "removed train key", "removed gradcheck key",
-                                  "removed lr key", "removed synth key"])
+                                  "empty manifest", "short row", "empty split", "config",
+                                  "removed train key", "removed gradcheck key",
+                                  "removed lr key", "removed synth key",
+                                  "removed backbone key"])
 def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case):
     manifest, desc = str(tiny_set / "manifest.csv"), str(tiny_set / "descriptors.desc")
     if case in ("samples", "no samples"):
@@ -591,11 +599,12 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     elif case.startswith("removed"):
         # Keys of flags that are gone: the attention width, the gradient
         # check's pass bound, the learning rates and the sticker settings
-        # are constants.
+        # are constants, and train's inputs choose the backbone.
         command, key, value = {"removed train key": ("train", "attn_hidden", 8),
                                "removed gradcheck key": ("gradcheck", "tol", 1),
                                "removed lr key": ("train", "lr", 0.01),
-                               "removed synth key": ("synth", "signature-cone", 0.5)}[case]
+                               "removed synth key": ("synth", "signature-cone", 0.5),
+                               "removed backbone key": ("train", "backbone", "conv")}[case]
         cfg = tmp_path / "removed.cfg"
         cfg.write_text(f"{key}={value}\n")
         argv = [command, "--config", str(cfg)]
@@ -610,6 +619,22 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
         argv = ["train", "--manifest", str(latin1), "--descriptors", desc,
                 "--out-dir", str(tmp_path)]
         names = (str(latin1), "UTF-8")
+    elif case in ("empty manifest", "short row"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("" if case == "empty manifest"
+                       else "split,source,vehicle_id,model_id\ntrain,0,v0\n")
+        argv = ["train", "--manifest", str(bad), "--descriptors", desc,
+                "--out-dir", str(tmp_path / "run")]
+        names = (f"{bad}: empty manifest" if case == "empty manifest"
+                 else f"{bad}:2: expected 4-6 fields, got 3",)
+    elif case == "empty split":
+        lines = (tiny_set / "manifest.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line for line in lines if not line.startswith("train,")))
+        argv = ["extract", "--checkpoint", str(tiny_run / "checkpoint.ckpt"), "--manifest",
+                str(bad), "--descriptors", desc, "--split", "train",
+                "--out", str(tmp_path / "train.feat")]
+        names = ("split 'train' is empty",)
     else:
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"# caf\xe9\nhidden=8\n")
@@ -620,7 +645,7 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in names), err
-    inputs = {"removed.cfg", "latin1.csv", "latin1.cfg"}
+    inputs = {"removed.cfg", "latin1.csv", "latin1.cfg", "bad.csv"}
     assert {p.name for p in tmp_path.iterdir()} <= inputs
 
 
@@ -719,8 +744,8 @@ def test_command_line_required_flag_wins_over_the_file(tiny_set, tiny_run, tmp_p
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("train", "variant", "rnn"), ("train", "backbone", "convv"), ("extract", "split", "bogus"),
-    ("eval", "split", "bogus"), ("attmap", "split", "bogus"), ("eval", "track_agg", "median"),
+    ("train", "variant", "rnn"), ("extract", "split", "bogus"), ("eval", "split", "bogus"),
+    ("attmap", "split", "bogus"), ("eval", "track_agg", "median"),
 ])
 def test_config_value_outside_the_flags_choices_is_refused(tiny_set, tiny_run, tmp_path,
                                                            capsys, monkeypatch, command, key,
@@ -1004,15 +1029,23 @@ class TestExtract:
         assert names in err
         assert not (tmp_path / "f.feat").exists()
 
-    @pytest.mark.parametrize("corrupt", ["config_byte", "tensor_rank"])
+    @pytest.mark.parametrize("corrupt, named", [
+        ("config_byte", "UTF-8"),
+        ("tensor_rank", "truncated"),
+        ("tensor_name", "parameter names disagree with checkpoint "
+                        "(missing ['attn.w1'], unexpected ['attn.w9'])"),
+    ], ids=["config_byte", "tensor_rank", "tensor_name"])
     def test_corrupt_checkpoint_is_format_error(self, tiny_set, tiny_run, tmp_path, capsys,
-                                                corrupt):
+                                                corrupt, named):
         raw = bytearray((tiny_run / "checkpoint.ckpt").read_bytes())
         at = len(MAGIC) + 4
         (length,) = struct.unpack_from("<I", raw, at)
         config_end = at + 4 + length
         if corrupt == "config_byte":
             raw[config_end - 2] = 0xFF  # not UTF-8
+        elif corrupt == "tensor_name":  # renamed in the parameter and optimizer records
+            assert raw.count(b"attn.w1") == 2
+            raw = raw.replace(b"attn.w1", b"attn.w9")
         else:
             # The first tensor record follows seed, epoch and the tensor count.
             name_at = config_end + 12 + 4
@@ -1026,7 +1059,7 @@ class TestExtract:
                     "--out", str(tmp_path / "f.feat")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert ("UTF-8" if corrupt == "config_byte" else "truncated") in err
+        assert named in err
 
 
 class TestEval:

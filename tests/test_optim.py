@@ -237,3 +237,11 @@ def test_a_missing_second_seed_is_zero():
         assert np.array_equal(rng_for(seed).random(8), rng_for(seed, 0).random(8))
     for other in ((7, 1), (0, 7), (8,)):
         assert not np.array_equal(rng_for(7).random(8), rng_for(*other).random(8))
+
+
+def test_a_key_of_three_seeds_is_refused():
+    # A third value used to be dropped unchecked: rng_for(1, 2, 3) and
+    # rng_for(1, 2, -5) drew rng_for(1, 2)'s numbers.
+    for key in ((1, 2, 3), (1, 2, -5)):
+        with pytest.raises(TypeError):
+            rng_for(*key)

@@ -63,7 +63,7 @@ def holding(root, files: dict[str, bytes]):
     return root
 
 
-WRITES = {"synth": 3, "train": 5, "extract": 1, "eval": 1, "attmap": 4, "ablate": 1}
+WRITES = {"synth": 3, "train": 4, "extract": 1, "eval": 1, "attmap": 4, "ablate": 1}
 
 
 @pytest.mark.parametrize("name", sorted(WRITES))
