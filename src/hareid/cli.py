@@ -190,6 +190,11 @@ def cmd_train(args) -> int:
                                             in_channels=items[0][0].shape[-1] if items else 1)
             d = conv.channels
         else:  # an external extractor's maps train the ingested backbone
+            ignored = [f"--{key.replace('_', '-')} {value}" for key, value in given.items()
+                       if key.startswith("conv_")]
+            if ignored:
+                raise ConfigError(f"{', '.join(ignored)}: a run on --descriptors trains "
+                                  "no conv stack; drop the conv flags or train from images")
             conv, d = None, maps.shape[-1]
         model = Model(ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
                                   variant=flags["variant"], d=d, hidden=flags["hidden"],
@@ -204,6 +209,8 @@ def cmd_train(args) -> int:
                           f"classes, manifest has {split.num_models}/{split.num_vehicles}")
     out_dir = Path(args.out_dir)
     loss_path, ckpt_path = out_dir / "loss.csv", out_dir / "checkpoint.ckpt"
+    for path in (loss_path, ckpt_path):  # refused now, not after an epoch of training
+        formats.output_target(path)
     loss_rows = [["epoch", "mean_total", "mean_model", "mean_vehicle"],
                  *_kept_loss_rows(loss_path, start_epoch)]
 
@@ -332,10 +339,11 @@ def cmd_ablate(args) -> int:
                           f"each seed trains once")
     vehicles = len({s.vehicle_id for s in split.test})
     gallery_size = args.gallery_size or vehicles
-    # Every run's settings are checked before the first one trains.
+    # Every run's settings, and the output, are checked before the first one trains.
     check_repeated_gallery(vehicles, gallery_size, args.repeats)
     ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
                 d=maps.shape[-1], hidden=args.hidden)
+    out = formats.output_target(Path(args.out_dir) / "ablation.json")
     results: dict[str, dict] = {}
     for variant in VARIANTS:
         per_seed = []
@@ -347,7 +355,7 @@ def cmd_ablate(args) -> int:
         means = {key: float(np.mean([r[key] for r in per_seed])) for key in ("map", "cmc1", "cmc5")}
         results[variant] = {"per_seed": per_seed, **means}
 
-    with formats.written_whole(Path(args.out_dir) / "ablation.json") as f:
+    with formats.written_whole(out) as f:
         json.dump(results, f, sort_keys=True, indent=2)
     print(f"{'variant':22s} {'mAP':>8s} {'CMC@1':>8s} {'CMC@5':>8s}   (seeds {seeds})")
     for variant in VARIANTS:

@@ -44,6 +44,23 @@ _HEADER = struct.Struct("<4I")
 _TEMPORARY_SERIALS = itertools.count()  # with the pid, names each writer's own temporary
 
 
+def output_target(path) -> Path:
+    """The file that writing ``path`` replaces: ``path``, or the file a
+    symlink names. A target that exists and is not a regular file (a pipe, a
+    device, a directory), or whose nearest existing ancestor is not a
+    directory, is a FormatError; nothing is created. A command that writes
+    only after long work checks its outputs with this first."""
+    target = Path(path)
+    if target.is_symlink():
+        target = Path(os.path.realpath(target))
+    if target.exists() and not target.is_file():
+        raise FormatError(f"{path}: not a regular file; an output must be a file or a new path")
+    ancestor = next((p for p in target.parents if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise FormatError(f"{path}: {ancestor} is not a directory")
+    return target
+
+
 @contextlib.contextmanager
 def written_whole(path, mode: str = "w") -> Iterator[IO]:
     """A file object, opened in ``mode`` ("w" for UTF-8 text with no newline
@@ -51,16 +68,12 @@ def written_whole(path, mode: str = "w") -> Iterator[IO]:
     block ends without an error; on any error the target keeps its previous
     bytes and the temporary is removed. Missing parent directories are
     created, a symlink is written through to the file it names, and a target
-    that is not a regular file (a pipe, a device, a directory) is a
-    FormatError before anything is created. Each writer creates its own
-    sibling temporary, ``<name>.<pid>.<n>.tmp``, exclusively and with the
-    mode any new file gets (0666 less the umask), so two writers of one
-    target each leave it whole; the last to finish wins."""
-    target = Path(path)
-    if target.is_symlink():
-        target = Path(os.path.realpath(target))
-    if target.exists() and not target.is_file():
-        raise FormatError(f"{path}: not a regular file; an output must be a file or a new path")
+    ``output_target`` refuses is a FormatError before anything is created.
+    Each writer creates its own sibling temporary, ``<name>.<pid>.<n>.tmp``,
+    exclusively and with the mode any new file gets (0666 less the umask),
+    so two writers of one target each leave it whole; the last to finish
+    wins."""
+    target = output_target(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     for serial in _TEMPORARY_SERIALS:

@@ -281,6 +281,53 @@ class TestTrain:
         assert ckpt.read_bytes() == raw
         assert run([*base, "--conv-layers", "2", "--conv-channels", "4"]) == 0
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--conv-layers", "9", "--conv-channels", "3"], "--conv-layers 9, --conv-channels 3"),
+        (["--conv-kernel", "2"], "--conv-kernel 2"),
+        ("config", "--conv-channels 16"),
+    ], ids=["layers and channels", "kernel at its default", "config"])
+    def test_a_descriptor_run_refuses_conv_flags_before_training(self, tiny_set, tmp_path,
+                                                                 monkeypatch, capsys, flags,
+                                                                 named):
+        if flags == "config":
+            (tmp_path / "run.cfg").write_text("conv_channels=16\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("train was called"))
+        capsys.readouterr()
+        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(tmp_path / "run"), "--hidden", "8", "--epochs", "2",
+                    *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}: a run on --descriptors") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case", ["ancestor is a file", "loss.csv is a fifo",
+                                      "checkpoint is a directory"])
+    def test_an_out_dir_save_cannot_write_is_refused_before_training(self, tiny_set, tmp_path,
+                                                                     monkeypatch, capsys, case):
+        out_dir = tmp_path / "out"
+        if case == "ancestor is a file":
+            (tmp_path / "notadir").write_text("kept")
+            out_dir = tmp_path / "notadir" / "run"
+            named = f"{out_dir / 'loss.csv'}: {tmp_path / 'notadir'} is not a directory"
+        elif case == "loss.csv is a fifo":
+            out_dir.mkdir()
+            os.mkfifo(out_dir / "loss.csv")
+            named = f"{out_dir / 'loss.csv'}: not a regular file"
+        else:
+            (out_dir / "checkpoint.ckpt").mkdir(parents=True)
+            named = f"{out_dir / 'checkpoint.ckpt'}: not a regular file"
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("train was called"))
+        capsys.readouterr()
+        assert run(["train", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(out_dir), "--hidden", "8", "--epochs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_interrupted_run_resumes_from_last_epoch(self, tiny_set, tmp_path, monkeypatch):
         base = ["--manifest", str(tiny_set / "manifest.csv"),
                 "--descriptors", str(tiny_set / "descriptors.desc"),
@@ -1300,6 +1347,21 @@ class TestAblate:
         assert message in err
         assert trained == []
         assert not (tmp_path / "ablation.json").exists()
+
+    def test_an_out_dir_under_a_file_is_refused_before_training(self, tiny_set, tmp_path,
+                                                                capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(args))
+        (tmp_path / "notadir").write_text("kept")
+        out_dir = tmp_path / "notadir" / "ablation"
+        assert run(["ablate", "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--out-dir", str(out_dir), "--hidden", "8", "--epochs", "1",
+                    "--batch-size", "8", "--seeds", "0", "--repeats", "2"]) == 1
+        assert capsys.readouterr().err == (f"error: {out_dir / 'ablation.json'}: "
+                                           f"{tmp_path / 'notadir'} is not a directory\n")
+        assert trained == []
+        assert [p.name for p in tmp_path.iterdir()] == ["notadir"]
 
     def test_tiny_ablation_table(self, tiny_set, tmp_path, capsys):
         out = tmp_path / "ablate"

@@ -434,6 +434,43 @@ class TestProtocolBlocks:
                 assert rep["cmc"] == {str(k): v for k, v in bf_cmc.items()}, f"case {case}"
                 assert rep["skipped"] == bf_skipped, f"case {case}"
 
+    @pytest.mark.parametrize("agg", ["max", "mean"])
+    @pytest.mark.parametrize("band", ["bound", "inf"])
+    def test_veri_matches_brute_force_on_mixed_track_sizes(self, agg, band, monkeypatch):
+        # Each vehicle has tracks of 1, 2, 9 and 17 images, shuffled so that
+        # track ids interleave across the size groups of the track layout.
+        # Its first and last tracks share a camera, so each excludes the
+        # other, and the 17-image track also holds a second camera.
+        rng = np.random.default_rng(41)
+        rows = []
+        for v in range(16):
+            for k, size in enumerate(np.roll([1, 2, 9, 17], v)):
+                rows += [(f"v{v}", f"c{(k + (size == 17) * (j % 2)) % 3}", f"v{v}_t{k}")
+                         for j in range(size)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        feats = rng.normal(size=(len(rows), 4))
+        meta = [sample(v, camera=c, track=t, source=str(i)) for i, (v, c, t) in enumerate(rows)]
+        index = RetrievalIndex.build(feats, meta)
+        assert len(meta) > 3 * _block_queries(*feats.shape)
+        assert all(isinstance(tracks, np.ndarray) for tracks, _ in index.track_tables.groups)
+        exact_similarities = retrieval._exact_similarities
+        recomputed = [0]
+
+        def counted(gallery, features, queries):
+            recomputed[0] += len(queries)
+            return exact_similarities(gallery, features, queries)
+
+        monkeypatch.setattr(retrieval, "_exact_similarities", counted)
+        if band == "inf":
+            monkeypatch.setattr(retrieval, "_band", lambda *bound: np.inf)
+        report = veri_protocol(index, track_agg=agg)
+        assert recomputed[0] == (len(meta) if band == "inf" else 0)
+        bf_map, bf_cmc, bf_skipped = bf_veri(
+            feats.tolist(), [s.vehicle_id for s in meta], [s.camera_id for s in meta],
+            [s.track_id for s in meta], range(len(meta)), agg)
+        assert (report.map, report.cmc, report.counts["skipped"]) == (bf_map, bf_cmc, bf_skipped)
+        assert report.counts["queries"] == len(meta) - bf_skipped
+
     def test_reused_index_gives_the_same_reports(self):
         feats, meta = large_protocol_instance(np.random.default_rng(14))
         calls = [lambda idx: veri_protocol(idx, track_agg="max"),
@@ -739,6 +776,15 @@ class TestFilteredRanking:
             assert filtered_rows < exact_rows / 4  # the band decides most queries
         else:
             assert filtered_rows > 0  # the fallback ran
+
+    @pytest.mark.parametrize("kind", ["random", "rounded"])
+    def test_reports_do_not_depend_on_the_slots_of_a_rank_pass(self, kind, monkeypatch):
+        # One slot per pass against every slot of a block in one pass, with
+        # exact ties broken across passes on the rounded features.
+        feats, meta = adversarial_instance(kind, 8)
+        whole = adversarial_reports(feats, meta)
+        monkeypatch.setattr(retrieval, "_PASS_ELEMENTS", 1)
+        assert adversarial_reports(feats, meta) == whole
 
     def test_a_recomputed_query_may_have_fewer_relevant_items_than_its_block(self):
         # The block's relevant table is three wide (query 1 has three "a"

@@ -218,6 +218,17 @@ def test_a_target_that_is_not_a_regular_file_is_refused_before_anything_is_made(
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+def test_a_target_under_a_file_is_refused_before_anything_is_made(tmp_path):
+    (tmp_path / "notadir").write_text("kept")
+    target = tmp_path / "notadir" / "run" / "out"
+    with pytest.raises(FormatError) as err:
+        with formats.written_whole(target):
+            pass
+    assert str(err.value) == f"{target}: {tmp_path / 'notadir'} is not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["notadir"]
+    assert (tmp_path / "notadir").read_text() == "kept"
+
+
 @pytest.mark.parametrize("name, output", [("eval", "veri.json"), ("extract", "feats/test.feat"),
                                           ("synth", "set/manifest.csv")])
 def test_a_fifo_output_ends_in_one_error_line(name, output, inputs, tmp_path, capsys):
