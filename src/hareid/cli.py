@@ -156,15 +156,26 @@ def _given_model_flags(args) -> dict[str, object]:
     return {key: value for key, value in flags.items() if value is not None}
 
 
+def _refuse_flags(given: dict[str, object], why: str) -> None:
+    """Refuse the given flags, if any, in one line naming each with its value."""
+    if given:
+        named = ", ".join(f"--{key.replace('_', '-')} {value}" for key, value in given.items())
+        raise ConfigError(f"{named}: {why}")
+
+
 def _check_resume_flags(given: dict[str, object], config: ModelConfig) -> None:
     """A resume keeps the checkpoint's model: a given model flag that disagrees
-    with it is an error. Conv flags only describe a conv-backbone checkpoint."""
+    with it is an error, and so is a conv flag on an ingested checkpoint."""
     saved = {"variant": config.variant, "hidden": config.hidden}
-    if config.conv is not None:
+    if config.conv is None:
+        _refuse_flags({key: value for key, value in given.items() if key.startswith("conv_")},
+                      "the checkpoint's ingested backbone has no conv stack, and a resume "
+                      "keeps the checkpoint's model")
+    else:
         saved.update(conv_layers=config.conv.layers, conv_kernel=config.conv.kernel,
                      conv_channels=config.conv.channels)
     for key, value in given.items():
-        if key in saved and value != saved[key]:
+        if value != saved[key]:
             raise ConfigError(f"--{key.replace('_', '-')} {value} disagrees with the "
                               f"checkpoint's {key}={saved[key]}; a resume keeps the "
                               f"checkpoint's model")
@@ -190,11 +201,10 @@ def cmd_train(args) -> int:
                                             in_channels=items[0][0].shape[-1] if items else 1)
             d = conv.channels
         else:  # an external extractor's maps train the ingested backbone
-            ignored = [f"--{key.replace('_', '-')} {value}" for key, value in given.items()
-                       if key.startswith("conv_")]
-            if ignored:
-                raise ConfigError(f"{', '.join(ignored)}: a run on --descriptors trains "
-                                  "no conv stack; drop the conv flags or train from images")
+            _refuse_flags({key: value for key, value in given.items()
+                           if key.startswith("conv_")},
+                          "a run on --descriptors trains no conv stack; drop the conv flags "
+                          "or train from images")
             conv, d = None, maps.shape[-1]
         model = Model(ModelConfig(num_models=split.num_models, num_vehicles=split.num_vehicles,
                                   variant=flags["variant"], d=d, hidden=flags["hidden"],
@@ -247,15 +257,28 @@ def cmd_extract(args) -> int:
     return 0
 
 
+# The flags only one eval protocol reads, and what it uses for those not given.
+_PROTOCOL_FLAG_DEFAULTS = {"veri": {"track_agg": "max"},
+                           "vehicleid": {"gallery_size": 0, "repeats": 10}}
+
+
 def cmd_eval(args) -> int:
+    given = {key: value for key, value in (("track_agg", args.track_agg),
+                                           ("gallery_size", args.gallery_size),
+                                           ("repeats", args.repeats)) if value is not None}
+    defaults = _PROTOCOL_FLAG_DEFAULTS[args.protocol]
+    _refuse_flags({key: value for key, value in given.items() if key not in defaults},
+                  f"not read by --protocol {args.protocol}; drop it from the command line "
+                  "or --config")
+    flags = {**defaults, **given}
     samples, _ = _chosen_split(args)
     index = RetrievalIndex.build(formats.load_features(args.features), samples)
     if args.protocol == "veri":
-        report = veri_protocol(index, track_agg=args.track_agg)
+        report = veri_protocol(index, track_agg=flags["track_agg"])
     else:
-        gallery_size = args.gallery_size or len({s.vehicle_id for s in samples})
+        gallery_size = flags["gallery_size"] or len({s.vehicle_id for s in samples})
         report = vehicleid_protocol(index, gallery_size=gallery_size,
-                                    repeats=args.repeats, seed=args.seed)
+                                    repeats=flags["repeats"], seed=args.seed)
     text = report.to_json()
     if args.out:  # written first, so a run that cannot write it prints no report
         with formats.written_whole(args.out) as f:
@@ -438,11 +461,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--manifest", required=True)
     add_split(p)
     p.add_argument("--protocol", choices=("veri", "vehicleid"), required=True)
-    p.add_argument("--gallery-size", type=int, default=0,
-                   help="0 = all test vehicles")
-    p.add_argument("--repeats", type=int, default=10)
+    # Protocol flags default to None, so a flag the protocol never reads can
+    # be told from a default; cmd_eval fills in _PROTOCOL_FLAG_DEFAULTS.
+    vehicleid, veri = _PROTOCOL_FLAG_DEFAULTS["vehicleid"], _PROTOCOL_FLAG_DEFAULTS["veri"]
+    p.add_argument("--gallery-size", type=int,
+                   help=f"vehicleid only; default {vehicleid['gallery_size']}, all test vehicles")
+    p.add_argument("--repeats", type=int, help=f"vehicleid only; default {vehicleid['repeats']}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--track-agg", choices=("max", "mean"), default="max")
+    p.add_argument("--track-agg", choices=("max", "mean"),
+                   help=f"veri only; default {veri['track_agg']}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

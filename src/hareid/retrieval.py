@@ -36,7 +36,10 @@ AP adds the precision at each relevant rank in rank order (``np.cumsum``) and
 the first hit is the smallest relevant rank. A query with no relevant gallery
 item is skipped and counted in the report. ``rank_items``,
 ``average_precision`` and ``first_hit_rank`` state these definitions on one
-ranking.
+ranking. Only the scores at or above a query's lowest relevant score, less
+the band, can enter a count, so a block with more than one relevant slot per
+query gathers those candidates and compares its slots against them, not
+against every item (see ``_rank``).
 
 * Image-to-track protocol: each query is one image, gallery units are the
   tracks of all vehicles, tracks containing any image from the query's own
@@ -65,7 +68,10 @@ VeRi's 11,579x1024. A track mean gathers in image order (see
 relevant slot of a block in one pass, veri on the benchmark's eval_gallery
 ran a median 1.54x the queries per second of a (queries, tracks, size)
 gather and a loop over the slots, faster in each of ten pairs (seeds
-101-110, a 2-core VM).
+101-110, a 2-core VM). Comparing the slots against each block's candidates
+instead of its 1024 tracks then took ``_rank`` from about 505 to 154 us of
+a 64-query block, and veri ran a median 1.32x the queries per second,
+faster in each of ten pairs (seeds 81-90).
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ _BLOCK = 64  # fewest queries scored per block
 _BLOCK_ELEMENTS = 65536  # a larger block's per-query arrays: 512 KiB of float64
 _TILE_ELEMENTS = 131_072  # a gallery tile's bound (rows x dim): 1 MiB of float64, half an L2
 _U = np.finfo(np.float64).eps / 2  # float64's unit roundoff
-_PASS_ELEMENTS = 1 << 20  # a rank pass's (queries, slots, items) comparisons: 1 MiB of bool
+_PASS_ELEMENTS = 1 << 20  # a rank pass's (queries, slots, columns) comparisons: 1 MiB of bool
 
 
 def rank_items(similarities) -> np.ndarray:
@@ -120,11 +126,11 @@ def _codes(keys) -> np.ndarray:
     return np.array([seen.setdefault(k, len(seen)) for k in keys], dtype=np.intp)
 
 
-def _padded(counts: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row i holds the next counts[i] values; rows are padded to one width
-    (at least 1). Returns the table and the mask of its real entries."""
+def _padded(counts: np.ndarray, values: np.ndarray, fill=0) -> tuple[np.ndarray, np.ndarray]:
+    """Row i holds the next counts[i] values; rows are padded with ``fill`` to
+    one width (at least 1). Returns the table and the mask of its real entries."""
     real = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
-    table = np.zeros(real.shape, dtype=np.intp)
+    table = np.full(real.shape, fill, dtype=values.dtype)
     table[real] = values
     return table, real
 
@@ -355,31 +361,50 @@ def _rank(scores, relevant, real, band: float) -> tuple[np.ndarray, np.ndarray]:
     at a smaller position: each rank is its item's place in a stable sort of
     the negated scores, so no row is sorted.
 
-    The slots are compared in (queries, slots, items) passes of at most
-    ``_PASS_ELEMENTS`` comparisons, and at least one slot: one pass for a
-    veri block of 64 queries with up to 16 relevant tracks among 1024, so a
-    query with every gallery item relevant cannot make a cube of them.
-    Padding compares as a score of 0, so an infinite band meets no ``-inf``
-    score of an excluded item there and makes no NaN.
+    Only a row's candidates, its scores at or above its lowest real
+    ``own - band``, can enter either count. A table of more than one slot
+    first gathers them, row by row, into a (queries, candidates) table
+    padded with ``-inf`` to the block's largest count, and compares its slots
+    against that; a table of one slot compares against the full rows, where
+    the gather costs what it saves. On trained ``eval_gallery`` features a
+    veri row of 1024 tracks kept a median of 3 and at most 46 candidates.
+    Padding never counts: ``-inf`` is above no ``own + band``, and at or
+    above ``own - band`` only where that is ``-inf``, whose row keeps every
+    item and so has no padding. The ``band`` 0 tie correction reads the
+    full rows.
+
+    The slots are compared in (queries, slots, columns) passes over the
+    table they read, of at most ``_PASS_ELEMENTS`` comparisons and at least
+    one slot, so a query with every gallery item relevant cannot make a cube
+    of them. An unreal slot compares as a score of 0, so an infinite band
+    meets no ``-inf`` score of an excluded item there and makes no NaN.
     """
+    own = np.take_along_axis(scores, relevant, axis=1)
+    np.copyto(own, 0.0, where=~real)
+    table = scores
+    if relevant.shape[1] > 1:
+        lowest = np.where(real, own - band, np.inf).min(axis=1)
+        # Flat positions, counted per row: count_nonzero over the (queries,
+        # items) mask and a boolean gather took 27 us more per veri block.
+        kept_at = np.flatnonzero(scores >= lowest[:, None])
+        table = _padded(np.bincount(kept_at // scores.shape[1], minlength=len(scores)),
+                        np.take(scores, kept_at), -np.inf)[0]
     ranks = np.full(relevant.shape, np.inf)
     crowded = np.zeros(len(scores), dtype=bool)
-    step = max(1, _PASS_ELEMENTS // max(scores.size, 1))
+    step = max(1, _PASS_ELEMENTS // max(table.size, 1))
     for first in range(0, relevant.shape[1], step):
-        items, counts = relevant[:, first:first + step], real[:, first:first + step]
-        own = np.take_along_axis(scores, items, axis=1)
-        np.copyto(own, 0.0, where=~counts)
+        slot_own, counts = own[:, first:first + step], real[:, first:first + step]
         # int32 counts: a sum of booleans to the 8-byte intp took twice as long.
-        row_scores = scores[:, None, :]
-        above = np.sum(row_scores > (own + band)[:, :, None], axis=2, dtype=np.int32)
-        near = np.sum(row_scores >= (own - band)[:, :, None], axis=2, dtype=np.int32)
+        row_scores = table[:, None, :]
+        above = np.sum(row_scores > (slot_own + band)[:, :, None], axis=2, dtype=np.int32)
+        near = np.sum(row_scores >= (slot_own - band)[:, :, None], axis=2, dtype=np.int32)
         ranks[:, first:first + step] = np.where(counts, 1.0 + above, np.inf)
         close = counts & (near > above + 1)
         crowded |= close.any(axis=1)
         if band == 0 and close.any():
             rows, slots = np.nonzero(close)
-            tied = scores[rows] == own[rows, slots, None]
-            tied &= np.arange(scores.shape[1]) < items[rows, slots, None]
+            tied = scores[rows] == slot_own[rows, slots, None]
+            tied &= np.arange(scores.shape[1]) < relevant[rows, first + slots, None]
             ranks[rows, first + slots] += np.count_nonzero(tied, axis=1)
     return ranks, crowded
 

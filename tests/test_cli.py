@@ -203,7 +203,10 @@ class TestTrain:
         (["--hid", "32"], "--hidden 32"),
         ("config", "--variant rnn_h_no_attention"),
         ("manifest", "checkpoint expects 3/6 classes, manifest has 2/4"),
-    ], ids=["variant", "hidden", "prefix", "config", "class counts"])
+        (["--conv-layers", "5", "--conv-kernel", "3"], "--conv-layers 5, --conv-kernel 3"),
+        ("conv config", "--conv-channels 16"),
+    ], ids=["variant", "hidden", "prefix", "config", "class counts", "conv on ingested",
+            "conv on ingested from config"])
     def test_resume_refuses_a_disagreeing_model_flag(self, tiny_set, tmp_path, capsys,
                                                      flags, named):
         base = ["train", "--manifest", str(tiny_set / "manifest.csv"),
@@ -212,8 +215,9 @@ class TestTrain:
         assert run([*base, "--hidden", "8"]) == 0
         ckpt, loss = tmp_path / "checkpoint.ckpt", tmp_path / "loss.csv"
         before = ckpt.read_bytes(), loss.read_bytes()
-        if flags == "config":
-            (tmp_path / "run.cfg").write_text("variant=rnn_h_no_attention\n")
+        if flags in ("config", "conv config"):
+            (tmp_path / "run.cfg").write_text("variant=rnn_h_no_attention\n" if flags == "config"
+                                              else "conv_channels=16\n")
             flags = ["--config", str(tmp_path / "run.cfg")]
         elif flags == "manifest":  # the train rows of two of the three car models
             split = load_manifest(tiny_set / "manifest.csv")
@@ -234,9 +238,8 @@ class TestTrain:
                 "--batch-size", "8", "--seed", "2"]
         assert run([*base, "--variant", "fc_ha", "--hidden", "8", "--epochs", "1"]) == 0
         ckpt = tmp_path / "checkpoint.ckpt"
-        # Agreeing flags, and conv flags on an ingested checkpoint, are accepted.
-        assert run([*base, "--epochs", "2", "--hidden", "8", "--conv-layers", "5",
-                    "--resume", str(ckpt)]) == 0
+        # Agreeing flags are accepted.
+        assert run([*base, "--epochs", "2", "--hidden", "8", "--resume", str(ckpt)]) == 0
         config = load_checkpoint(ckpt).config
         assert (config.variant, config.hidden, config.backbone) == ("fc_ha", 8, "ingested")
 
@@ -629,7 +632,8 @@ class TestTrain:
                                   "empty manifest", "short row", "empty split", "config",
                                   "removed train key", "removed gradcheck key",
                                   "removed lr key", "removed synth key",
-                                  "removed backbone key"])
+                                  "removed backbone key", "vehicleid track-agg",
+                                  "veri repeats and gallery size", "veri repeats from config"])
 def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case):
     manifest, desc = str(tiny_set / "manifest.csv"), str(tiny_set / "descriptors.desc")
     if case in ("samples", "no samples"):
@@ -682,6 +686,23 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
                 str(bad), "--descriptors", desc, "--split", "train",
                 "--out", str(tmp_path / "train.feat")]
         names = ("split 'train' is empty",)
+    elif case in ("vehicleid track-agg", "veri repeats and gallery size",
+                  "veri repeats from config"):
+        # A flag its protocol never reads, refused before the features are read
+        # (there are none here) or a report is written.
+        argv = ["eval", "--features", str(tmp_path / "absent.feat"), "--manifest", manifest,
+                "--out", str(tmp_path / "report.json")]
+        if case == "vehicleid track-agg":
+            argv += ["--protocol", "vehicleid", "--track-agg", "mean"]
+            names = ("--track-agg mean: not read by --protocol vehicleid",)
+        elif case == "veri repeats and gallery size":
+            argv += ["--protocol", "veri", "--repeats", "3", "--gallery-size", "2", "--seed", "4"]
+            names = ("--gallery-size 2, --repeats 3: not read by --protocol veri",)
+        else:
+            cfg = tmp_path / "eval.cfg"
+            cfg.write_text("protocol=veri\nrepeats=3\n")
+            argv += ["--config", str(cfg)]
+            names = ("--repeats 3: not read by --protocol veri",)
     else:
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"# caf\xe9\nhidden=8\n")
@@ -692,7 +713,7 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in names), err
-    inputs = {"removed.cfg", "latin1.csv", "latin1.cfg", "bad.csv"}
+    inputs = {"removed.cfg", "latin1.csv", "latin1.cfg", "bad.csv", "eval.cfg"}
     assert {p.name for p in tmp_path.iterdir()} <= inputs
 
 
@@ -1139,6 +1160,21 @@ class TestEval:
         report = json.loads(out.read_text())
         assert report["protocol"] == "veri"
         assert report["map"] == 1.0
+
+    def test_each_protocol_takes_its_own_flags_and_the_seed(self, tiny_set, tmp_path, capsys,
+                                                            monkeypatch):
+        # HAR_SEED sets every command's seed, so veri takes --seed too; a
+        # protocol flag given at its default reports as the default does.
+        feat = tmp_path / "perfect.feat"
+        self._write_perfect_features(tiny_set, feat)
+        base = ["eval", "--features", str(feat), "--manifest", str(tiny_set / "manifest.csv")]
+        monkeypatch.setenv("HAR_SEED", "3")
+        for protocol, flags in (("veri", ["--track-agg", "max", "--seed", "4"]),
+                                ("vehicleid", ["--gallery-size", "0", "--repeats", "10"])):
+            assert run([*base, "--protocol", protocol]) == 0
+            default = capsys.readouterr().out
+            assert run([*base, "--protocol", protocol, *flags]) == 0
+            assert capsys.readouterr().out == default
 
     def test_fixture_matches_brute_force(self, tmp_path, capsys):
         # 3 queries, 4 gallery items, hand-planted features.

@@ -835,6 +835,65 @@ class TestFilteredRanking:
         assert len(set(ranks)) > 5
 
 
+def loop_rank(scores, relevant, real, band):
+    """``_rank`` by its stated definition, one (query, slot) at a time: a real
+    slot ranks 1 + the items above ``own + band``, plus, with ``band`` 0, the
+    items scoring equal at a smaller position; a query is crowded where some
+    real slot's ``own +/- band`` holds another item's score."""
+    ranks = np.full(relevant.shape, np.inf)
+    crowded = np.zeros(len(scores), dtype=bool)
+    for q, row in enumerate(scores.tolist()):
+        for slot, item in enumerate(relevant[q].tolist()):
+            if not real[q, slot]:
+                continue
+            own = row[item]
+            ranks[q, slot] = 1 + sum(s > own + band for s in row)
+            if band == 0:
+                ranks[q, slot] += sum(s == own for s in row[:item])
+            crowded[q] |= any(own - band <= s <= own + band
+                              for j, s in enumerate(row) if j != item)
+    return ranks, crowded
+
+
+def rank_table(rng, width: int, items: int = 24):
+    """A (queries, items) score table with its relevant table and mask. Scores
+    are multiples of 1/4, so exact ties fall among a row's candidates and
+    below them; row 0's worst real item scores last, so its candidates are the
+    whole row; row 1's one real item scores alone at the top, its only
+    candidate; row 2 has no real slot; rows 3 on have excluded items at
+    ``-inf``, and their relevant ones are never real."""
+    scores = rng.integers(-4, 5, size=(9, items)) / 4
+    relevant = np.stack([rng.permutation(items)[:width] for _ in scores])
+    real = rng.random(relevant.shape) < 0.7
+    real[0, 0] = real[1, 0] = True
+    real[1, 1:] = real[2] = False
+    scores[0, relevant[0, 0]] = -2.0
+    scores[1, relevant[1, 0]] = 2.0
+    scores[3:][rng.random((6, items)) < 0.2] = -np.inf
+    real &= np.isfinite(np.take_along_axis(scores, relevant, axis=1))
+    return scores, relevant, real
+
+
+class TestRankDefinition:
+    @pytest.mark.parametrize("pass_elements", [None, 1], ids=["one pass", "one slot a pass"])
+    @pytest.mark.parametrize("band", [0.0, 0.3, np.inf], ids=["exact", "band", "inf"])
+    @pytest.mark.parametrize("width", [1, 2, 16])
+    def test_rank_equals_a_loop_over_its_definition(self, width, band, pass_elements,
+                                                    monkeypatch):
+        if pass_elements is not None:
+            monkeypatch.setattr(retrieval, "_PASS_ELEMENTS", pass_elements)
+        rng = np.random.default_rng(width)
+        for _ in range(5):
+            scores, relevant, real = rank_table(rng, width)
+            with np.errstate(all="raise"):  # an infinite band makes no NaN
+                ranks, crowded = retrieval._rank(scores, relevant, real, band)
+            expect_ranks, expect_crowded = loop_rank(scores, relevant, real, band)
+            assert np.array_equal(ranks, expect_ranks)
+            assert np.array_equal(crowded, expect_crowded)
+            assert ranks[0, 0] == (1 if band == np.inf else 24)
+            assert np.isinf(ranks[2]).all() and not crowded[2]
+
+
 class TestScaleInvariance:
     def test_rescaling_features_changes_nothing(self):
         rng = np.random.default_rng(5)
