@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import (Tensor, global_average_pool, matmul, reshape, scale_rows, softplus,
                        transpose, tsum)
 from .backbone import ActivationMap
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .gru import Mlp
 
 DEFAULT_EPSILON = 0.1
@@ -68,14 +68,12 @@ def attention_scores(w: Tensor, amap: ActivationMap) -> Tensor:
     return reshape(softplus(matmul(flat, columns)), (*batch, h, gw))
 
 
-def normalize_scores(s: Tensor, epsilon: float = DEFAULT_EPSILON) -> Tensor:
-    """Shift by epsilon and normalize each sample's scores to a distribution
-    over its grid (the last two axes)."""
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+def normalize_scores(s: Tensor) -> Tensor:
+    """Shift by ``DEFAULT_EPSILON`` and normalize each sample's scores to a
+    distribution over its grid (the last two axes)."""
     if s.data.ndim < 2:
         raise ShapeError(f"normalize_scores needs an (h, w) grid, got shape {s.shape}")
-    shifted = s + epsilon
+    shifted = s + DEFAULT_EPSILON
     return shifted / tsum(shifted, keep=s.data.ndim - 2)
 
 

@@ -248,6 +248,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    formats.output_target(args.out)  # refused now, not after the features are extracted
     model, ckpt = _model_from_checkpoint(args.checkpoint)
     samples, maps = _chosen_split(args)
     if not samples:
@@ -258,23 +259,23 @@ def cmd_extract(args) -> int:
 
 
 # The flags only one eval protocol reads, and what it uses for those not given.
-_PROTOCOL_FLAG_DEFAULTS = {"veri": {"track_agg": "max"},
-                           "vehicleid": {"gallery_size": 0, "repeats": 10}}
+_PROTOCOL_FLAG_DEFAULTS = {"veri": {}, "vehicleid": {"gallery_size": 0, "repeats": 10}}
 
 
 def cmd_eval(args) -> int:
-    given = {key: value for key, value in (("track_agg", args.track_agg),
-                                           ("gallery_size", args.gallery_size),
+    given = {key: value for key, value in (("gallery_size", args.gallery_size),
                                            ("repeats", args.repeats)) if value is not None}
     defaults = _PROTOCOL_FLAG_DEFAULTS[args.protocol]
     _refuse_flags({key: value for key, value in given.items() if key not in defaults},
                   f"not read by --protocol {args.protocol}; drop it from the command line "
                   "or --config")
     flags = {**defaults, **given}
+    if args.out:  # refused now, not after the protocol has run
+        formats.output_target(args.out)
     samples, _ = _chosen_split(args)
     index = RetrievalIndex.build(formats.load_features(args.features), samples)
     if args.protocol == "veri":
-        report = veri_protocol(index, track_agg=flags["track_agg"])
+        report = veri_protocol(index)
     else:
         gallery_size = flags["gallery_size"] or len({s.vehicle_id for s in samples})
         report = vehicleid_protocol(index, gallery_size=gallery_size,
@@ -316,12 +317,17 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_attmap(args) -> int:
+    ids = _int_list(args.samples, "--samples")
+    out_dir = Path(args.out_dir)
+    for i in ids:  # every output refused before any input is read
+        for suffix in ("pgm", "csv"):
+            formats.output_target(out_dir / f"attmap_{i}.{suffix}")
     model, ckpt = _model_from_checkpoint(args.checkpoint)
     if model.attn is None:
         raise ConfigError(f"variant {ckpt.config.variant!r} has no attention module")
     samples, maps = _chosen_split(args)
     weights_of = []  # (sample id, attention weights), in --samples order
-    for i in _int_list(args.samples, "--samples"):
+    for i in ids:
         if not 0 <= i < len(samples):
             raise ConfigError(f"sample id {i} out of range for split of {len(samples)}")
         inp = data.sample_input(samples[i], maps, image_root=args.image_root)
@@ -329,7 +335,6 @@ def cmd_attmap(args) -> int:
         if not np.isfinite(weights.a).all():
             raise NumericError(f"sample {i} ({samples[i].source}) has a non-finite attention map")
         weights_of.append((i, weights))
-    out_dir = Path(args.out_dir)
     for i, weights in weights_of:
         formats.write_pgm(out_dir / f"attmap_{i}.pgm",
                           formats.attention_to_pixels(weights.a[0]))
@@ -463,13 +468,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--protocol", choices=("veri", "vehicleid"), required=True)
     # Protocol flags default to None, so a flag the protocol never reads can
     # be told from a default; cmd_eval fills in _PROTOCOL_FLAG_DEFAULTS.
-    vehicleid, veri = _PROTOCOL_FLAG_DEFAULTS["vehicleid"], _PROTOCOL_FLAG_DEFAULTS["veri"]
+    vehicleid = _PROTOCOL_FLAG_DEFAULTS["vehicleid"]
     p.add_argument("--gallery-size", type=int,
                    help=f"vehicleid only; default {vehicleid['gallery_size']}, all test vehicles")
     p.add_argument("--repeats", type=int, help=f"vehicleid only; default {vehicleid['repeats']}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--track-agg", choices=("max", "mean"),
-                   help=f"veri only; default {veri['track_agg']}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

@@ -58,11 +58,10 @@ class TrainSchedule:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def lr_schedule(epoch: int, schedule: TrainSchedule | None = None) -> float:
+def lr_schedule(epoch: int, schedule: TrainSchedule) -> float:
     """Step schedule: ``INITIAL_LR`` before drop_epoch, ``DROPPED_LR`` from it on."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    schedule = schedule or TrainSchedule()
     return INITIAL_LR if epoch < schedule.drop_epoch else DROPPED_LR
 
 

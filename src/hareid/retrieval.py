@@ -14,19 +14,19 @@ of the one-thread BLAS matrix-vector product ``gallery @ q`` of each query,
 which ``_exact_similarities`` computes over gallery tiles (see there). A block
 is first scored from one GEMM, ``features[block] @ gallery.T``, which adds the
 terms in another order and may move a similarity by a few ulps. Each score of
-the GEMM lies within a band of its exact value, bounded from the width, a
-bound on the row norms and, for a track mean, the largest track size (Higham's
-gamma_n for a dot product or a sum in any order; see ``_band``). A relevant
-item whose band holds no other item's score has the rank the exact scores
-give it: every item above the band stays above, every item below stays below,
-and no exact tie exists. A query with a relevant item whose band holds another
-score (a duplicate row, a zero row, features rounded to few values, a near
-tie) is scored again from its exact similarities, as a filtered geometric
-predicate falls back to exact arithmetic (Shewchuk 1997). On trained or random
-features the band, 6e-14 at d=64 and 9e-13 at d=1024 on unit rows, catches
-almost no query; on features rounded to a few values it catches almost every
-one, and those blocks cost their GEMM on top of the exact products (a veri
-block then took about 1.7 times as long as with the exact products alone).
+the GEMM lies within a band of its exact value, bounded from the width and a
+bound on the row norms (Higham's gamma_n for a dot product in any order; see
+``_band``). A relevant item whose band holds no other item's score has the
+rank the exact scores give it: every item above the band stays above, every
+item below stays below, and no exact tie exists. A query with a relevant item
+whose band holds another score (a duplicate row, a zero row, features rounded
+to few values, a near tie) is scored again from its exact similarities, as a
+filtered geometric predicate falls back to exact arithmetic (Shewchuk 1997).
+On trained or random features the band, 6e-14 at d=64 and 9e-13 at d=1024 on
+unit rows, catches almost no query; on features rounded to a few values it
+catches almost every one, and those blocks cost their GEMM on top of the exact
+products (a veri block then took about 1.7 times as long as with the exact
+products alone).
 
 No gallery is sorted: a relevant item's rank is 1 + the number of items
 scoring higher, plus those scoring equal with a smaller item id, which is the
@@ -44,7 +44,7 @@ against every item (see ``_rank``).
 * Image-to-track protocol: each query is one image, gallery units are the
   tracks of all vehicles, tracks containing any image from the query's own
   camera are excluded (they score ``-inf`` and are not relevant), and a track
-  scores the max (optionally the mean) of its member images' similarities.
+  scores the max of its member images' similarities.
 * Repeated-sampling protocol: per repeat, a fixed-size set of vehicles is
   drawn, one random image per vehicle forms the gallery, every other image
   of those vehicles queries it, and metrics average over ten repeats.
@@ -63,15 +63,7 @@ crowded query's exact similarities are still those of the gallery in image
 order, with only their columns permuted into the layout, so every report
 keeps its bytes. The copy is one more float64 gallery per index: 2.6 MB on
 a 5120x64 gallery, 10.5 MB at d=1024 on 1280 images and about 95 MB at
-VeRi's 11,579x1024. A track mean gathers in image order (see
-``veri_protocol``). With the layout, and with ``_rank`` comparing every
-relevant slot of a block in one pass, veri on the benchmark's eval_gallery
-ran a median 1.54x the queries per second of a (queries, tracks, size)
-gather and a loop over the slots, faster in each of ten pairs (seeds
-101-110, a 2-core VM). Comparing the slots against each block's candidates
-instead of its 1024 tracks then took ``_rank`` from about 505 to 154 us of
-a 64-query block, and veri ran a median 1.32x the queries per second,
-faster in each of ten pairs (seeds 81-90).
+VeRi's 11,579x1024.
 """
 
 from __future__ import annotations
@@ -209,8 +201,8 @@ class RetrievalIndex:
                                   f"{samples[i].vehicle_id}")
         camera_tracks = np.zeros((camera.max(initial=-1) + 1, len(sizes)), dtype=bool)
         camera_tracks[camera, track] = True
-        # Tracks of one size reduce as rows of one (tracks, size) matrix of image
-        # ids in image order, where np.mean adds in the same order as on one track.
+        # Tracks of one size form one (tracks, size) matrix of image ids, each
+        # row in image order; its transpose is the group's run of the layout.
         by_track = np.argsort(track, kind="stable")
         starts = np.cumsum(sizes) - sizes
         groups = []
@@ -323,7 +315,7 @@ def _gamma(n: int) -> float:
     return n * _U / (1 - n * _U)
 
 
-def _band(d: int, norm: float, terms: int) -> float:
+def _band(d: int, norm: float) -> float:
     """Half-width of the window around a relevant item's GEMM score outside
     which every other GEMM score keeps its order against it in the exact scores.
 
@@ -331,19 +323,16 @@ def _band(d: int, norm: float, terms: int) -> float:
     most norm**2 in magnitude (Cauchy-Schwarz), so a similarity computed in
     any order, a GEMM's or the exact one, lies within gamma_(d+1) norm**2 of
     the true dot product (d + 1 leaves room for a kernel adding into its zeroed
-    output), and the two differ by at most twice that. A score that averages
-    up to ``terms`` similarities (0: a similarity or a track max, which
-    selects one) adds each side's sum and division error, 2 gamma_terms times
-    the largest score. So each GEMM score is within ``delta`` of its exact
-    score, and a score more than 2 delta from ``own`` keeps its side of it.
-    The window is twice 2 delta + u size: that covers the rounding of
-    ``own +/- window`` itself (at most u (size + window)) and of this bound
-    and ``norm``, each a relative error far below 1.
+    output), so the two differ by at most ``delta``, twice that. A track max
+    selects one of its similarities and adds no rounding, so each GEMM score
+    is within ``delta`` of its exact score, and a score more than 2 delta
+    from ``own`` keeps its side of it. The window is twice 2 delta + u size:
+    that covers the rounding of ``own +/- window`` itself (at most
+    u (size + window)) and of this bound and ``norm``, each a relative error
+    far below 1.
     """
     size = norm * norm * (1 + _gamma(d + 1))  # bounds every computed score
     delta = 2 * _gamma(d + 1) * norm * norm
-    if terms:
-        delta += 2 * _gamma(terms) * size
     return 2 * (2 * delta + _U * size)
 
 
@@ -410,21 +399,21 @@ def _rank(scores, relevant, real, band: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ranked(gallery: np.ndarray, features: np.ndarray, queries, norm: float, scored,
-            terms: int = 0, layout=None):
+            layout=None):
     """Per block of ``queries``: the (queries, width) ranks of each query's
     relevant items, ``inf`` on entries that do not count.
 
     ``scored(block, similarities)`` turns a block's (queries, gallery)
     similarities into its scores, relevant items and mask (see ``_rank``);
-    ``norm`` bounds the rows' l2 norms and ``terms`` is the most similarities
-    one score averages. Each block is ranked from one GEMM within ``_band``;
-    its crowded queries are ranked again from their exact similarities.
+    ``norm`` bounds the rows' l2 norms. Each block is ranked from one GEMM
+    within ``_band``; its crowded queries are ranked again from their exact
+    similarities.
     ``layout``, if given, is ``(gallery[order], order)``: the GEMM reads that
     copy, and the exact similarities, still those of ``gallery``, have their
     columns taken in ``order``, so ``scored`` sees one column order.
     """
     gemm_rows, order = (gallery, None) if layout is None else layout
-    band = _band(gallery.shape[1], norm, terms)
+    band = _band(gallery.shape[1], norm)
     size = _block_queries(*gallery.shape)
     for lo in range(0, len(queries), size):
         block = queries[lo:lo + size]
@@ -496,25 +485,22 @@ def _query_ids(queries, n: int) -> np.ndarray:
 
 def veri_protocol(index: RetrievalIndex, queries=None,
                   track_agg: str = "max") -> EvaluationReport:
-    """Image-to-track evaluation with same-camera tracks excluded; the
-    queries are image ids (default: every image), each in [0, len(index))."""
-    if track_agg not in ("max", "mean"):
+    """Image-to-track evaluation with same-camera tracks excluded, each track
+    scored by its best image (the max of its images' similarities); the
+    queries are image ids (default: every image), each in [0, len(index)).
+
+    ``track_agg`` names that score and accepts only ``"max"``: callers that
+    name it keep working, and any other value, ``"mean"`` included, is a
+    ConfigError."""
+    if track_agg != "max":
         raise ConfigError(f"unknown track aggregation {track_agg!r}")
     tables = index.track_tables
     ids = _query_ids(queries, len(index))
     vehicle = index.vehicle_codes
     num_tracks = tables.camera_tracks.shape[1]
-    if track_agg == "max":
-        # Member j of every track of a group is one run of columns of the
-        # track layout, so a track max reads whole runs, with no gather.
-        layout, terms = index.track_layout, 0
-        starts = np.cumsum([0] + [images.size for _, images in tables.groups])
-    else:
-        # A track mean gathers each track's similarities in image order and
-        # adds them with np.mean over that contiguous last axis, whose order
-        # fixes the bits; gathered from the layout's runs it ran slower.
-        layout = None
-        terms = max((images.shape[1] for _, images in tables.groups), default=0)
+    # Member j of every track of a group is one run of columns of the track
+    # layout, so a track max reads whole runs, with no gather.
+    starts = np.cumsum([0] + [images.size for _, images in tables.groups])
     # Scores are finite, so adding a camera's row (-inf on its tracks, 0 on the
     # rest) excludes its tracks; np.copyto(..., where=) took 8 times as long.
     camera_masks = np.where(tables.camera_tracks, -np.inf, 0.0)
@@ -522,11 +508,8 @@ def veri_protocol(index: RetrievalIndex, queries=None,
     def scored(block, sims):
         scores = np.empty((len(block), num_tracks))
         for g, (tracks, images) in enumerate(tables.groups):
-            if layout is None:
-                scores[:, tracks] = np.mean(sims[:, images], axis=-1)
-            else:
-                runs = sims[:, starts[g]:starts[g + 1]].reshape(len(block), *images.T.shape)
-                scores[:, tracks] = np.maximum.reduce(runs, axis=1)
+            runs = sims[:, starts[g]:starts[g + 1]].reshape(len(block), *images.T.shape)
+            scores[:, tracks] = np.maximum.reduce(runs, axis=1)
         cameras = tables.camera[block]
         excluded = tables.camera_tracks[cameras]
         scores += camera_masks[cameras]
@@ -536,8 +519,8 @@ def veri_protocol(index: RetrievalIndex, queries=None,
         return scores, relevant, real
 
     mean_ap, cmc, answered, skipped = _score(
-        _ranked(index.features, index.features, ids, index.norm_bound, scored, terms,
-                layout))
+        _ranked(index.features, index.features, ids, index.norm_bound, scored,
+                index.track_layout))
     return EvaluationReport(protocol="veri", map=mean_ap, cmc=cmc,
                             counts={"queries": answered, "skipped": skipped,
                                     "gallery_tracks": num_tracks,

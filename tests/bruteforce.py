@@ -77,12 +77,12 @@ def bf_summary(aps, first_hits, skipped, ks=(1, 5)):
     return mean_ap, cmc, skipped
 
 
-def bf_veri(features, vehicles, cameras, tracks, queries, agg="max"):
+def bf_veri(features, vehicles, cameras, tracks, queries):
     """Image-to-track mAP, CMC@k and skipped count by full enumeration.
 
     Tracks are numbered in order of first appearance; a track holding any
-    image from the query's camera is not ranked; a track scores the max (or
-    the mean) of its images' similarities to the query.
+    image from the query's camera is not ranked; a track scores the max of
+    its images' similarities to the query.
     """
     unit = [bf_normalize(f) for f in features]
     members = {}
@@ -98,13 +98,10 @@ def bf_veri(features, vehicles, cameras, tracks, queries, agg="max"):
             if any(cameras[i] == cameras[qi] for i in images):
                 continue
             sims = [bf_dot(unit[qi], unit[i]) for i in images]
-            if agg == "max":
-                score = sims[0]
-                for s in sims[1:]:
-                    if s > score:
-                        score = s
-            else:
-                score = sum(sims) / len(sims)
+            score = sims[0]
+            for s in sims[1:]:
+                if s > score:
+                    score = s
             scores.append(score)
             relevant.append(vehicles[images[0]] == vehicles[qi])
         relevance = [relevant[o] for o in bf_order(scores)]

@@ -73,9 +73,7 @@ class TestAttentionDistribution:
             w = ad.constant(rng.uniform(-3, 3, size=d))
             a = att.normalize_scores(att.attention_scores(w, amap)).data
             ok &= abs(a.sum() - 1.0) < 1e-9 and bool(np.all(a > 0))
-        import inspect
-        eps_default = inspect.signature(att.normalize_scores).parameters["epsilon"].default
-        ok &= eps_default == 0.1 and att.DEFAULT_EPSILON == 0.1
+        ok &= att.DEFAULT_EPSILON == 0.1
         record_criterion("attention distribution (sum 1 within 1e-9, eps = 0.1)", ok)
         assert ok
 
@@ -234,8 +232,9 @@ class TestAttentionLocalization:
 
 class TestScheduleFidelity:
     def test_exact_rates(self):
-        ok = all(lr_schedule(e) == 0.001 for e in range(5))
-        ok &= all(lr_schedule(e) == 0.0001 for e in range(5, 30))
+        schedule = TrainSchedule()
+        ok = all(lr_schedule(e, schedule) == 0.001 for e in range(5))
+        ok &= all(lr_schedule(e, schedule) == 0.0001 for e in range(5, 30))
         record_criterion("schedule fidelity (1e-3 for epochs 0-4, 1e-4 from 5)", ok)
         assert ok
 

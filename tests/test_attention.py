@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hareid import attention as att
 from hareid import autodiff as ad
 from hareid.backbone import ActivationMap
-from hareid.errors import ConfigError, ShapeError
+from hareid.errors import ShapeError
 from hareid.gru import Mlp
 
 
@@ -81,7 +81,7 @@ class TestNormalizeScores:
         np.testing.assert_allclose(a.data, 0.25, atol=1e-15)
 
     def test_hand_case_with_epsilon(self):
-        a = att.normalize_scores(ad.constant([[1.0, 0.0, 0.0, 0.0]]), epsilon=0.1)
+        a = att.normalize_scores(ad.constant([[1.0, 0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(a.data, [[11.0 / 14, 1.0 / 14, 1.0 / 14, 1.0 / 14]],
                                    atol=1e-12)
         assert a.data[0, 0] == pytest.approx(0.785714, abs=1e-6)
@@ -91,10 +91,6 @@ class TestNormalizeScores:
         for s in (0.0, 5.0, 1e-30):
             a = att.normalize_scores(ad.constant([[s]]))
             assert a.data[0, 0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            att.normalize_scores(ad.constant([[1.0]]), epsilon=0.0)
 
     def test_default_epsilon_is_point_one(self):
         assert att.DEFAULT_EPSILON == 0.1

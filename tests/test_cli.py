@@ -632,7 +632,7 @@ class TestTrain:
                                   "empty manifest", "short row", "empty split", "config",
                                   "removed train key", "removed gradcheck key",
                                   "removed lr key", "removed synth key",
-                                  "removed backbone key", "vehicleid track-agg",
+                                  "removed backbone key", "removed track-agg key",
                                   "veri repeats and gallery size", "veri repeats from config"])
 def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case):
     manifest, desc = str(tiny_set / "manifest.csv"), str(tiny_set / "descriptors.desc")
@@ -650,12 +650,14 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
     elif case.startswith("removed"):
         # Keys of flags that are gone: the attention width, the gradient
         # check's pass bound, the learning rates and the sticker settings
-        # are constants, and train's inputs choose the backbone.
+        # are constants, train's inputs choose the backbone, and veri scores
+        # each track by its best image.
         command, key, value = {"removed train key": ("train", "attn_hidden", 8),
                                "removed gradcheck key": ("gradcheck", "tol", 1),
                                "removed lr key": ("train", "lr", 0.01),
                                "removed synth key": ("synth", "signature-cone", 0.5),
-                               "removed backbone key": ("train", "backbone", "conv")}[case]
+                               "removed backbone key": ("train", "backbone", "conv"),
+                               "removed track-agg key": ("eval", "track_agg", "max")}[case]
         cfg = tmp_path / "removed.cfg"
         cfg.write_text(f"{key}={value}\n")
         argv = [command, "--config", str(cfg)]
@@ -686,16 +688,12 @@ def test_bad_input_is_one_error_line(tiny_set, tiny_run, tmp_path, capsys, case)
                 str(bad), "--descriptors", desc, "--split", "train",
                 "--out", str(tmp_path / "train.feat")]
         names = ("split 'train' is empty",)
-    elif case in ("vehicleid track-agg", "veri repeats and gallery size",
-                  "veri repeats from config"):
+    elif case in ("veri repeats and gallery size", "veri repeats from config"):
         # A flag its protocol never reads, refused before the features are read
         # (there are none here) or a report is written.
         argv = ["eval", "--features", str(tmp_path / "absent.feat"), "--manifest", manifest,
                 "--out", str(tmp_path / "report.json")]
-        if case == "vehicleid track-agg":
-            argv += ["--protocol", "vehicleid", "--track-agg", "mean"]
-            names = ("--track-agg mean: not read by --protocol vehicleid",)
-        elif case == "veri repeats and gallery size":
+        if case == "veri repeats and gallery size":
             argv += ["--protocol", "veri", "--repeats", "3", "--gallery-size", "2", "--seed", "4"]
             names = ("--gallery-size 2, --repeats 3: not read by --protocol veri",)
         else:
@@ -813,7 +811,7 @@ def test_command_line_required_flag_wins_over_the_file(tiny_set, tiny_run, tmp_p
 
 @pytest.mark.parametrize("command, key, value", [
     ("train", "variant", "rnn"), ("extract", "split", "bogus"), ("eval", "split", "bogus"),
-    ("attmap", "split", "bogus"), ("eval", "track_agg", "median"),
+    ("attmap", "split", "bogus"), ("eval", "protocol", "bogus"),
 ])
 def test_config_value_outside_the_flags_choices_is_refused(tiny_set, tiny_run, tmp_path,
                                                            capsys, monkeypatch, command, key,
@@ -958,6 +956,31 @@ def test_descriptor_index_past_the_file_is_named(tiny_set, tiny_run, tmp_path, c
             f"descriptor file has {rows} rows") in err
     # Nothing is written, not even the attention map of the good sample 0.
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "veri", "vehicleid"])
+def test_an_out_under_a_file_is_refused_before_the_work(tiny_set, tiny_run, tmp_path, capsys,
+                                                        monkeypatch, command):
+    # extract refuses its --out before it extracts a feature, and eval before
+    # either protocol runs.
+    ran = []
+    for name in ("_features", "veri_protocol", "vehicleid_protocol"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: ran.append(name))
+    split = load_manifest(tiny_set / "manifest.csv")
+    formats.write_features(tmp_path / "f.feat", np.ones((len(split.test), 4)))
+    (tmp_path / "notadir").write_text("kept")
+    out = tmp_path / "notadir" / "out"
+    common = ["--manifest", str(tiny_set / "manifest.csv"), "--out", str(out)]
+    if command == "extract":
+        argv = ["extract", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
+                "--descriptors", str(tiny_set / "descriptors.desc"), *common]
+    else:
+        argv = ["eval", "--features", str(tmp_path / "f.feat"), "--protocol", command, *common]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: {tmp_path / 'notadir'} is not a directory\n"
+    assert captured.out == "" and ran == []
+    assert (tmp_path / "notadir").read_text() == "kept"
 
 
 @pytest.mark.parametrize("source", ["\u00b2", "\u0663"])
@@ -1169,7 +1192,7 @@ class TestEval:
         self._write_perfect_features(tiny_set, feat)
         base = ["eval", "--features", str(feat), "--manifest", str(tiny_set / "manifest.csv")]
         monkeypatch.setenv("HAR_SEED", "3")
-        for protocol, flags in (("veri", ["--track-agg", "max", "--seed", "4"]),
+        for protocol, flags in (("veri", ["--seed", "4"]),
                                 ("vehicleid", ["--gallery-size", "0", "--repeats", "10"])):
             assert run([*base, "--protocol", protocol]) == 0
             default = capsys.readouterr().out
@@ -1317,6 +1340,21 @@ class TestAttmap:
                     "--descriptors", str(tmp_path / "d.desc"),
                     "--samples", "0", "--out-dir", str(out)]) == 0
         assert (out / "attmap_0.pgm").read_text().splitlines()[-1] == "255"
+
+    def test_an_output_it_cannot_write_is_refused_before_any_map(self, tiny_set, tiny_run,
+                                                                  tmp_path, capsys):
+        # attmap_1.pgm is a directory: sample 0's map is neither printed nor
+        # written before the error.
+        out = tmp_path / "maps"
+        (out / "attmap_1.pgm").mkdir(parents=True)
+        assert run(["attmap", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),
+                    "--manifest", str(tiny_set / "manifest.csv"),
+                    "--descriptors", str(tiny_set / "descriptors.desc"),
+                    "--samples", "0,1", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out / 'attmap_1.pgm'}: not a regular file")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["attmap_1.pgm"]
 
     def test_sample_id_out_of_range(self, tiny_set, tiny_run, tmp_path, capsys):
         assert run(["attmap", "--checkpoint", str(tiny_run / "checkpoint.ckpt"),

@@ -119,18 +119,19 @@ class TestSlicedRmsprop:
 
 class TestSchedule:
     def test_paper_values(self):
-        assert lr_schedule(0) == 0.001
-        assert lr_schedule(4) == 0.001
-        assert lr_schedule(5) == 0.0001
-        assert lr_schedule(100) == 0.0001
+        schedule = TrainSchedule()
+        assert lr_schedule(0, schedule) == 0.001
+        assert lr_schedule(4, schedule) == 0.001
+        assert lr_schedule(5, schedule) == 0.0001
+        assert lr_schedule(100, schedule) == 0.0001
 
     def test_pure_step_function(self):
-        rates = [lr_schedule(e) for e in range(10)]
+        rates = [lr_schedule(e, TrainSchedule()) for e in range(10)]
         assert rates == [0.001] * 5 + [0.0001] * 5
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            lr_schedule(-1)
+            lr_schedule(-1, TrainSchedule())
 
     def test_invalid_schedule_config(self):
         with pytest.raises(ConfigError, match="drop_epoch must be >= 0, got -2"):

@@ -196,14 +196,15 @@ class TestVeriProtocol:
                 sample("A", camera="c1", track="tA"), sample("A", camera="c1", track="tA"),
                 sample("B", camera="c1", track="tB")]
         idx = RetrievalIndex.build(feats, meta)
-        report_max = veri_protocol(idx, queries=[0], track_agg="max")
-        assert report_max.cmc[1] == 1.0
-        report_mean = veri_protocol(idx, queries=[0], track_agg="mean")
-        assert report_mean.cmc[1] == 0.0  # (0 + 0.95)/2 < 0.9
+        # A track mean, (0 + 0.95)/2 < 0.9, would rank vehicle B first.
+        assert veri_protocol(idx, queries=[0]).cmc[1] == 1.0
+        assert veri_protocol(idx, queries=[0], track_agg="max").cmc[1] == 1.0
 
     def test_unknown_aggregation(self):
-        with pytest.raises(ConfigError):
-            veri_protocol(veri_fixture([0.9, 0.5, 0.8]), track_agg="median")
+        # A track scores its best image: "max" is the one aggregation.
+        for agg in ("mean", "median"):
+            with pytest.raises(ConfigError, match=f"unknown track aggregation '{agg}'"):
+                veri_protocol(veri_fixture([0.9, 0.5, 0.8]), track_agg=agg)
 
 
 def perfect_index(vehicles=2, images=2, dim=None):
@@ -344,7 +345,7 @@ def random_protocol_instance(rng, vehicles=(2, 6), tracks=(1, 4), images=(1, 4),
 
 
 class TestProtocolOracle:
-    @pytest.mark.parametrize("agg", ["max", "mean"])
+    @pytest.mark.parametrize("agg", ["max"])
     def test_veri_matches_brute_force(self, agg):
         rng = np.random.default_rng(8)
         skipped = 0
@@ -356,7 +357,7 @@ class TestProtocolOracle:
                                    track_agg=agg)
             bf_map, bf_cmc, bf_skipped = bf_veri(
                 feats, [s.vehicle_id for s in meta], [s.camera_id for s in meta],
-                [s.track_id for s in meta], queries, agg)
+                [s.track_id for s in meta], queries)
             assert report.map == bf_map, f"case {case}"
             assert report.cmc == bf_cmc, f"case {case}"
             assert report.counts["skipped"] == bf_skipped, f"case {case}"
@@ -385,8 +386,7 @@ class TestProtocolOracle:
 def large_protocol_instance(rng):
     """A random instance whose veri queries, every image against a gallery of
     every image, fill more than two query blocks and end in a partial one,
-    with tracks of up to 13 images, so a track mean adds with NumPy's
-    pairwise summation."""
+    with tracks of up to 13 images."""
     feats, meta = random_protocol_instance(rng, vehicles=(17, 18), tracks=(2, 4),
                                            images=(6, 14))
     sizes = Counter(s.track_id for s in meta)
@@ -398,7 +398,7 @@ def large_protocol_instance(rng):
 class TestProtocolBlocks:
     """Oracle cases spanning several query blocks, and index reuse."""
 
-    @pytest.mark.parametrize("agg", ["max", "mean"])
+    @pytest.mark.parametrize("agg", ["max"])
     def test_veri_matches_brute_force_across_blocks(self, agg):
         rng = np.random.default_rng(12)
         for case in range(8):
@@ -407,7 +407,7 @@ class TestProtocolBlocks:
             report = veri_protocol(RetrievalIndex.build(feats, meta), track_agg=agg)
             bf_map, bf_cmc, bf_skipped = bf_veri(
                 feats, [s.vehicle_id for s in meta], [s.camera_id for s in meta],
-                [s.track_id for s in meta], queries, agg)
+                [s.track_id for s in meta], queries)
             assert report.map == bf_map, f"case {case}"
             assert report.cmc == bf_cmc, f"case {case}"
             assert report.counts["skipped"] == bf_skipped, f"case {case}"
@@ -434,7 +434,7 @@ class TestProtocolBlocks:
                 assert rep["cmc"] == {str(k): v for k, v in bf_cmc.items()}, f"case {case}"
                 assert rep["skipped"] == bf_skipped, f"case {case}"
 
-    @pytest.mark.parametrize("agg", ["max", "mean"])
+    @pytest.mark.parametrize("agg", ["max"])
     @pytest.mark.parametrize("band", ["bound", "inf"])
     def test_veri_matches_brute_force_on_mixed_track_sizes(self, agg, band, monkeypatch):
         # Each vehicle has tracks of 1, 2, 9 and 17 images, shuffled so that
@@ -467,16 +467,15 @@ class TestProtocolBlocks:
         assert recomputed[0] == (len(meta) if band == "inf" else 0)
         bf_map, bf_cmc, bf_skipped = bf_veri(
             feats.tolist(), [s.vehicle_id for s in meta], [s.camera_id for s in meta],
-            [s.track_id for s in meta], range(len(meta)), agg)
+            [s.track_id for s in meta], range(len(meta)))
         assert (report.map, report.cmc, report.counts["skipped"]) == (bf_map, bf_cmc, bf_skipped)
         assert report.counts["queries"] == len(meta) - bf_skipped
 
     def test_reused_index_gives_the_same_reports(self):
         feats, meta = large_protocol_instance(np.random.default_rng(14))
-        calls = [lambda idx: veri_protocol(idx, track_agg="max"),
-                 lambda idx: veri_protocol(idx, track_agg="mean"),
+        calls = [veri_protocol,
                  lambda idx: vehicleid_protocol(idx, gallery_size=5, repeats=3, seed=1),
-                 lambda idx: veri_protocol(idx, queries=range(70, 140), track_agg="mean")]
+                 lambda idx: veri_protocol(idx, queries=range(70, 140))]
         fresh = [call(RetrievalIndex.build(feats, meta)).as_dict() for call in calls]
         index = RetrievalIndex.build(feats, meta)
         for _ in range(2):
@@ -636,10 +635,10 @@ class TestGalleryTiles:
         galleries (64 queries x 2048 rows x d=64, 64 x 1280 x 1024), and its
         bits may depend on the thread count; the ranks, checked against
         ``_band`` and recomputed from the one-thread products where the band
-        cannot decide them, do not. So veri (max and mean), vehicleid and
-        image reports have the same bytes under one, two and four BLAS
-        threads, each in its own process, on features where some queries fall
-        back (rounded and duplicated rows) and on features where few do."""
+        cannot decide them, do not. So veri, vehicleid and image reports have
+        the same bytes under one, two and four BLAS threads, each in its own
+        process, on features where some queries fall back (rounded and
+        duplicated rows) and on features where few do."""
         script = (
             "import hashlib\n"
             "import numpy as np\n"
@@ -657,8 +656,7 @@ class TestGalleryTiles:
             "    feats[n // 4:n // 2:2] = feats[n // 4 + 1:n // 2:2]\n"
             "    index = RetrievalIndex.build(feats, meta)\n"
             "    queries = np.arange(0, n, 5)\n"
-            "    for agg in ('max', 'mean'):\n"
-            "        digest.update(veri_protocol(index, queries, agg).to_json().encode())\n"
+            "    digest.update(veri_protocol(index, queries).to_json().encode())\n"
             "    digest.update(vehicleid_protocol(index, vehicles, 2, 3).to_json().encode())\n"
             "    labels = [s.vehicle_id for s in meta]\n"
             "    digest.update(image_retrieval_metrics(feats[:64], labels[:64], feats,\n"
@@ -676,7 +674,7 @@ class TestGalleryTiles:
         assert len(digests[0]) == 64
         assert digests[1:] == digests[:1] * 2
 
-    @pytest.mark.parametrize("agg", ["max", "mean"])
+    @pytest.mark.parametrize("agg", ["max"])
     def test_veri_matches_brute_force_across_tiles(self, agg):
         # d=64 gives 2048-row tiles, d=1024 128-row ones.
         rng = np.random.default_rng(15)
@@ -689,7 +687,7 @@ class TestGalleryTiles:
                                    track_agg=agg)
             bf_map, bf_cmc, bf_skipped = bf_veri(
                 feats, [s.vehicle_id for s in meta], [s.camera_id for s in meta],
-                [s.track_id for s in meta], queries, agg)
+                [s.track_id for s in meta], queries)
             assert report.map == bf_map, dims
             assert report.cmc == bf_cmc, dims
             assert report.counts["skipped"] == bf_skipped, dims
@@ -734,15 +732,15 @@ def adversarial_instance(kind: str, d: int):
 
 
 def adversarial_reports(feats, meta) -> list[str]:
-    """The JSON of the veri (max and mean), vehicleid (every vehicle, and a
-    third of them, ten repeats each) and image reports of one instance."""
+    """The JSON of the veri, vehicleid (every vehicle, and a third of them,
+    ten repeats each) and image reports of one instance."""
     index = RetrievalIndex.build(feats, meta)
     vehicles = len({s.vehicle_id for s in meta})
     queries = np.arange(0, len(meta), 3)
     gallery = np.setdiff1d(np.arange(len(meta)), queries)
     labels = np.array([s.vehicle_id for s in meta])
     return [report.to_json() for report in (
-        veri_protocol(index, track_agg="max"), veri_protocol(index, track_agg="mean"),
+        veri_protocol(index),
         vehicleid_protocol(index, vehicles, repeats=10, seed=2),
         vehicleid_protocol(index, vehicles // 3, repeats=10, seed=3),
         image_retrieval_metrics(feats[queries], labels[queries], feats[gallery],
@@ -800,13 +798,12 @@ class TestFilteredRanking:
         assert (report.map, report.cmc, report.counts["skipped"]) == (bf_map, bf_cmc, 0)
 
     def test_band_bounds(self):
-        # About 6e-14 at d=64 and 9e-13 at d=1024, growing with the width,
-        # the squared norm and, for a track mean, the track size.
-        assert 5e-14 < retrieval._band(64, 1.0, 0) < 1e-13
-        assert 5e-13 < retrieval._band(1024, 1.0, 0) < 1e-12
-        assert retrieval._band(1024, 2.0, 0) == pytest.approx(4 * retrieval._band(1024, 1.0, 0))
-        assert retrieval._band(64, 1.0, 13) > retrieval._band(64, 1.0, 0)
-        assert retrieval._band(64, 0.0, 13) == 0.0
+        # About 6e-14 at d=64 and 9e-13 at d=1024, growing with the width
+        # and the squared norm.
+        assert 5e-14 < retrieval._band(64, 1.0) < 1e-13
+        assert 5e-13 < retrieval._band(1024, 1.0) < 1e-12
+        assert retrieval._band(1024, 2.0) == pytest.approx(4 * retrieval._band(1024, 1.0))
+        assert retrieval._band(64, 0.0) == 0.0
 
     def test_near_ties_rank_as_the_exact_similarities_order_them(self):
         # Forty gallery rows within 1e-14 of one another score within a few
